@@ -15,6 +15,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .core import (
+    CrossCheckError,
     Dataset,
     DistanceMatrix,
     Partition,
@@ -445,7 +446,8 @@ def embed_partition(d, gamma, m=1):
     distance.  Any two points inside one ball end up at most 2 r_i apart
     (no farther than they started) and points of different balls at least
     dmax apart (no closer), so the embedded set is an admissible transform
-    of the input for gamma -- asserted before returning.
+    of the input for gamma -- checked before returning (a failure raises
+    :class:`~axiomlab.core.CrossCheckError`).
 
     Parameters
     ----------
@@ -493,9 +495,11 @@ def embed_partition(d, gamma, m=1):
 
     out = Dataset(pts)
     ok, violations = is_gamma_transform(d, distance_matrix(out), gamma)
-    assert ok, "ball embedding must be admissible for its partition: %r" % (
-        violations[:3],
-    )
+    if not ok:
+        raise CrossCheckError(
+            "ball embedding must be admissible for its partition: %r"
+            % (violations[:3],)
+        )
     return out
 
 

@@ -24,6 +24,14 @@ DEFAULT_ENUMERATION_CAP = 12
 _ENUMERATION_CAP_ENV = "AXIOMLAB_ENUMERATION_CAP"
 
 
+class CrossCheckError(ArithmeticError):
+    """Two independent routes to the same number disagree.
+
+    Raised explicitly (not by ``assert``), so the checks also hold under
+    ``python -O``.
+    """
+
+
 # ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------

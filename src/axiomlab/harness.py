@@ -6,9 +6,9 @@ it; statements asserting an impossibility are represented by their
 constructive witnesses only.  Every trial draws its randomness from a
 substream spawned off the configured master seed, so trials are
 order-independent and a whole suite run is reproducible bit for bit from
-``(master seed, config)``.  Reports record the master seed and an
-environment fingerprint; a failing check always carries at least one
-witness small enough to replay by hand.
+``(master seed, config)``.  Reports record the master seed and the
+environment they ran in, and fingerprint their results alone; a failing
+check always carries at least one witness small enough to replay by hand.
 """
 
 import hashlib
@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .constructions import (
     collapse_to_two_groups,
@@ -119,8 +120,9 @@ class SuiteReport:
 
     ``checks`` is a tuple of dicts (name, trials, violations, passed);
     ``witnesses`` a tuple of replayable failure (or, for witness-style
-    suites, success) records.  Everything except ``runtime_s`` is a pure
-    function of (suite, config), which :meth:`fingerprint` hashes.
+    suites, success) records.  ``runtime_s`` and ``environment`` describe
+    the run; everything else is a pure function of (suite, config), and
+    :meth:`fingerprint` hashes exactly that part.
     """
 
     __slots__ = ("suite", "master_seed", "checks", "witnesses", "runtime_s",
@@ -158,9 +160,17 @@ class SuiteReport:
         return json.dumps(self.as_dict(), sort_keys=True)
 
     def fingerprint(self):
-        """sha256 over the deterministic content (runtime excluded)."""
-        payload = self.as_dict()
-        del payload["runtime_s"]
+        """sha256 over the results: suite, master seed, checks, witnesses.
+
+        Runtime and environment are left out, so the same results give the
+        same fingerprint on any machine.
+        """
+        payload = {
+            "suite": self.suite,
+            "master_seed": self.master_seed,
+            "checks": list(self.checks),
+            "witnesses": list(self.witnesses),
+        }
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()
@@ -178,6 +188,7 @@ def _environment():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "platform": platform.platform(),
     }
 

@@ -1,16 +1,20 @@
 """The k-means objective and its optimisers.
 
-Contains the dual-form objective evaluator, seeding strategies, Lloyd
-iteration with deterministic tie-breaking, an exhaustive branch-and-bound
-global optimiser for small n, single-point-move local-minimum
-certification, a bounded-memory streaming variant, and diagnostics that
-decide whether a clustering is trustworthy (ball separation of the result,
-candidate cluster trees).
+Contains the two-route objective evaluator, seeding strategies, Lloyd
+iteration with deterministic tie-breaking, restarted k-means that builds a
+result only for the winning restart, an exhaustive branch-and-bound global
+optimiser for small n, a vectorised single-point-move local-minimum test,
+a bounded-memory streaming variant, and diagnostics that decide whether a
+clustering is trustworthy (ball separation of the result, candidate
+cluster trees).
 
-Every objective evaluation that matters is computed along two independent
-routes (centroid scatter vs. pairwise distances, incremental vs. direct)
-and cross-checked; a disagreement raises immediately instead of producing
-a quietly wrong number.
+Every number that matters is computed along two independent routes and
+cross-checked: the objective in centroid form and in shifted-sum form,
+each single-point-move increment in closed form and through the moved
+cluster mean, and each Lloyd step against the previous objective.  A
+disagreement raises :class:`~axiomlab.core.CrossCheckError` at once (an
+explicit exception, so ``python -O`` keeps it) instead of producing a
+quietly wrong number.
 """
 
 import json
@@ -20,12 +24,18 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
-from .core import Dataset, Partition, _enumeration_cap, _ENUMERATION_CAP_ENV
+from .core import (
+    CrossCheckError,
+    Dataset,
+    Partition,
+    _enumeration_cap,
+    _ENUMERATION_CAP_ENV,
+)
 
 SEEDING_STRATEGIES = ("uniform-random", "plus-plus", "explicit-centers")
 
-# relative tolerance for the centroid-form vs pairwise-form identity
-_DUAL_FORM_RTOL = 1e-9
+# relative tolerance (floored at 1) between the two routes of a cross-check
+_CROSS_CHECK_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,13 +147,28 @@ def _scatter(pts):
     return float(np.sum(diff * diff))
 
 
-def objective_q(dataset, partition):
-    """k-means objective of a partition, computed along both classic forms.
+def _cross_check(what, first, second):
+    """Raise CrossCheckError unless two routes agree elementwise to
+    _CROSS_CHECK_RTOL * max(1, |first|, |second|); NaN never agrees."""
+    first, second = np.asarray(first), np.asarray(second)
+    scale = np.maximum(1.0, np.maximum(np.abs(first), np.abs(second)))
+    bad = ~(np.abs(first - second) <= _CROSS_CHECK_RTOL * scale)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise CrossCheckError("%s: %r and %r disagree" % (
+            what, float(first.flat[i]), float(second.flat[i])))
 
-    The centroid form sums squared distances to cluster means; the pairwise
-    form sums, per cluster, all squared point-point distances divided by the
-    cluster size.  The two are equal by algebra, and this function verifies
-    that numerically (relative tolerance 1e-9) on every call.
+
+def objective_q(dataset, partition):
+    """k-means objective of a partition, computed along two routes.
+
+    The centroid form sums squared distances to cluster means.  The
+    shifted form takes one member c of each cluster and sums
+    |x - c|^2 - |sum (x - c)|^2 / n_j; the two are equal by algebra, and
+    shifting by a member keeps the subtraction from cancelling on data far
+    from the origin.  Both routes cost O(nm).  They must agree to relative
+    1e-9 (floored at 1) on every call, else
+    :class:`~axiomlab.core.CrossCheckError` is raised.
 
     Parameters
     ----------
@@ -161,17 +186,15 @@ def objective_q(dataset, partition):
             "partition covers %d points, dataset has %d" % (partition.n, dataset.n)
         )
     centroid_form = 0.0
-    pairwise_form = 0.0
+    shifted_form = 0.0
     for block in partition.clusters:
         sub = pts[list(block)]
         centroid_form += _scatter(sub)
-        if len(sub) > 1:
-            d2 = pdist(sub, metric="sqeuclidean")
-            pairwise_form += float(np.sum(d2)) / len(sub)
-    gap = abs(centroid_form - pairwise_form)
-    assert gap <= _DUAL_FORM_RTOL * max(1.0, centroid_form, pairwise_form), (
-        "centroid form %r and pairwise form %r disagree" % (centroid_form, pairwise_form)
-    )
+        diff = sub - sub[0]
+        total = diff.sum(axis=0)
+        shifted_form += float(np.sum(diff * diff)) - float(total @ total) / len(sub)
+    _cross_check("objective: centroid form vs shifted form",
+                 centroid_form, shifted_form)
     return centroid_form
 
 
@@ -182,13 +205,17 @@ def explained_variance(dataset, result):
     :class:`~axiomlab.core.Partition` (Q is computed).  A dataset whose
     points all coincide has TSS = 0 and is fully explained by anything.
     """
-    tss = _scatter(dataset.points)
     if isinstance(result, ClusteringResult):
         q = result.q
     elif isinstance(result, Partition):
         q = objective_q(dataset, result)
     else:
         raise TypeError("result must be ClusteringResult or Partition")
+    return _explained(dataset, q)
+
+
+def _explained(dataset, q):
+    tss = _scatter(dataset.points)
     if tss == 0.0:
         return 1.0
     return 1.0 - q / tss
@@ -268,6 +295,17 @@ def _partition_scatter(pts, labels, k):
     return total
 
 
+def _canonical_q(pts, labels):
+    """Objective of a labelling, summed over clusters in order of their
+    first point: the same float operations as :func:`objective_q`'s
+    centroid form on the labelling's partition."""
+    _, first = np.unique(labels, return_index=True)
+    q = 0.0
+    for j in labels[np.sort(first)]:
+        q += _scatter(pts[labels == j])
+    return q
+
+
 def _fix_empty_clusters(pts, centers, labels, k):
     """Re-home one point per empty cluster; returns number of events.
 
@@ -313,9 +351,10 @@ def _lloyd_core(pts, centers, max_iterations):
         # Lloyd's objective never increases: the assignment step and the
         # empty-cluster fix both only remove scatter, the mean update is
         # optimal for fixed membership.
-        assert q_here <= q_prev * (1.0 + 1e-9) + 1e-12, (
-            "objective increased from %r to %r" % (q_prev, q_here)
-        )
+        if not q_here <= q_prev * (1.0 + 1e-9) + 1e-12:
+            raise CrossCheckError(
+                "Lloyd objective increased from %r to %r" % (q_prev, q_here)
+            )
         q_prev = q_here
         if updates >= max_iterations:
             break
@@ -367,8 +406,9 @@ def _result_from_labels(dataset, labels, k, iterations, converged):
         [dataset.points[list(b)].mean(axis=0) for b in partition.clusters]
     )
     q = objective_q(dataset, partition)
-    ev = explained_variance(dataset, partition)
-    return ClusteringResult(partition, centers, q, iterations, ev, converged)
+    return ClusteringResult(
+        partition, centers, q, iterations, _explained(dataset, q), converged
+    )
 
 
 def kmeans(dataset, config, initial_centers=None):
@@ -378,7 +418,10 @@ def kmeans(dataset, config, initial_centers=None):
     used for a single run.  Otherwise ``config.restarts`` independent
     seedings are drawn from child generators spawned off
     ``config.rng_seed`` and the result with the smallest objective wins
-    (first winner kept on exact ties).
+    (first winner kept on exact ties).  Restarts are compared on their
+    labels' objective summed in canonical cluster order, which equals the
+    winner's reported ``q`` bit for bit; only the winner is turned into a
+    :class:`ClusteringResult`.
 
     Parameters
     ----------
@@ -396,15 +439,20 @@ def kmeans(dataset, config, initial_centers=None):
         return lloyd(dataset, initial_centers, config)
     if initial_centers is not None:
         raise ValueError("initial_centers only allowed with explicit-centers")
+    pts = dataset.points
     children = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
     best = None
     for child in children:
         rng = np.random.default_rng(child)
         centers = seed(dataset, config.k, config.seeding, rng)
-        result = lloyd(dataset, centers, config)
-        if best is None or result.q < best.q:
-            best = result
-    return best
+        labels, updates, converged, _ = _lloyd_core(
+            pts, centers, config.max_iterations
+        )
+        q = _canonical_q(pts, labels)
+        if best is None or q < best[0]:
+            best = (q, labels, updates, converged)
+    _, labels, updates, converged = best
+    return _result_from_labels(dataset, labels, config.k, updates, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -524,29 +572,27 @@ def kmeans_ideal_minima(dataset, k, rel_tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def _removal_gain(block_pts, idx_in_block):
-    """Objective drop when the given member leaves its cluster; two routes."""
-    nb = len(block_pts)
-    mu = block_pts.mean(axis=0)
-    x = block_pts[idx_in_block]
-    gain = nb / (nb - 1) * float(np.sum((x - mu) ** 2))
-    direct = _scatter(block_pts) - _scatter(np.delete(block_pts, idx_in_block, axis=0))
-    assert abs(gain - direct) <= 1e-9 * max(1.0, gain, abs(direct)), (
-        "removal increment %r disagrees with direct recomputation %r" % (gain, direct)
-    )
-    return gain
+def _increment(x, mean, total, size, step):
+    """Objective change when x leaves (step=-1) or joins (step=+1) a
+    cluster of ``size`` points with coordinate sum ``total`` and mean
+    ``mean``; a removal gain or an addition cost.  Broadcasts over moves.
 
-
-def _addition_cost(block_pts, x):
-    """Objective rise when x joins the cluster; two routes."""
-    nb = len(block_pts)
-    mu = block_pts.mean(axis=0)
-    cost = nb / (nb + 1) * float(np.sum((x - mu) ** 2))
-    direct = _scatter(np.vstack([block_pts, x])) - _scatter(block_pts)
-    assert abs(cost - direct) <= 1e-9 * max(1.0, cost, abs(direct)), (
-        "addition increment %r disagrees with direct recomputation %r" % (cost, direct)
-    )
-    return cost
+    Route one is the closed form size / (size + step) * |x - mean|^2.
+    Route two forms the moved cluster's mean nu from ``total`` and uses
+    the parallel-axis split: the scatter with x equals the scatter without
+    x plus |x - c|^2 plus s |nu - mean|^2, where c is the mean of the
+    cluster holding x and s the size of the one without it.  Both routes
+    cost O(m) per move and must agree to relative 1e-9 (floored at 1).
+    """
+    size = np.asarray(size)
+    closed = size / (size + step) * np.sum((x - mean) ** 2, axis=-1)
+    nu = (total + step * x) / (size + step)[..., None]
+    larger_mean = mean if step < 0 else nu
+    direct = (np.sum((x - larger_mean) ** 2, axis=-1)
+              + np.minimum(size, size + step) * np.sum((nu - mean) ** 2, axis=-1))
+    _cross_check("removal increment" if step < 0 else "addition increment",
+                 closed, direct)
+    return closed
 
 
 def is_local_min(dataset, partition, rel_tol=1e-9):
@@ -554,11 +600,12 @@ def is_local_min(dataset, partition, rel_tol=1e-9):
 
     A move takes one point from its cluster to another; it improves the
     objective iff the removal gain exceeds the addition cost.  Moves that
-    would empty a cluster are skipped.  Scan order is deterministic:
-    clusters canonically, members ascending, targets canonically.
-
-    Both increments are evaluated via the closed-form size-weighted
-    formulas and via direct subset recomputation, and cross-checked.
+    would empty a cluster are skipped.  All n x k moves are scored at once
+    from the clusters' sizes, coordinate sums and means, each increment
+    along two O(m) routes that are cross-checked (see :func:`_increment`),
+    so the test costs O(nkm).  The witness is the first improving move in
+    a fixed scan order: clusters canonically, members ascending, targets
+    canonically.
 
     Parameters
     ----------
@@ -572,32 +619,37 @@ def is_local_min(dataset, partition, rel_tol=1e-9):
     -------
     (bool, dict or None)
         ``(True, None)`` if no improving move exists; otherwise
-        ``(False, witness)`` with the first improving move found:
+        ``(False, witness)`` with the first improving move in scan order:
         ``{"point", "source", "target", "delta_q"}``.
     """
     pts = dataset.points
     if partition.n != dataset.n:
         raise ValueError("partition does not match dataset")
-    blocks = [np.array(b, dtype=int) for b in partition.clusters]
-    block_pts = [pts[b] for b in blocks]
-    for a, block in enumerate(blocks):
-        if len(block) < 2:
-            continue  # moving the only member would empty the cluster
-        for pos, point_idx in enumerate(block):
-            gain = _removal_gain(block_pts[a], pos)
-            for b in range(len(blocks)):
-                if b == a:
-                    continue
-                cost = _addition_cost(block_pts[b], pts[point_idx])
-                if gain - cost > rel_tol * max(1.0, gain, cost):
-                    witness = {
-                        "point": int(point_idx),
-                        "source": a,
-                        "target": b,
-                        "delta_q": cost - gain,
-                    }
-                    return False, witness
-    return True, None
+    labels = partition.labels()
+    k = partition.k
+    sizes = np.bincount(labels, minlength=k)
+    totals = np.stack([pts[labels == j].sum(axis=0) for j in range(k)])
+    means = totals / sizes[:, None]
+    # scan order; moving the only member would empty its cluster
+    movers = np.argsort(labels, kind="stable")
+    movers = movers[sizes[labels[movers]] > 1]
+    source = labels[movers]
+    x = pts[movers]
+    gain = _increment(x, means[source], totals[source], sizes[source], -1)[:, None]
+    cost = _increment(x[:, None, :], means, totals, sizes, +1)
+    improving = gain - cost > rel_tol * np.maximum(1.0, np.maximum(gain, cost))
+    improving[np.arange(len(movers)), source] = False
+    hits = np.flatnonzero(improving)
+    if len(hits) == 0:
+        return True, None
+    row, target = divmod(int(hits[0]), k)
+    witness = {
+        "point": int(movers[row]),
+        "source": int(source[row]),
+        "target": target,
+        "delta_q": float(cost[row, target] - gain[row, 0]),
+    }
+    return False, witness
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ from axiomlab.core import (
 from axiomlab.harness import ExperimentConfig, run_suite, variance_grid
 from axiomlab.kmeans import (
     KMeansConfig,
-    _addition_cost,
-    _removal_gain,
+    _increment,
     is_local_min,
     kmeans,
     kmeans_ideal,
@@ -90,7 +89,8 @@ def test_02_single_point_move_identities():
             ((src[i] - src.mean(axis=0)) ** 2).sum())
         gain_direct = scatter(src) - scatter(np.delete(src, i, axis=0))
         assert gain_formula == pytest.approx(gain_direct, rel=1e-9, abs=1e-12)
-        assert _removal_gain(src, i) == pytest.approx(
+        assert float(_increment(src[i], src.mean(axis=0), src.sum(axis=0),
+                                half, -1)) == pytest.approx(
             gain_direct, rel=1e-9, abs=1e-12)
 
         nb = len(dst)
@@ -98,7 +98,8 @@ def test_02_single_point_move_identities():
             ((src[i] - dst.mean(axis=0)) ** 2).sum())
         cost_direct = scatter(np.vstack([dst, src[i]])) - scatter(dst)
         assert cost_formula == pytest.approx(cost_direct, rel=1e-9, abs=1e-12)
-        assert _addition_cost(dst, src[i]) == pytest.approx(
+        assert float(_increment(src[i], dst.mean(axis=0), dst.sum(axis=0),
+                                nb, +1)) == pytest.approx(
             cost_direct, rel=1e-9, abs=1e-12)
 
 

@@ -46,8 +46,19 @@ def test_suite_report_is_immutable_and_serializable():
     assert parsed["suite"] == "interference"
     assert parsed["master_seed"] == 0
     assert parsed["passed"] is True
-    assert {"python", "numpy", "platform"} <= set(parsed["environment"])
+    assert {"python", "numpy", "scipy", "platform"} <= set(parsed["environment"])
     assert "pass" in repr(rep)
+
+
+def test_fingerprint_ignores_the_environment():
+    rep = run_suite("interference")
+    moved = SuiteReport(rep.suite, rep.master_seed, rep.checks, rep.witnesses,
+                        rep.runtime_s + 1.0,
+                        dict(rep.environment, platform="elsewhere", numpy="0"))
+    assert moved.fingerprint() == rep.fingerprint()
+    reseeded = SuiteReport(rep.suite, rep.master_seed + 1, rep.checks,
+                           rep.witnesses, rep.runtime_s, rep.environment)
+    assert reseeded.fingerprint() != rep.fingerprint()
 
 
 def test_witness_records_are_replayable_json():

@@ -2,12 +2,21 @@
 
 Small fixtures are hand-checked; the exhaustive optimiser is verified
 against an independent brute-force route (full partition enumeration plus
-the dual-form objective).
+the two-route objective).  The O(n^2) pairwise form of the objective, the
+per-restart ``lloyd`` loop and the scalar single-point-move scan live here
+as oracles for the faster routes the package uses.
 """
+
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+import axiomlab
 from axiomlab.core import Dataset, Partition, enumerate_partitions
 from axiomlab.kmeans import (
     ClusteringResult,
@@ -75,6 +84,14 @@ def test_objective_hand_value():
         objective_q(ds, Partition([[0, 1], [2]]))
 
 
+def pairwise_q(ds, part):
+    """Oracle: per cluster, all squared point-point distances over its size."""
+    return sum(
+        float(np.sum(pdist(ds.points[list(b)], "sqeuclidean"))) / len(b)
+        for b in part.clusters if len(b) > 1
+    )
+
+
 def test_objective_dual_forms_agree_on_random_data():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -84,12 +101,28 @@ def test_objective_dual_forms_agree_on_random_data():
         labels = rng.integers(0, 3, size=n)
         labels[:3] = [0, 1, 2]
         part = Partition.from_labels(labels)
-        q = objective_q(ds, part)  # raises if the two forms disagree
+        q = objective_q(ds, part)  # raises if the two routes disagree
         direct = sum(
             float(np.sum((ds.points[list(b)] - ds.points[list(b)].mean(0)) ** 2))
             for b in part.clusters
         )
         assert q == pytest.approx(direct, rel=1e-12)
+        assert q == pytest.approx(pairwise_q(ds, part), rel=1e-9)
+
+
+def test_objective_survives_data_far_from_the_origin():
+    # about the origin, sum |x|^2 - |sum x|^2 / n cancels ~1e12 against
+    # ~1e12 here; the shifted route must not trip the cross-check
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(1, 5))
+        ds = Dataset(rng.normal(size=(n, m)) + 1e6)
+        labels = rng.integers(0, 3, size=n)
+        labels[: min(n, 3)] = np.arange(min(n, 3))
+        part = Partition.from_labels(labels)
+        assert objective_q(ds, part) == pytest.approx(
+            pairwise_q(ds, part), rel=1e-9)
 
 
 def test_explained_variance():
@@ -208,6 +241,61 @@ def test_kmeans_restarts_reproducible():
         kmeans(ds, KMeansConfig(k=3, seeding="explicit-centers"))
 
 
+def per_restart_results(ds, cfg):
+    """Oracle: a full ``lloyd`` result for every restart, in order."""
+    out = []
+    for child in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.restarts):
+        centers = seed(ds, cfg.k, cfg.seeding, np.random.default_rng(child))
+        out.append(lloyd(ds, centers, cfg))
+    return out
+
+
+def first_best(results):
+    best = results[0]
+    for res in results[1:]:
+        if res.q < best.q:
+            best = res
+    return best
+
+
+@pytest.mark.parametrize("seeding", ["uniform-random", "plus-plus"])
+@pytest.mark.parametrize("restarts", [1, 2, 7])
+def test_kmeans_equals_per_restart_lloyd_loop(seeding, restarts):
+    rng = np.random.default_rng(restarts)
+    for _ in range(8):
+        n = int(rng.integers(6, 40))
+        k = int(rng.integers(2, 5))
+        ds = Dataset(rng.normal(size=(n, int(rng.integers(1, 4)))) * 3.0)
+        cfg = KMeansConfig(k=k, seeding=seeding, restarts=restarts,
+                           rng_seed=int(rng.integers(1 << 30)))
+        got = kmeans(ds, cfg)
+        want = first_best(per_restart_results(ds, cfg))
+        assert got.partition == want.partition
+        assert got.q == want.q
+        assert got.explained_variance == want.explained_variance
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        assert np.array_equal(got.centers, want.centers)
+
+
+def test_kmeans_exact_tie_keeps_the_first_restart():
+    # unit square, k=2: top/bottom and left/right both cost exactly 1.0
+    square = Dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    tied = 0
+    for rng_seed in range(40):
+        cfg = KMeansConfig(k=2, seeding="uniform-random", restarts=6,
+                           rng_seed=rng_seed)
+        results = per_restart_results(square, cfg)
+        optima = [r for r in results if r.q == 1.0]
+        if len({r.partition for r in optima}) < 2:
+            continue
+        tied += 1
+        got = kmeans(square, cfg)
+        assert got.q == 1.0
+        assert got.partition == optima[0].partition
+    assert tied >= 5  # the tie is actually exercised
+
+
 # ---------------------------------------------------------------------------
 # exhaustive optimisation
 # ---------------------------------------------------------------------------
@@ -317,6 +405,53 @@ def test_is_local_min_witness_actually_improves():
     assert found > 10  # random labelings are rarely stable
 
 
+def scalar_move_scan(ds, part, rel_tol=1e-9):
+    """Oracle: the move-by-move scan, closed-form increments from each
+    cluster's own points, in the documented scan order."""
+    pts = ds.points
+    blocks = [pts[list(b)] for b in part.clusters]
+    for a, block in enumerate(part.clusters):
+        na = len(block)
+        if na < 2:
+            continue
+        for point in block:
+            x = pts[point]
+            gain = na / (na - 1) * float(np.sum((x - blocks[a].mean(axis=0)) ** 2))
+            for b, dst in enumerate(blocks):
+                if b == a:
+                    continue
+                nb = len(dst)
+                cost = nb / (nb + 1) * float(np.sum((x - dst.mean(axis=0)) ** 2))
+                if gain - cost > rel_tol * max(1.0, gain, cost):
+                    return False, {"point": point, "source": a, "target": b,
+                                   "delta_q": cost - gain}
+    return True, None
+
+
+def test_is_local_min_matches_the_scalar_scan():
+    rng = np.random.default_rng(47)
+    verdicts = set()
+    for trial in range(300):
+        n = int(rng.integers(2, 30))
+        m = int(rng.integers(1, 6))
+        k = int(rng.integers(1, min(n, 5) + 1))
+        if trial % 3 == 0:
+            # small integer grid: coincident points and exact ties
+            pts = rng.integers(0, 3, size=(n, m)).astype(float)
+        else:
+            pts = (rng.normal(size=(n, m)) * rng.uniform(0.01, 100)
+                   + rng.choice([0.0, 1e6]))
+        labels = rng.integers(0, k, size=n)
+        labels[:k] = np.arange(k)
+        ds, part = Dataset(pts), Partition.from_labels(labels)
+        if trial % 2 == 0 and k >= 2:
+            part = kmeans(ds, KMeansConfig(k=k, rng_seed=trial)).partition
+        got = is_local_min(ds, part)
+        assert got == scalar_move_scan(ds, part)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
 def test_is_local_min_skips_singleton_sources():
     # the singleton's departure would empty its cluster, so the only
     # improving move is not allowed and the partition counts as stable
@@ -393,3 +528,63 @@ def test_candidates_tree_rejects_jammed_data():
     report = candidates_tree(ds, 3)
     assert not report["verdict"]
     assert report["cut"] is None
+
+
+# ---------------------------------------------------------------------------
+# cross-checks are exceptions, not asserts
+# ---------------------------------------------------------------------------
+
+
+_CORRUPTED_CROSS_CHECKS = """
+import json, sys
+import numpy as np
+from axiomlab import constructions, kmeans as km
+from axiomlab.core import CrossCheckError, Dataset, Partition, distance_matrix
+
+caught = []
+
+def expect(name, call):
+    try:
+        call()
+    except CrossCheckError:
+        caught.append(name)
+
+line = Dataset(np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]]))
+
+# objective: the centroid route is off by about 1e-6
+real_scatter = km._scatter
+km._scatter = lambda pts: real_scatter(pts) * (1.0 + 1e-6) + 1e-6
+expect("objective", lambda: km.objective_q(line, Partition([[0, 1, 2], [3, 4, 5]])))
+km._scatter = real_scatter
+
+# Lloyd: the objective grows from one step to the next
+steps = iter(range(1, 100))
+real_partition_scatter = km._partition_scatter
+km._partition_scatter = lambda *args: float(next(steps))
+expect("lloyd", lambda: km._lloyd_core(line.points, np.array([[0.0], [1.0]]), 100))
+km._partition_scatter = real_partition_scatter
+
+# move increments: a coordinate sum that does not match the mean
+expect("increment", lambda: km._increment(
+    np.array([1.0]), np.array([0.0]), np.array([5.0]), 2, +1))
+
+# embedding: the admissibility check reports a violation
+constructions.is_gamma_transform = lambda *args: (False, [{"kind": "corrupted"}])
+expect("embed", lambda: constructions.embed_partition(
+    distance_matrix(line), Partition([[0, 1, 2], [3, 4, 5]])))
+
+print(json.dumps({"optimize": sys.flags.optimize, "caught": caught}))
+"""
+
+
+def test_cross_checks_raise_under_python_O():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(axiomlab.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_CROSS_CHECKS],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["optimize"] == 1
+    assert result["caught"] == ["objective", "lloyd", "increment", "embed"]
