@@ -139,10 +139,10 @@ def _cmd_construct(args):
             m for c in spec.partition().clusters[half:] for m in c)
         partition = Partition([merged_a, merged_b])
     else:  # fixture
-        grid, _ = fixture_tables()
-        grid.to_csv(args.out)
-        return 0
-    ds.to_csv(args.out)
+        ds, _ = fixture_tables()  # a DistanceMatrix, written the same way
+    with open(args.out, "w") as fh:
+        fh.write("# master_seed=%d\n" % args.seed)
+        ds.to_csv(fh)
     if partition is not None:
         path = args.partition_out
         if path is None:

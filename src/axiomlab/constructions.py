@@ -19,7 +19,7 @@ from .core import (
     Dataset,
     DistanceMatrix,
     Partition,
-    _enumeration_cap,
+    _check_enumeration_size,
     _frozen_array,
     distance_matrix,
     enumerate_partitions,
@@ -610,12 +610,7 @@ def exhaustive_best_partition(dataset, quality):
         Entry i is the best partition of the first i + 2 points.
     """
     n = dataset.n
-    cap = _enumeration_cap()
-    if n > cap:
-        raise ValueError(
-            "prefix search enumerates every partition and needs n <= %d, got %d"
-            % (cap, n)
-        )
+    _check_enumeration_size(n, "prefix search")
     pts = dataset.points
     best_per_prefix = []
     for size in range(2, n + 1):

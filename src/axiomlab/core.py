@@ -90,9 +90,14 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path):
-        """Load a dataset from a CSV file with header ``x1,...,xm``."""
-        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(arr)
+        """Load a dataset from a CSV file with header ``x1,...,xm``.
+
+        Lines starting with ``#`` (such as a ``# master_seed=`` line) are
+        skipped wherever they appear; the first other line is the header.
+        """
+        with open(path) as fh:
+            rows = [line for line in fh if not line.startswith("#")]
+        return cls(np.loadtxt(rows[1:], delimiter=",", ndmin=2))
 
     def to_csv(self, path):
         """Write the dataset as CSV with header ``x1,...,xm``."""
@@ -438,11 +443,31 @@ def bell_number(n):
     return sum(stirling2(n, k) for k in range(1, n + 1))
 
 
-def _enumeration_cap():
+def _check_enumeration_size(n, what):
+    """Refuse exhaustive work over n points beyond the enumeration cap.
+
+    The cap is DEFAULT_ENUMERATION_CAP unless the AXIOMLAB_ENUMERATION_CAP
+    environment variable holds a positive integer.  Raises ValueError,
+    naming the variable, when n is outside 1..cap or the variable is set
+    to anything but a positive integer.
+    """
     raw = os.environ.get(_ENUMERATION_CAP_ENV)
     if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    return int(raw)
+        cap = DEFAULT_ENUMERATION_CAP
+    else:
+        try:
+            cap = int(raw)
+        except ValueError:
+            cap = 0  # refused below, like any cap under 1
+        if cap < 1:
+            raise ValueError(
+                "%s must be a positive integer, got %r" % (_ENUMERATION_CAP_ENV, raw)
+            )
+    if not 1 <= n <= cap:
+        raise ValueError(
+            "%s supports 1 <= n <= %d (n=%d); set %s to raise the cap"
+            % (what, cap, n, _ENUMERATION_CAP_ENV)
+        )
 
 
 def enumerate_partitions(n, k=None):
@@ -468,12 +493,7 @@ def enumerate_partitions(n, k=None):
     ------
     Partition
     """
-    cap = _enumeration_cap()
-    if not 1 <= n <= cap:
-        raise ValueError(
-            "partition enumeration supports 1 <= n <= %d (n=%d); "
-            "set %s to raise the cap" % (cap, n, _ENUMERATION_CAP_ENV)
-        )
+    _check_enumeration_size(n, "partition enumeration")
     if k is not None and not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n, got k=%s" % (k,))
 

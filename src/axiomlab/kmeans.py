@@ -18,6 +18,7 @@ quietly wrong number.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,7 @@ from .core import (
     CrossCheckError,
     Dataset,
     Partition,
-    _enumeration_cap,
-    _ENUMERATION_CAP_ENV,
+    _check_enumeration_size,
 )
 
 SEEDING_STRATEGIES = ("uniform-random", "plus-plus", "explicit-centers")
@@ -460,23 +460,19 @@ def kmeans(dataset, config, initial_centers=None):
 # ---------------------------------------------------------------------------
 
 
-def _check_exhaustive_size(n):
-    cap = _enumeration_cap()
-    if n > cap:
-        raise ValueError(
-            "exhaustive search supports n <= %d (n=%d); set %s to raise the cap"
-            % (cap, n, _ENUMERATION_CAP_ENV)
-        )
-
-
 def kmeans_ideal(dataset, k):
     """Exhaustive global optimum of the k-means objective.
 
     Walks every partition of the points into exactly k clusters in
     canonical order, with branch-and-bound pruning (the within-cluster
     scatter of a partial partition can only grow as points are added, so a
-    partial sum already at or above the incumbent is dead).  On objective
-    ties the earliest partition in canonical order wins.
+    partial sum already above the incumbent is dead).  On objective ties
+    the earliest partition in canonical order wins.
+
+    The walk runs on plain Python floats, O(m) scalar operations per node
+    and no numpy call (see :func:`_ideal_search` for the summation order
+    and the m >= 8 caveat); the returned ``q`` comes from
+    :func:`objective_q` on the winning labels.
 
     Subject to the same size cap as partition enumeration.
 
@@ -497,64 +493,104 @@ def kmeans_ideal(dataset, k):
 
 
 def _ideal_search(dataset, k, collect_tol=None):
-    """Shared search core; with collect_tol, also gather near-optima."""
+    """Shared search core; with collect_tol, also gather near-optima.
+
+    Returns ``(best_rgs, best_q, leaves, near)``: the earliest canonical
+    minimiser as a restricted growth string, its partial-sum objective,
+    the number of complete k-cluster partitions reached, and (with
+    collect_tol) every leaf reached with its partial sum, in canonical
+    order.
+
+    Points are tuples of floats, each cluster keeps a list of coordinate
+    sums and an int count, so a node costs O(m) scalar float operations
+    in the interpreter and no numpy call.  Adding point x to a cluster of
+    c >= 1 points with sums s raises the objective by
+    c / (c + 1) * d2, where d2 accumulates t * t with t = x[a] - s[a] / c
+    left to right over the axes, starting from 0.0 (exact, as t * t is
+    never -0.0); the sums move by ``s[a] += x[a]`` on the way down and
+    ``s[a] -= x[a]`` on the way back.  For m <= 7 these are the IEEE
+    operations, in the same order, of the same walk on numpy rows (the
+    oracle in the tests), so leaves, prunes and results match it bit for
+    bit.  From m = 8 on ``np.sum`` adds the axes pairwise, so a partial
+    sum may differ from that walk in its last bit.
+
+    A branch is cut when its partial sum exceeds the incumbent (widened
+    by collect_tol * max(1, incumbent) when collecting) or when too few
+    points remain to open the missing clusters; a leaf replaces the
+    incumbent only when strictly better.
+    """
     pts = dataset.points
-    n = pts.shape[0]
-    _check_exhaustive_size(n)
+    n, m = pts.shape
+    _check_enumeration_size(n, "exhaustive search")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n, got k=%d, n=%d" % (k, n))
 
+    points = [tuple(row) for row in pts.tolist()]
     counts = [0] * k
-    sums = [np.zeros(pts.shape[1]) for _ in range(k)]
+    sums = [[0.0] * m for _ in range(k)]
+    axes = range(m)
     rgs = [0] * n
-    state = {"best_q": np.inf, "best_rgs": None, "leaves": 0, "near": []}
+    best_q = math.inf
+    best_rgs = None
+    leaves = 0
+    near = []
 
     def rec(i, used, partial):
-        if state["best_rgs"] is not None:
-            bound = state["best_q"]
+        nonlocal best_q, best_rgs, leaves
+        if best_rgs is not None:
+            bound = best_q
             if collect_tol is not None:
-                bound += collect_tol * max(1.0, state["best_q"])
+                bound += collect_tol * max(1.0, best_q)
             if partial > bound:
                 return
         if i == n:
             if used != k:
                 return
-            state["leaves"] += 1
-            if partial < state["best_q"]:
-                state["best_q"] = partial
-                state["best_rgs"] = rgs.copy()
+            leaves += 1
+            if partial < best_q:
+                best_q = partial
+                best_rgs = rgs.copy()
             if collect_tol is not None:
-                state["near"].append((partial, rgs.copy()))
+                near.append((partial, rgs.copy()))
             return
         if used + (n - i) < k:
             return  # not enough points left to open the missing clusters
-        top = min(used + 1, k)
-        for j in range(top):
-            opens = j == used
-            x = pts[i]
-            if counts[j] == 0:
+        x = points[i]
+        for j in range(min(used + 1, k)):
+            c = counts[j]
+            s = sums[j]
+            if c == 0:
                 delta = 0.0
             else:
-                mu = sums[j] / counts[j]
-                delta = counts[j] / (counts[j] + 1) * float(np.sum((x - mu) ** 2))
-            counts[j] += 1
-            sums[j] += x
+                d2 = 0.0
+                for a in axes:
+                    t = x[a] - s[a] / c
+                    d2 += t * t
+                delta = c / (c + 1) * d2
+            counts[j] = c + 1
+            for a in axes:
+                s[a] += x[a]
             rgs[i] = j
-            rec(i + 1, used + 1 if opens else used, partial + delta)
-            counts[j] -= 1
-            sums[j] -= x
+            rec(i + 1, used + 1 if j == used else used, partial + delta)
+            counts[j] = c
+            for a in axes:
+                s[a] -= x[a]
 
     rec(0, 0, 0.0)
-    if state["best_rgs"] is None:
+    if best_rgs is None:
         raise RuntimeError("search found no partition")  # unreachable
-    return state["best_rgs"], state["best_q"], state["leaves"], state["near"]
+    return best_rgs, best_q, leaves, near
 
 
 def kmeans_ideal_minima(dataset, k, rel_tol=1e-9):
     """All partitions whose objective is within rel_tol of the optimum.
 
     The walk keeps every partition with
-    Q <= Q* + rel_tol * max(1, Q*), in canonical order.
+    Q <= Q* + rel_tol * max(1, Q*), in canonical order.  It is the walk
+    of :func:`kmeans_ideal`, on plain Python floats at O(m) scalar
+    operations per node, with the prune widened by that tolerance; Q here
+    is the walk's partial sum (see :func:`_ideal_search` for its
+    summation order and the m >= 8 caveat).
 
     Returns
     -------

@@ -93,6 +93,14 @@ def test_construct_other_kinds(tmp_path):
     assert grid.exists()
 
 
+def test_construct_records_master_seed(tmp_path):
+    seg = tmp_path / "segments.csv"
+    assert main(["construct", "--what", "segments", "--points-per-segment",
+                 "5", "--seed", "17", "--out", str(seg)]) == 0
+    assert seg.read_text().splitlines()[:2] == ["# master_seed=17", "x1,x2,x3"]
+    assert Dataset.from_csv(str(seg)).n == 20
+
+
 def test_suite_command(tmp_path):
     out = tmp_path / "suite.json"
     assert main(["suite", "--name", "interference", "--out", str(out)]) == 0

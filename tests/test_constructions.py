@@ -515,5 +515,5 @@ def test_prefix_best_agrees_with_exhaustive_kmeans():
 
 def test_prefix_best_respects_enumeration_cap():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="AXIOMLAB_ENUMERATION_CAP"):
         exhaustive_best_partition(Dataset(rng.normal(size=(13, 2))), parity_quality)

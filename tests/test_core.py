@@ -234,6 +234,15 @@ def test_enumeration_cap(monkeypatch):
         list(enumerate_partitions(4, k=5))
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+def test_enumeration_cap_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("AXIOMLAB_ENUMERATION_CAP", raw)
+    # a bad value is reported as such, not as every n being too large
+    with pytest.raises(ValueError,
+                       match="AXIOMLAB_ENUMERATION_CAP must be a positive integer"):
+        list(enumerate_partitions(3))
+
+
 # ---------------------------------------------------------------------------
 # signed embeddings
 # ---------------------------------------------------------------------------

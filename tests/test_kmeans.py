@@ -3,8 +3,9 @@
 Small fixtures are hand-checked; the exhaustive optimiser is verified
 against an independent brute-force route (full partition enumeration plus
 the two-route objective).  The O(n^2) pairwise form of the objective, the
-per-restart ``lloyd`` loop and the scalar single-point-move scan live here
-as oracles for the faster routes the package uses.
+per-restart ``lloyd`` loop, the scalar single-point-move scan and the numpy
+branch-and-bound walk live here as oracles for the faster routes the
+package uses.
 """
 
 import json
@@ -14,6 +15,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
 import axiomlab
@@ -33,7 +35,7 @@ from axiomlab.kmeans import (
     seed,
     sequential_kmeans,
 )
-from axiomlab.kmeans import _lloyd_core
+from axiomlab.kmeans import _ideal_search, _lloyd_core
 
 
 def _line(*xs):
@@ -325,6 +327,104 @@ def test_kmeans_ideal_matches_brute_force():
         assert res.converged
 
 
+def _reference_ideal_search(dataset, k, collect_tol=None):
+    """The branch-and-bound walk on numpy rows that ``_ideal_search``
+    replaced, kept verbatim (minus the size-cap call) as its oracle."""
+    pts = dataset.points
+    n = pts.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n, got k=%d, n=%d" % (k, n))
+
+    counts = [0] * k
+    sums = [np.zeros(pts.shape[1]) for _ in range(k)]
+    rgs = [0] * n
+    state = {"best_q": np.inf, "best_rgs": None, "leaves": 0, "near": []}
+
+    def rec(i, used, partial):
+        if state["best_rgs"] is not None:
+            bound = state["best_q"]
+            if collect_tol is not None:
+                bound += collect_tol * max(1.0, state["best_q"])
+            if partial > bound:
+                return
+        if i == n:
+            if used != k:
+                return
+            state["leaves"] += 1
+            if partial < state["best_q"]:
+                state["best_q"] = partial
+                state["best_rgs"] = rgs.copy()
+            if collect_tol is not None:
+                state["near"].append((partial, rgs.copy()))
+            return
+        if used + (n - i) < k:
+            return  # not enough points left to open the missing clusters
+        top = min(used + 1, k)
+        for j in range(top):
+            opens = j == used
+            x = pts[i]
+            if counts[j] == 0:
+                delta = 0.0
+            else:
+                mu = sums[j] / counts[j]
+                delta = counts[j] / (counts[j] + 1) * float(np.sum((x - mu) ** 2))
+            counts[j] += 1
+            sums[j] += x
+            rgs[i] = j
+            rec(i + 1, used + 1 if opens else used, partial + delta)
+            counts[j] -= 1
+            sums[j] -= x
+
+    rec(0, 0, 0.0)
+    if state["best_rgs"] is None:
+        raise RuntimeError("search found no partition")  # unreachable
+    return state["best_rgs"], state["best_q"], state["leaves"], state["near"]
+
+
+# halves on a small grid force ties and repeated points; the wide floats
+# exercise rounding over six decades
+_GRID_COORD = st.integers(-4, 4).map(lambda v: v / 2)
+_WIDE_COORD = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+
+@st.composite
+def _search_instance(draw, dims, coords):
+    m = draw(dims)
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, min(4, n)))
+    coord = draw(st.sampled_from(coords))
+    rows = draw(st.lists(st.lists(coord, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    collect_tol = draw(st.sampled_from([None, 1e-9]))
+    return Dataset(rows), k, collect_tol
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_search_instance(st.integers(1, 7), [_GRID_COORD, _WIDE_COORD]))
+def test_ideal_search_matches_numpy_walk(instance):
+    # same float operations in the same order up to m = 7: every prune,
+    # leaf, incumbent and near-optimum partial sum is equal bit for bit
+    ds, k, collect_tol = instance
+    assert (_ideal_search(ds, k, collect_tol)
+            == _reference_ideal_search(ds, k, collect_tol))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_search_instance(st.sampled_from([8, 11]), [_WIDE_COORD]))
+def test_ideal_search_wide_points_match_numpy_walk(instance):
+    # numpy sums eight or more axes pairwise, so partial sums may differ
+    # in the last bit, but the walk and its result must not
+    ds, k, collect_tol = instance
+    rgs, q, leaves, near = _ideal_search(ds, k, collect_tol)
+    ref_rgs, ref_q, ref_leaves, ref_near = _reference_ideal_search(
+        ds, k, collect_tol)
+    assert (rgs, leaves) == (ref_rgs, ref_leaves)
+    assert q == pytest.approx(ref_q, rel=1e-12)
+    assert [r for _, r in near] == [r for _, r in ref_near]
+    for (p, _), (ref_p, _) in zip(near, ref_near):
+        assert p == pytest.approx(ref_p, rel=1e-12)
+
+
 def test_kmeans_ideal_tie_goes_to_canonical_order():
     # unit square, k=2: top/bottom and left/right splits both cost 1.0;
     # the restricted-growth-string order sees {{0,1},{2,3}} first
@@ -346,7 +446,7 @@ def test_kmeans_ideal_minima_collects_all_optima():
 def test_kmeans_ideal_respects_cap(monkeypatch):
     monkeypatch.setenv("AXIOMLAB_ENUMERATION_CAP", "5")
     ds = _line(*range(6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="AXIOMLAB_ENUMERATION_CAP"):
         kmeans_ideal(ds, 2)
 
 
