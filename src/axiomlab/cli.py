@@ -48,6 +48,18 @@ def _read_partition(path):
         return Partition.from_json(fh.read())
 
 
+def _seed_line(path):
+    """The ``# master_seed=`` line among a CSV's leading comment lines, or
+    None."""
+    with open(path) as fh:
+        for line in fh:
+            if not line.startswith("#"):
+                return None
+            if line.startswith("# master_seed="):
+                return line.rstrip("\n") + "\n"
+    return None
+
+
 def _write_text(path, text):
     if path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -100,7 +112,12 @@ def _cmd_transform(args):
                 raise SystemExit("transform inner needs --lams")
             lams = [float(x) for x in args.lams.split(",")]
             out = inner_proportional_transform(ds, gamma, lams)
-    out.to_csv(args.out)
+    # the verb draws nothing at random; its output carries the input's seed
+    seed_line = _seed_line(args.data)
+    with open(args.out, "w") as fh:
+        if seed_line is not None:
+            fh.write(seed_line)
+        out.to_csv(fh)
     if legal is not None:
         print("legal: %s" % legal)
     return 0 if legal in (None, True) else 1

@@ -43,6 +43,12 @@ def _frozen_array(values, dtype=float):
     return arr
 
 
+def _scatter(pts):
+    """Sum of squared distances of rows to their mean."""
+    diff = pts - pts.mean(axis=0)
+    return float(np.sum(diff * diff))
+
+
 class Dataset:
     """An immutable set of n points in R^m.
 
@@ -53,7 +59,7 @@ class Dataset:
         all entries finite.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "_total_scatter")
 
     def __init__(self, points):
         arr = _frozen_array(points)
@@ -67,6 +73,7 @@ class Dataset:
         if not np.all(np.isfinite(arr)):
             raise ValueError("dataset coordinates must be finite")
         object.__setattr__(self, "points", arr)
+        object.__setattr__(self, "_total_scatter", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
@@ -74,6 +81,14 @@ class Dataset:
     @property
     def n(self):
         return self.points.shape[0]
+
+    @property
+    def total_scatter(self):
+        """Sum of squared distances of the points to their mean (TSS),
+        computed on first use and kept."""
+        if self._total_scatter is None:
+            object.__setattr__(self, "_total_scatter", _scatter(self.points))
+        return self._total_scatter
 
     @property
     def m(self):

@@ -8,9 +8,17 @@ a bounded-memory streaming variant, and diagnostics that decide whether a
 clustering is trustworthy (ball separation of the result, candidate
 cluster trees).
 
+Lloyd computes each cluster's mean and scatter once per assignment.
+The means become the next centers and, for the winning restart, the
+returned centers.  The scatters feed the monotonicity check, the
+comparison between restarts and the returned objective.  A dataset's
+total scatter is computed once
+(:attr:`~axiomlab.core.Dataset.total_scatter`).
+
 Every number that matters is computed along two independent routes and
-cross-checked: the objective in centroid form and in shifted-sum form,
-each single-point-move increment in closed form and through the moved
+cross-checked: the objective in centroid form (per-cluster scatters
+summed in canonical order) and in shifted-sum form, each
+single-point-move increment in closed form and through the moved
 cluster mean, and each Lloyd step against the previous objective.  A
 disagreement raises :class:`~axiomlab.core.CrossCheckError` at once (an
 explicit exception, so ``python -O`` keeps it) instead of producing a
@@ -30,6 +38,7 @@ from .core import (
     Dataset,
     Partition,
     _check_enumeration_size,
+    _scatter,
 )
 
 SEEDING_STRATEGIES = ("uniform-random", "plus-plus", "explicit-centers")
@@ -139,14 +148,6 @@ class ClusteringResult:
 # ---------------------------------------------------------------------------
 
 
-def _scatter(pts):
-    """Sum of squared distances of rows to their mean."""
-    if len(pts) == 0:
-        return 0.0
-    diff = pts - pts.mean(axis=0)
-    return float(np.sum(diff * diff))
-
-
 def _cross_check(what, first, second):
     """Raise CrossCheckError unless two routes agree elementwise to
     _CROSS_CHECK_RTOL * max(1, |first|, |second|); NaN never agrees."""
@@ -186,16 +187,32 @@ def objective_q(dataset, partition):
             "partition covers %d points, dataset has %d" % (partition.n, dataset.n)
         )
     centroid_form = 0.0
-    shifted_form = 0.0
     for block in partition.clusters:
+        centroid_form += _scatter(pts[list(block)])
+    _cross_check("objective: centroid form vs shifted form",
+                 centroid_form, _shifted_q(pts, partition.clusters))
+    return centroid_form
+
+
+def _shifted_q(pts, clusters):
+    """The objective's shifted form: per cluster, with c its first member,
+    sum |x - c|^2 - |sum (x - c)|^2 / n_j; O(nm)."""
+    q = 0.0
+    for block in clusters:
         sub = pts[list(block)]
-        centroid_form += _scatter(sub)
         diff = sub - sub[0]
         total = diff.sum(axis=0)
-        shifted_form += float(np.sum(diff * diff)) - float(total @ total) / len(sub)
-    _cross_check("objective: centroid form vs shifted form",
-                 centroid_form, shifted_form)
-    return centroid_form
+        q += float(np.sum(diff * diff)) - float(total @ total) / len(sub)
+    return q
+
+
+def _summed(scatters, order):
+    """Per-cluster scatters added left to right from 0.0 in the given
+    cluster order; the order fixes the float result."""
+    q = 0.0
+    for j in order:
+        q += scatters[j]
+    return q
 
 
 def explained_variance(dataset, result):
@@ -215,7 +232,7 @@ def explained_variance(dataset, result):
 
 
 def _explained(dataset, q):
-    tss = _scatter(dataset.points)
+    tss = dataset.total_scatter
     if tss == 0.0:
         return 1.0
     return 1.0 - q / tss
@@ -288,22 +305,22 @@ def _assign(pts, centers):
     return np.argmin(d2, axis=1)
 
 
-def _partition_scatter(pts, labels, k):
-    total = 0.0
+def _cluster_stats(pts, labels, k):
+    """Each cluster's mean and scatter, from one row selection per cluster.
+
+    Every one of the k clusters must be non-empty.  Returns a (k, m) array
+    of means and a list of k scatters (sums of squared distances to the
+    mean), both indexed by label.
+    """
+    means = np.empty((k, pts.shape[1]))
+    scatters = []
     for j in range(k):
-        total += _scatter(pts[labels == j])
-    return total
-
-
-def _canonical_q(pts, labels):
-    """Objective of a labelling, summed over clusters in order of their
-    first point: the same float operations as :func:`objective_q`'s
-    centroid form on the labelling's partition."""
-    _, first = np.unique(labels, return_index=True)
-    q = 0.0
-    for j in labels[np.sort(first)]:
-        q += _scatter(pts[labels == j])
-    return q
+        sub = pts[labels == j]
+        mean = sub.mean(axis=0)
+        diff = sub - mean
+        means[j] = mean
+        scatters.append(float(np.sum(diff * diff)))
+    return means, scatters
 
 
 def _fix_empty_clusters(pts, centers, labels, k):
@@ -330,12 +347,19 @@ def _fix_empty_clusters(pts, centers, labels, k):
 def _lloyd_core(pts, centers, max_iterations):
     """Run Lloyd until membership stabilises; returns raw state.
 
+    Each assignment's cluster means and scatters are computed once
+    (:func:`_cluster_stats`): the means become the next centers, and the
+    scatters, summed in label order, are checked against the previous
+    step's objective, which Lloyd never increases.  The empty-cluster
+    repair runs only when an assignment leaves a cluster empty.
+
     Returns
     -------
-    labels, updates, converged, empty_events
+    labels, means, scatters, updates, converged, empty_events
+        ``means`` and ``scatters`` belong to the final ``labels``.
     """
     k = centers.shape[0]
-    centers = centers.astype(float).copy()
+    centers = np.asarray(centers, dtype=float)
     prev = None
     updates = 0
     empty_events = 0
@@ -343,11 +367,13 @@ def _lloyd_core(pts, centers, max_iterations):
     converged = False
     while True:
         labels = _assign(pts, centers)
-        empty_events += _fix_empty_clusters(pts, centers, labels, k)
+        if np.count_nonzero(np.bincount(labels, minlength=k)) < k:
+            empty_events += _fix_empty_clusters(pts, centers, labels, k)
         if prev is not None and np.array_equal(labels, prev):
-            converged = True
+            converged = True  # labels are prev, whose stats we hold
             break
-        q_here = _partition_scatter(pts, labels, k)
+        means, scatters = _cluster_stats(pts, labels, k)
+        q_here = _summed(scatters, range(k))
         # Lloyd's objective never increases: the assignment step and the
         # empty-cluster fix both only remove scatter, the mean update is
         # optimal for fixed membership.
@@ -358,11 +384,10 @@ def _lloyd_core(pts, centers, max_iterations):
         q_prev = q_here
         if updates >= max_iterations:
             break
-        for j in range(k):
-            centers[j] = pts[labels == j].mean(axis=0)
+        centers = means
         updates += 1
         prev = labels
-    return labels, updates, converged, empty_events
+    return labels, means, scatters, updates, converged, empty_events
 
 
 def lloyd(dataset, initial_centers, config):
@@ -394,21 +419,35 @@ def lloyd(dataset, initial_centers, config):
         raise ValueError("config.k=%d but %d centers given" % (config.k, k))
     if k > dataset.n:
         raise ValueError("more centers than points")
-    labels, updates, converged, _ = _lloyd_core(pts, centers, config.max_iterations)
-    return _result_from_labels(dataset, labels, k, updates, converged)
+    labels, means, scatters, updates, converged, _ = _lloyd_core(
+        pts, centers, config.max_iterations
+    )
+    return _build_result(dataset, labels, means, scatters, updates, converged)
 
 
-def _result_from_labels(dataset, labels, k, iterations, converged):
-    partition = Partition.from_labels(labels)
-    if partition.k != k:
-        raise RuntimeError("expected %d clusters, got %d" % (k, partition.k))
-    centers = np.stack(
-        [dataset.points[list(b)].mean(axis=0) for b in partition.clusters]
-    )
-    q = objective_q(dataset, partition)
-    return ClusteringResult(
-        partition, centers, q, iterations, _explained(dataset, q), converged
-    )
+def _build_result(dataset, labels, means, scatters, iterations, converged):
+    """The ClusteringResult of a labelling with k non-empty clusters, from
+    its per-label means and scatters.
+
+    One pass over the labels builds the partition and its canonical
+    cluster order (first appearance).  ``centers`` are the means and ``q``
+    the scatters summed in that order, which is the float sequence of
+    :func:`objective_q`'s centroid form; ``q`` is cross-checked against the
+    O(nm) shifted form.
+    """
+    blocks = {}
+    for i, label in enumerate(labels.tolist()):
+        blocks.setdefault(label, []).append(i)
+    if len(blocks) != len(scatters):
+        raise RuntimeError(
+            "expected %d clusters, got %d" % (len(scatters), len(blocks)))
+    order = list(blocks)
+    partition = Partition(blocks.values())
+    q = _summed(scatters, order)
+    _cross_check("objective: centroid form vs shifted form",
+                 q, _shifted_q(dataset.points, partition.clusters))
+    return ClusteringResult(partition, means[order], q, iterations,
+                            _explained(dataset, q), converged)
 
 
 def kmeans(dataset, config, initial_centers=None):
@@ -418,10 +457,12 @@ def kmeans(dataset, config, initial_centers=None):
     used for a single run.  Otherwise ``config.restarts`` independent
     seedings are drawn from child generators spawned off
     ``config.rng_seed`` and the result with the smallest objective wins
-    (first winner kept on exact ties).  Restarts are compared on their
-    labels' objective summed in canonical cluster order, which equals the
-    winner's reported ``q`` bit for bit; only the winner is turned into a
-    :class:`ClusteringResult`.
+    (first winner kept on exact ties).  Each restart's Lloyd run returns
+    its final clusters' means and scatters; restarts are compared on the
+    scatters summed in canonical cluster order, which is the winner's
+    reported ``q`` bit for bit.  Only the winner is turned into a
+    :class:`ClusteringResult`, from those same means and scatters, with
+    ``q`` cross-checked against the O(nm) shifted form.
 
     Parameters
     ----------
@@ -445,14 +486,14 @@ def kmeans(dataset, config, initial_centers=None):
     for child in children:
         rng = np.random.default_rng(child)
         centers = seed(dataset, config.k, config.seeding, rng)
-        labels, updates, converged, _ = _lloyd_core(
+        labels, means, scatters, updates, converged, _ = _lloyd_core(
             pts, centers, config.max_iterations
         )
-        q = _canonical_q(pts, labels)
+        # canonical (first-point) order: the winner's q, bit for bit
+        q = _summed(scatters, dict.fromkeys(labels.tolist()))
         if best is None or q < best[0]:
-            best = (q, labels, updates, converged)
-    _, labels, updates, converged = best
-    return _result_from_labels(dataset, labels, config.k, updates, converged)
+            best = (q, labels, means, scatters, updates, converged)
+    return _build_result(dataset, *best[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +512,10 @@ def kmeans_ideal(dataset, k):
 
     The walk runs on plain Python floats, O(m) scalar operations per node
     and no numpy call (see :func:`_ideal_search` for the summation order
-    and the m >= 8 caveat); the returned ``q`` comes from
-    :func:`objective_q` on the winning labels.
+    and the m >= 8 caveat); the returned ``q`` is the winning labels'
+    cluster scatters summed in canonical order (the float value of
+    :func:`objective_q`'s centroid form), cross-checked against the
+    shifted form.
 
     Subject to the same size cap as partition enumeration.
 
@@ -489,7 +532,8 @@ def kmeans_ideal(dataset, k):
     """
     best_rgs, _, leaves, _ = _ideal_search(dataset, k)
     labels = np.asarray(best_rgs)
-    return _result_from_labels(dataset, labels, k, leaves, True)
+    means, scatters = _cluster_stats(dataset.points, labels, k)
+    return _build_result(dataset, labels, means, scatters, leaves, True)
 
 
 def _ideal_search(dataset, k, collect_tol=None):

@@ -101,6 +101,27 @@ def test_construct_records_master_seed(tmp_path):
     assert Dataset.from_csv(str(seg)).n == 20
 
 
+def test_transform_carries_the_master_seed(tmp_path):
+    data = tmp_path / "line.csv"
+    assert main(["construct", "--what", "line", "--sizes", "3,3",
+                 "--seed", "23", "--out", str(data)]) == 0
+    part = str(tmp_path / "line.partition.json")
+    shrunk = tmp_path / "shrunk.csv"
+    assert main(["transform", "--data", str(data), "--kind", "centric",
+                 "--partition", part, "--cluster", "0", "--lam", "0.5",
+                 "--out", str(shrunk)]) == 0
+    assert shrunk.read_text().splitlines()[:2] == ["# master_seed=23", "x1"]
+    assert Dataset.from_csv(str(shrunk)).n == 6
+
+    # an input without the line gives an output without it
+    bare = tmp_path / "bare.csv"
+    Dataset.from_csv(str(data)).to_csv(str(bare))
+    scaled = tmp_path / "scaled.csv"
+    assert main(["transform", "--data", str(bare), "--kind", "scale",
+                 "--alpha", "2.0", "--out", str(scaled)]) == 0
+    assert scaled.read_text().splitlines()[0] == "x1"
+
+
 def test_suite_command(tmp_path):
     out = tmp_path / "suite.json"
     assert main(["suite", "--name", "interference", "--out", str(out)]) == 0

@@ -15,11 +15,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
 import axiomlab
-from axiomlab.core import Dataset, Partition, enumerate_partitions
+from axiomlab.core import (
+    CrossCheckError,
+    Dataset,
+    Partition,
+    enumerate_partitions,
+)
 from axiomlab.kmeans import (
     ClusteringResult,
     KMeansConfig,
@@ -207,12 +212,17 @@ def test_lloyd_handles_empty_cluster_by_reseeding_farthest():
     # both points are nearer the first center, so the second cluster comes
     # up empty and gets the farthest point (index 0) re-homed into it
     pts = np.array([[0.0], [1.0], [10.0]])
-    labels, updates, converged, events = _lloyd_core(
+    labels, means, scatters, updates, converged, events = _lloyd_core(
         pts, np.array([[100.0], [200.0]]), 100
     )
     assert events >= 1
     assert converged
     assert sorted(np.bincount(labels).tolist()) == [1, 2]
+    # the returned statistics belong to the final labelling
+    for j in range(2):
+        mine = pts[labels == j]
+        assert np.array_equal(means[j], mine.mean(axis=0))
+        assert scatters[j] == float(np.sum((mine - mine.mean(axis=0)) ** 2))
     res = lloyd(Dataset(pts), [[100.0], [200.0]], KMeansConfig(k=2))
     assert res.partition == Partition([[0, 1], [2]])
 
@@ -451,6 +461,183 @@ def test_kmeans_ideal_respects_cap(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# bit-identity oracle for Lloyd, restarts and result building
+# ---------------------------------------------------------------------------
+
+
+def _reference_scatter(pts):
+    if len(pts) == 0:
+        return 0.0
+    diff = pts - pts.mean(axis=0)
+    return float(np.sum(diff * diff))
+
+
+def _reference_partition_scatter(pts, labels, k):
+    total = 0.0
+    for j in range(k):
+        total += _reference_scatter(pts[labels == j])
+    return total
+
+
+def _reference_canonical_q(pts, labels):
+    _, first = np.unique(labels, return_index=True)
+    q = 0.0
+    for j in labels[np.sort(first)]:
+        q += _reference_scatter(pts[labels == j])
+    return q
+
+
+def _reference_assign(pts, centers):
+    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
+    return np.argmin(d2, axis=1)
+
+
+def _reference_fix_empty_clusters(pts, centers, labels, k):
+    events = 0
+    for c in range(k):
+        while not np.any(labels == c):
+            counts = np.bincount(labels, minlength=k)
+            eligible = counts[labels] > 1
+            if not np.any(eligible):
+                raise RuntimeError("cannot repopulate empty cluster %d" % c)
+            dist2 = np.sum((pts - centers[labels]) ** 2, axis=1)
+            dist2[~eligible] = -np.inf
+            labels[int(np.argmax(dist2))] = c
+            events += 1
+    return events
+
+
+def _reference_lloyd_core(pts, centers, max_iterations):
+    """Lloyd as it was before each cluster's statistics were computed once
+    per step, kept verbatim as the oracle (means and scatters recomputed
+    for the monotonicity check, the center update and the result; the
+    empty-cluster repair called on every step)."""
+    k = centers.shape[0]
+    centers = centers.astype(float).copy()
+    prev = None
+    updates = 0
+    empty_events = 0
+    q_prev = np.inf
+    converged = False
+    while True:
+        labels = _reference_assign(pts, centers)
+        empty_events += _reference_fix_empty_clusters(pts, centers, labels, k)
+        if prev is not None and np.array_equal(labels, prev):
+            converged = True
+            break
+        q_here = _reference_partition_scatter(pts, labels, k)
+        if not q_here <= q_prev * (1.0 + 1e-9) + 1e-12:
+            raise CrossCheckError(
+                "Lloyd objective increased from %r to %r" % (q_prev, q_here)
+            )
+        q_prev = q_here
+        if updates >= max_iterations:
+            break
+        for j in range(k):
+            centers[j] = pts[labels == j].mean(axis=0)
+        updates += 1
+        prev = labels
+    return labels, updates, converged, empty_events
+
+
+def _reference_result_from_labels(dataset, labels, k, iterations, converged):
+    partition = Partition.from_labels(labels)
+    if partition.k != k:
+        raise RuntimeError("expected %d clusters, got %d" % (k, partition.k))
+    centers = np.stack(
+        [dataset.points[list(b)].mean(axis=0) for b in partition.clusters]
+    )
+    q = objective_q(dataset, partition)
+    tss = _reference_scatter(dataset.points)
+    explained = 1.0 if tss == 0.0 else 1.0 - q / tss
+    return ClusteringResult(partition, centers, q, iterations, explained,
+                            converged)
+
+
+def _reference_lloyd(ds, initial_centers, config):
+    labels, updates, converged, _ = _reference_lloyd_core(
+        ds.points, np.asarray(initial_centers, dtype=float),
+        config.max_iterations)
+    return _reference_result_from_labels(ds, labels, config.k, updates,
+                                         converged)
+
+
+def _reference_kmeans(ds, config):
+    best = None
+    for child in np.random.SeedSequence(config.rng_seed).spawn(config.restarts):
+        centers = seed(ds, config.k, config.seeding,
+                       np.random.default_rng(child))
+        labels, updates, converged, _ = _reference_lloyd_core(
+            ds.points, centers, config.max_iterations)
+        q = _reference_canonical_q(ds.points, labels)
+        if best is None or q < best[0]:
+            best = (q, labels, updates, converged)
+    _, labels, updates, converged = best
+    return _reference_result_from_labels(ds, labels, config.k, updates,
+                                         converged)
+
+
+def _reference_kmeans_ideal(ds, k):
+    best_rgs, _, leaves, _ = _ideal_search(ds, k)
+    return _reference_result_from_labels(ds, np.asarray(best_rgs), k, leaves,
+                                         True)
+
+
+def assert_same_result(got, want):
+    assert got.partition == want.partition
+    assert np.array_equal(got.centers, want.centers)
+    assert got.q == want.q
+    assert got.explained_variance == want.explained_variance
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+
+
+@st.composite
+def _lloyd_instance(draw):
+    m = draw(st.sampled_from([1, 2, 3, 8]))
+    n = draw(st.integers(3, 30))
+    k = draw(st.integers(2, min(5, n)))
+    coord = draw(st.sampled_from([_GRID_COORD, _WIDE_COORD]))
+    rows = draw(st.lists(st.lists(coord, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    config = KMeansConfig(
+        k=k,
+        seeding=draw(st.sampled_from(["uniform-random", "plus-plus"])),
+        restarts=draw(st.sampled_from([1, 3, 7])),
+        max_iterations=draw(st.sampled_from([1, 100])),
+        rng_seed=draw(st.integers(0, 2 ** 31)),
+    )
+    # centers beyond every point put all points in cluster 0, so every
+    # other cluster starts empty and must be repaired
+    far = draw(st.booleans())
+    return Dataset(rows), config, far
+
+
+# two tight groups of ten on a line: m = 1 clusters of 9 or more points,
+# whose sums numpy adds pairwise
+_TEN_AND_TEN = Dataset(np.r_[np.arange(10.0), 100.0 + np.arange(10.0)][:, None])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@example((_TEN_AND_TEN, KMeansConfig(k=2, restarts=3, rng_seed=1), True))
+@example((_TEN_AND_TEN, KMeansConfig(k=3, seeding="uniform-random",
+                                     max_iterations=1, rng_seed=2), False))
+@given(_lloyd_instance())
+def test_lloyd_results_match_the_recompute_everything_oracle(instance):
+    ds, config, far = instance
+    k, m = config.k, ds.m
+    assert_same_result(kmeans(ds, config), _reference_kmeans(ds, config))
+    if far:
+        start = [[1e4 * (j + 1)] * m for j in range(k)]
+    else:
+        start = ds.points[:k]  # repeated points make ties and repairs too
+    assert_same_result(lloyd(ds, start, config),
+                       _reference_lloyd(ds, start, config))
+    if ds.n <= 8:
+        assert_same_result(kmeans_ideal(ds, k), _reference_kmeans_ideal(ds, k))
+
+
+# ---------------------------------------------------------------------------
 # local-minimum certification
 # ---------------------------------------------------------------------------
 
@@ -659,10 +846,19 @@ km._scatter = real_scatter
 
 # Lloyd: the objective grows from one step to the next
 steps = iter(range(1, 100))
-real_partition_scatter = km._partition_scatter
-km._partition_scatter = lambda *args: float(next(steps))
+real_cluster_stats = km._cluster_stats
+def growing_stats(*args):
+    means, scatters = real_cluster_stats(*args)
+    return means, [float(next(steps))] * len(scatters)
+km._cluster_stats = growing_stats
 expect("lloyd", lambda: km._lloyd_core(line.points, np.array([[0.0], [1.0]]), 100))
-km._partition_scatter = real_partition_scatter
+km._cluster_stats = real_cluster_stats
+
+# result: the shifted route behind a Lloyd result is off by about 1e-6
+real_shifted_q = km._shifted_q
+km._shifted_q = lambda *args: real_shifted_q(*args) * (1.0 + 1e-6) + 1e-6
+expect("result", lambda: km.lloyd(line, [[0.0], [10.0]], km.KMeansConfig(k=2)))
+km._shifted_q = real_shifted_q
 
 # move increments: a coordinate sum that does not match the mean
 expect("increment", lambda: km._increment(
@@ -687,4 +883,5 @@ def test_cross_checks_raise_under_python_O():
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["optimize"] == 1
-    assert result["caught"] == ["objective", "lloyd", "increment", "embed"]
+    assert result["caught"] == ["objective", "lloyd", "result", "increment",
+                                "embed"]
