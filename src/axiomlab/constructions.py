@@ -12,7 +12,6 @@ verification suites drive these generators; none of them keeps state.
 import math
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .core import (
     CrossCheckError,
@@ -508,6 +507,34 @@ def embed_partition(d, gamma, m=1):
 # ---------------------------------------------------------------------------
 
 
+def _components(linked):
+    """Connected components of a graph given as a symmetric (n, n) boolean
+    adjacency matrix, as a :class:`Partition`.
+
+    Hook and shortcut (Shiloach and Vishkin): every node carries the label
+    of its component's root.  Each round hooks every root onto the
+    smallest label across its edges, then shortcuts (replaces each label
+    by its label's label) until every label is a root again.  A round that
+    changes nothing leaves both ends of every edge with one label, so the
+    labels are the components.  Every component that can still merge
+    merges in each round, so there are O(log n) rounds, each one O(edges)
+    hook and O(log n) O(n) shortcut steps, all array work.
+    """
+    rows, cols = np.nonzero(linked)
+    labels = np.arange(linked.shape[0])
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, labels[rows], labels[cols])
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            return Partition.from_labels(labels)
+        labels = hooked
+
+
 def threshold_clustering(data):
     """Axis-threshold clustering: link two points when they are strictly
     closer than spread / (n + 1) in every dimension, then close the links
@@ -527,6 +554,9 @@ def threshold_clustering(data):
     global threshold, the largest entry divided by n + 1, and needs no
     tie rule.
 
+    Either way the links form a symmetric boolean table, and the clusters
+    are its connected components, found by :func:`_components`.
+
     Parameters
     ----------
     data : Dataset or DistanceMatrix
@@ -538,9 +568,7 @@ def threshold_clustering(data):
     if isinstance(data, DistanceMatrix):
         arr = data.values
         n = arr.shape[0]
-        linked = arr < arr.max() / (n + 1.0)
-        _, labels = connected_components(linked, directed=False)
-        return Partition.from_labels(labels)
+        return _components(arr < arr.max() / (n + 1.0))
     if not isinstance(data, Dataset):
         raise TypeError(
             "data must be a Dataset or DistanceMatrix, got %r" % type(data).__name__
@@ -561,9 +589,7 @@ def threshold_clustering(data):
             )
     thresholds = spread / (n + 1.0)
     gaps = np.abs(pts[:, None, :] - pts[None, :, :])
-    linked = (gaps < thresholds).all(axis=2)
-    _, labels = connected_components(linked, directed=False)
-    return Partition.from_labels(labels)
+    return _components((gaps < thresholds).all(axis=2))
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,11 @@ class Dataset:
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; restoring slot
+        # state directly would hit __setattr__
+        return (type(self), (self.points,))
+
     @property
     def n(self):
         return self.points.shape[0]
@@ -151,6 +156,11 @@ class DistanceMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("DistanceMatrix is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; restoring slot
+        # state directly would hit __setattr__
+        return (type(self), (self.values,))
+
     @property
     def n(self):
         return self.values.shape[0]
@@ -203,6 +213,11 @@ class Partition:
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; restoring slot
+        # state directly would hit __setattr__
+        return (type(self), (self.clusters,))
 
     @property
     def n(self):

@@ -10,78 +10,13 @@ motions and their composites) deliberately do *not* all satisfy it — which
 pairs survive and which break is what the verification suites measure.
 """
 
-import json
-
 import numpy as np
 
 from .core import Dataset, DistanceMatrix
 
-TRANSFORM_KINDS = (
-    "scale",
-    "kleinberg-gamma",
-    "centric",
-    "motion",
-    "inner-proportional",
-    "composite",
-)
-
 # relative slack when comparing distances before/after a transform, so that
 # coordinate round-off is not mistaken for an axiom violation
 _PAIR_RTOL = 1e-12
-
-
-class TransformRecord:
-    """Provenance record of one applied transform.
-
-    Serialises to ``{"kind", "cluster", "lambda", "vector"}``; fields not
-    applicable to the kind stay None.
-    """
-
-    __slots__ = ("kind", "cluster", "lam", "vector")
-
-    def __init__(self, kind, cluster=None, lam=None, vector=None):
-        if kind not in TRANSFORM_KINDS:
-            raise ValueError("kind must be one of %s, got %r" % (TRANSFORM_KINDS, kind))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "cluster", None if cluster is None else int(cluster))
-        object.__setattr__(self, "lam", None if lam is None else float(lam))
-        object.__setattr__(
-            self, "vector", None if vector is None else tuple(float(v) for v in vector)
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TransformRecord is immutable")
-
-    def __repr__(self):
-        return "TransformRecord(kind=%r, cluster=%s, lam=%s, vector=%s)" % (
-            self.kind,
-            self.cluster,
-            self.lam,
-            self.vector,
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, TransformRecord) and (
-            self.kind,
-            self.cluster,
-            self.lam,
-            self.vector,
-        ) == (other.kind, other.cluster, other.lam, other.vector)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "cluster": self.cluster,
-                "lambda": self.lam,
-                "vector": None if self.vector is None else list(self.vector),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)
-        return cls(raw["kind"], raw.get("cluster"), raw.get("lambda"), raw.get("vector"))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +82,14 @@ def is_gamma_transform(d_before, d_after, gamma):
 
     The transform is admissible when every within-cluster distance is <=
     its original value and every between-cluster distance is >= its
-    original value (relative slack 1e-12 to forgive round-off).
+    original value (relative slack 1e-12 to forgive round-off).  Only the
+    entries (i, j) with i < j are read, so an asymmetric table is judged
+    by its upper triangle; a comparison with a NaN entry is never a
+    violation.
+
+    The check is O(n^2) array work: a same-cluster mask and one
+    elementwise comparison of the two tables, with no Python loop over
+    pairs.
 
     Parameters
     ----------
@@ -157,9 +99,10 @@ def is_gamma_transform(d_before, d_after, gamma):
     Returns
     -------
     (bool, tuple of dict)
-        Verdict plus every violating pair, each as
-        ``{"pair", "kind", "before", "after"}`` with kind ``"within"`` or
-        ``"between"``.
+        Verdict plus every violating pair in row-major order (by i, then
+        j), each as ``{"pair", "kind", "before", "after"}`` with ``pair``
+        a tuple of ints, kind ``"within"`` or ``"between"`` and the two
+        distances as floats.
     """
     before = _as_matrix(d_before)
     after = _as_matrix(d_after)
@@ -169,29 +112,29 @@ def is_gamma_transform(d_before, d_after, gamma):
     if gamma.n != n:
         raise ValueError("partition covers %d points, tables have %d" % (gamma.n, n))
     labels = gamma.labels()
-    violations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            same = labels[i] == labels[j]
-            if same and after[i, j] > before[i, j] * (1.0 + _PAIR_RTOL):
-                violations.append(
-                    {
-                        "pair": (i, j),
-                        "kind": "within",
-                        "before": float(before[i, j]),
-                        "after": float(after[i, j]),
-                    }
-                )
-            elif not same and after[i, j] < before[i, j] * (1.0 - _PAIR_RTOL):
-                violations.append(
-                    {
-                        "pair": (i, j),
-                        "kind": "between",
-                        "before": float(before[i, j]),
-                        "after": float(after[i, j]),
-                    }
-                )
-    return len(violations) == 0, tuple(violations)
+    same = labels[:, None] == labels[None, :]
+    bad = np.where(
+        same,
+        after > before * (1.0 + _PAIR_RTOL),
+        after < before * (1.0 - _PAIR_RTOL),
+    )
+    rows, cols = np.nonzero(np.triu(bad, 1))
+    violations = tuple(
+        {
+            "pair": (i, j),
+            "kind": "within" if within else "between",
+            "before": b,
+            "after": a,
+        }
+        for i, j, within, b, a in zip(
+            rows.tolist(),
+            cols.tolist(),
+            same[rows, cols].tolist(),
+            before[rows, cols].tolist(),
+            after[rows, cols].tolist(),
+        )
+    )
+    return len(violations) == 0, violations
 
 
 def centric_transform(dataset, gamma, cluster_id, lam):

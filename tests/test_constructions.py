@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from axiomlab.constructions import (
     MixtureSpec,
@@ -17,6 +18,7 @@ from axiomlab.constructions import (
     threshold_clustering,
     wing_partition,
 )
+from axiomlab.constructions import _components
 from axiomlab.core import (
     Dataset,
     DistanceMatrix,
@@ -453,6 +455,40 @@ def test_threshold_tie_refusals():
     assert threshold_clustering(same) == Partition([(0, 1, 2, 3)])
     with pytest.raises(TypeError):
         threshold_clustering(np.eye(3))
+
+
+def _scipy_components(linked):
+    _, labels = connected_components(linked, directed=False)
+    return Partition.from_labels(labels)
+
+
+def test_components_match_scipy_on_random_graphs():
+    rng = np.random.default_rng(61)
+    for n in range(1, 41):
+        for density in (0.0, 0.02, 0.05, 0.1, 0.3, 0.9):
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            linked = upper | upper.T
+            # isolate a few nodes outright
+            lonely = rng.random(n) < 0.2
+            linked[lonely, :] = False
+            linked[:, lonely] = False
+            assert _components(linked) == _scipy_components(linked)
+
+
+def test_components_follow_a_permuted_chain():
+    rng = np.random.default_rng(67)
+    for n in (1, 2, 3, 17, 200):
+        order = rng.permutation(n)
+        linked = np.zeros((n, n), dtype=bool)
+        linked[order[:-1], order[1:]] = True
+        linked |= linked.T
+        assert _components(linked) == Partition([range(n)])
+        cut = linked.copy()  # cutting one link leaves two paths
+        if n >= 2:
+            i, j = order[n // 2 - 1], order[n // 2]
+            cut[i, j] = cut[j, i] = False
+            assert _components(cut) == _scipy_components(cut)
+            assert _components(cut).k == 2
 
 
 # ---------------------------------------------------------------------------

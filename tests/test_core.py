@@ -5,6 +5,9 @@ Numeric constants in this file were computed by independent oracle scripts
 the implementation existed, and are frozen here.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,29 @@ def test_partition_json_roundtrip():
     text = p.to_json()
     assert Partition.from_json(text) == p
     assert '"clusters"' in text
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Dataset([[0.0, 1.0], [2.0, 3.0], [4.0, 6.0]]),
+        DistanceMatrix([[0.0, 1.5], [1.5, 0.0]]),
+        Partition([[0, 3], [1], [2, 4]]),
+    ],
+    ids=["Dataset", "DistanceMatrix", "Partition"],
+)
+def test_value_types_copy_and_pickle(value):
+    for clone in (
+        copy.copy(value),
+        copy.deepcopy(value),
+        pickle.loads(pickle.dumps(value)),
+    ):
+        assert type(clone) is type(value)
+        assert clone == value and hash(clone) == hash(value)
+        with pytest.raises(AttributeError):
+            clone.extra = 1
+    if isinstance(value, Dataset):
+        assert pickle.loads(pickle.dumps(value)).total_scatter == value.total_scatter
 
 
 def test_distance_matrix_from_dataset():

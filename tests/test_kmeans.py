@@ -40,7 +40,7 @@ from axiomlab.kmeans import (
     seed,
     sequential_kmeans,
 )
-from axiomlab.kmeans import _ideal_search, _lloyd_core
+from axiomlab.kmeans import _fix_empty_clusters, _ideal_search, _lloyd_core
 
 
 def _line(*xs):
@@ -225,6 +225,21 @@ def test_lloyd_handles_empty_cluster_by_reseeding_farthest():
         assert scatters[j] == float(np.sum((mine - mine.mean(axis=0)) ** 2))
     res = lloyd(Dataset(pts), [[100.0], [200.0]], KMeansConfig(k=2))
     assert res.partition == Partition([[0, 1], [2]])
+
+
+def test_empty_cluster_repair_moves_the_farthest_eligible_point():
+    # clusters 2 and 3 are empty.  Point 3 is farthest from its center
+    # (30 away) but alone in cluster 1, so it is skipped; the repair takes
+    # point 2 (5 from center 0), then point 1, the farther of the two left
+    # in cluster 0.  Re-homing the nearest eligible point would take 0.
+    pts = np.array([[0.0], [1.0], [5.0], [130.0]])
+    centers = np.array([[0.0], [100.0], [50.0], [70.0]])
+    labels = np.array([0, 0, 0, 1])
+    assert _fix_empty_clusters(pts, centers, labels, 4) == 2
+    assert labels.tolist() == [0, 3, 2, 1]
+    # nothing empty, nothing moved
+    assert _fix_empty_clusters(pts, centers, labels, 4) == 0
+    assert labels.tolist() == [0, 3, 2, 1]
 
 
 def test_lloyd_iteration_cap():

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axiomlab.core import Dataset, DistanceMatrix, Partition, distance_matrix
 from axiomlab.transforms import (
-    TransformRecord,
+    _PAIR_RTOL,
     centric_matrix_transform,
     centric_transform,
     discrete_consistency_transform,
@@ -18,21 +19,6 @@ from axiomlab.transforms import (
 
 def _line(*xs):
     return Dataset(np.array(xs, dtype=float)[:, None])
-
-
-# ---------------------------------------------------------------------------
-# record type
-# ---------------------------------------------------------------------------
-
-
-def test_transform_record_roundtrip():
-    rec = TransformRecord("motion", cluster=2, vector=(1.0, -2.0))
-    back = TransformRecord.from_json(rec.to_json())
-    assert back == rec
-    assert '"lambda"' in rec.to_json()
-    assert TransformRecord("scale", lam=0.5).vector is None
-    with pytest.raises(ValueError):
-        TransformRecord("zoom")
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +86,95 @@ def test_is_gamma_transform_shape_checks():
         is_gamma_transform(np.zeros((3, 3)), np.zeros((4, 4)), GAMMA)
     with pytest.raises(ValueError):
         is_gamma_transform(np.zeros((5, 5)), np.zeros((5, 5)), GAMMA)
+
+
+def _reference_is_gamma_transform(d_before, d_after, gamma):
+    """The pair-by-pair loop is_gamma_transform replaced, kept as its oracle."""
+    before = np.asarray(
+        d_before.values if isinstance(d_before, DistanceMatrix) else d_before,
+        dtype=float,
+    )
+    after = np.asarray(
+        d_after.values if isinstance(d_after, DistanceMatrix) else d_after,
+        dtype=float,
+    )
+    n = before.shape[0]
+    labels = gamma.labels()
+    violations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            same = labels[i] == labels[j]
+            if same and after[i, j] > before[i, j] * (1.0 + _PAIR_RTOL):
+                violations.append(
+                    {
+                        "pair": (i, j),
+                        "kind": "within",
+                        "before": float(before[i, j]),
+                        "after": float(after[i, j]),
+                    }
+                )
+            elif not same and after[i, j] < before[i, j] * (1.0 - _PAIR_RTOL):
+                violations.append(
+                    {
+                        "pair": (i, j),
+                        "kind": "between",
+                        "before": float(before[i, j]),
+                        "after": float(after[i, j]),
+                    }
+                )
+    return len(violations) == 0, tuple(violations)
+
+
+# How an "after" entry is made from its "before" entry b: unchanged,
+# exactly on either edge of the relative slack, one ulp past either edge,
+# rescaled freely, or NaN.
+def _after_entries(b, modes, factor):
+    up = b * (1.0 + _PAIR_RTOL)
+    down = b * (1.0 - _PAIR_RTOL)
+    choices = [
+        b,
+        up,
+        down,
+        np.nextafter(up, np.inf),
+        np.nextafter(down, -np.inf),
+        b * factor,
+        np.full_like(b, np.nan),
+    ]
+    return np.choose(modes, choices)
+
+
+@st.composite
+def _gamma_cases(draw):
+    """(before, after, gamma): tables over n = 1..12 points with random
+    labels.  As DistanceMatrix pairs they are symmetric, positive and
+    finite; as arrays they are asymmetric and may hold NaNs in either."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    as_matrix = n >= 2 and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.uniform(1e-3, 1e3, size=(n, n))
+    modes = rng.integers(0, 6 if as_matrix else 7, size=(n, n))
+    a = _after_entries(b, modes, rng.uniform(0.5, 2.0, size=(n, n)))
+    gamma = Partition.from_labels(labels)
+    if as_matrix:
+        def sym(t):
+            upper = np.triu(t, 1)
+            return DistanceMatrix(upper + upper.T)
+
+        return sym(b), sym(a), gamma
+    b[rng.random((n, n)) < 0.05] = np.nan
+    return b, a, gamma
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_gamma_cases())
+def test_is_gamma_transform_matches_the_pairwise_loop(case):
+    before, after, gamma = case
+    got = is_gamma_transform(before, after, gamma)
+    assert got == _reference_is_gamma_transform(before, after, gamma)
+    for v in got[1]:
+        assert all(type(i) is int for i in v["pair"])
+        assert type(v["before"]) is float and type(v["after"]) is float
 
 
 # ---------------------------------------------------------------------------
