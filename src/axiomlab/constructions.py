@@ -276,6 +276,11 @@ class MixtureSpec:
     def __setattr__(self, name, value):
         raise AttributeError("MixtureSpec is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; restoring slot
+        # state directly would hit __setattr__
+        return (type(self), (self.means, self.covariances, self.counts))
+
     @property
     def k(self):
         return self.means.shape[0]

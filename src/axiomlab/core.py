@@ -49,6 +49,51 @@ def _scatter(pts):
     return float(np.sum(diff * diff))
 
 
+def _sq_dists(cols, centers):
+    """Squared Euclidean distances from every center to every point.
+
+    ``cols`` holds the points as contiguous per-axis columns, shape (m, n)
+    (:attr:`Dataset.columns`); ``centers`` is (k, m).  Returns a (k, n)
+    table whose entry [j, i] equals, bit for bit,
+    ``np.sum((points[i] - centers[j]) ** 2)``: the per-axis terms
+    ``(cols[a] - centers[:, a]) ** 2`` are added across the axes in the
+    order numpy's pairwise sum adds a contiguous row of m values, that is
+    left to right from the first term for m < 8, with eight running
+    accumulators folded as ((0+1)+(2+3))+((4+5)+(6+7)) plus the leftover
+    terms for 8 <= m <= 128, and by recursive halving (at a multiple of 8)
+    above 128.  Each step is a whole-table operation on (k, n) arrays, so
+    no (n, k, m) temporary is built and the per-row loop over a short
+    inner axis is gone.  The terms are squares, never -0.0, so the table
+    is the same whichever of 0.0 and the first term a sum starts from.
+    """
+
+    def term(a):
+        t = np.subtract(cols[a], centers[:, a, None])
+        return np.multiply(t, t, out=t)
+
+    def add(lo, count):
+        if count < 8:
+            acc = term(lo)
+            for a in range(lo + 1, lo + count):
+                acc += term(a)
+            return acc
+        if count <= 128:
+            r = [term(lo + j) for j in range(8)]
+            stop = lo + count - count % 8
+            for i in range(lo + 8, stop, 8):
+                for j in range(8):
+                    r[j] += term(i + j)
+            acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for a in range(stop, lo + count):
+                acc += term(a)
+            return acc
+        half = count // 2
+        half -= half % 8
+        return add(lo, half) + add(lo + half, count - half)
+
+    return add(0, cols.shape[0])
+
+
 class Dataset:
     """An immutable set of n points in R^m.
 
@@ -59,7 +104,7 @@ class Dataset:
         all entries finite.
     """
 
-    __slots__ = ("points", "_total_scatter")
+    __slots__ = ("points", "_total_scatter", "_columns")
 
     def __init__(self, points):
         arr = _frozen_array(points)
@@ -74,6 +119,7 @@ class Dataset:
             raise ValueError("dataset coordinates must be finite")
         object.__setattr__(self, "points", arr)
         object.__setattr__(self, "_total_scatter", None)
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
@@ -94,6 +140,17 @@ class Dataset:
         if self._total_scatter is None:
             object.__setattr__(self, "_total_scatter", _scatter(self.points))
         return self._total_scatter
+
+    @property
+    def columns(self):
+        """The points as contiguous per-axis columns, a read-only (m, n)
+        array, made on first use and kept (the layout :func:`_sq_dists`
+        reads)."""
+        if self._columns is None:
+            cols = np.ascontiguousarray(self.points.T)
+            cols.setflags(write=False)
+            object.__setattr__(self, "_columns", cols)
+        return self._columns
 
     @property
     def m(self):
@@ -277,6 +334,11 @@ class ValidationReport:
     def __setattr__(self, name, value):
         raise AttributeError("ValidationReport is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; restoring slot
+        # state directly would hit __setattr__
+        return (type(self), (self.ok, self.violations))
+
     def __repr__(self):
         return "ValidationReport(ok=%s, violations=%d)" % (self.ok, len(self.violations))
 
@@ -359,9 +421,9 @@ def distance_matrix(dataset):
         If two points coincide (a distance table requires strictly
         positive off-diagonal entries).
     """
-    pts = dataset.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    # entry [j, i] is the broadcast form's [i, j], and (x - y) ** 2 equals
+    # (y - x) ** 2 exactly, so the two tables are equal
+    d = np.sqrt(_sq_dists(dataset.columns, dataset.points))
     dup = np.argwhere((d == 0.0) & ~np.eye(dataset.n, dtype=bool))
     if dup.size:
         i, j = dup[0]

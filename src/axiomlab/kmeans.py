@@ -15,6 +15,21 @@ comparison between restarts and the returned objective.  A dataset's
 total scatter is computed once
 (:attr:`~axiomlab.core.Dataset.total_scatter`).
 
+Lloyd's kernels and k-means++ seeding read the points as contiguous
+per-axis columns (:attr:`~axiomlab.core.Dataset.columns`, one transpose
+per dataset, shared by every restart) and build no (n, k, m) temporary.
+Squared distances come from one kernel,
+:func:`~axiomlab.core._sq_dists`, as a (k, n) table whose entries add
+the axes in ``np.sum``'s order: left to right for m < 8, numpy's eight
+accumulators for 8 <= m <= 128, recursive halving above.  The
+assignment is the table's first minimum per point (``argmin``'s
+answer).  The cluster statistics group the rows with one stable argsort;
+means are sequential per-column sums for m >= 2 and pairwise per-cluster
+sums for m = 1, the orders of ``mean(axis=0)``, and scatters are
+``np.sum`` over each cluster's contiguous block.  Labels, centers,
+scatters and ``q`` are therefore the floats of the broadcast and
+per-cluster-mask forms, bit for bit, for every m.
+
 Every number that matters is computed along two independent routes and
 cross-checked: the objective in centroid form (per-cluster scatters
 summed in canonical order) and in shifted-sum form, each
@@ -25,6 +40,7 @@ explicit exception, so ``python -O`` keeps it) instead of producing a
 quietly wrong number.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -39,6 +55,7 @@ from .core import (
     Partition,
     _check_enumeration_size,
     _scatter,
+    _sq_dists,
 )
 
 SEEDING_STRATEGIES = ("uniform-random", "plus-plus", "explicit-centers")
@@ -109,6 +126,13 @@ class ClusteringResult:
 
     def __setattr__(self, name, value):
         raise AttributeError("ClusteringResult is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; restoring slot
+        # state directly would hit __setattr__
+        return (type(self), (self.partition, self.centers, self.q,
+                             self.iterations, self.explained_variance,
+                             self.converged))
 
     def __repr__(self):
         return "ClusteringResult(k=%d, q=%.6g, iterations=%d, converged=%s)" % (
@@ -276,9 +300,10 @@ def seed(dataset, k, strategy, rng):
     if strategy == "uniform-random":
         idx = rng.choice(n, size=k, replace=False)
         return pts[idx].copy()
-    # plus-plus
+    # plus-plus; a row of _sq_dists is np.sum((pts - c) ** 2, axis=1)
+    cols = dataset.columns
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
+    d2 = _sq_dists(cols, pts[chosen])[0]
     while len(chosen) < k:
         total = float(d2.sum())
         if total == 0.0:
@@ -290,7 +315,7 @@ def seed(dataset, k, strategy, rng):
         else:
             nxt = int(rng.choice(n, p=d2 / total))
         chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((pts - pts[nxt]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_dists(cols, pts[[nxt]])[0])
     return pts[chosen].copy()
 
 
@@ -299,52 +324,97 @@ def seed(dataset, k, strategy, rng):
 # ---------------------------------------------------------------------------
 
 
-def _assign(pts, centers):
-    """Nearest-center labels; exact ties go to the lowest center index."""
-    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
-    return np.argmin(d2, axis=1)
+def _assign(cols, centers):
+    """Nearest-center labels and the (k, n) squared-distance table.
 
-
-def _cluster_stats(pts, labels, k):
-    """Each cluster's mean and scatter, from one row selection per cluster.
-
-    Every one of the k clusters must be non-empty.  Returns a (k, m) array
-    of means and a list of k scatters (sums of squared distances to the
-    mean), both indexed by label.
+    ``cols`` is :attr:`~axiomlab.core.Dataset.columns`.  The table is
+    :func:`~axiomlab.core._sq_dists`, so each entry is the float
+    ``np.sum((x - c) ** 2)`` gives: axes added left to right for m < 8,
+    pairwise with eight accumulators for 8 <= m <= 128 and by halving
+    above.  The labels are a running minimum over the table's k rows that
+    moves to row j only where row j is strictly smaller: the first
+    minimum, which is ``argmin``'s answer (exact ties go to the lowest
+    center index; the coordinates are finite, so no entry is NaN).
     """
-    means = np.empty((k, pts.shape[1]))
-    scatters = []
-    for j in range(k):
-        sub = pts[labels == j]
-        mean = sub.mean(axis=0)
-        diff = sub - mean
-        means[j] = mean
-        scatters.append(float(np.sum(diff * diff)))
-    return means, scatters
+    d2 = _sq_dists(cols, centers)
+    labels = np.zeros(d2.shape[1], dtype=np.intp)
+    best = d2[0]
+    for j in range(1, len(d2)):
+        closer = d2[j] < best
+        labels[closer] = j
+        best = np.minimum(best, d2[j])
+    return labels, d2
 
 
-def _fix_empty_clusters(pts, centers, labels, k):
+def _cluster_stats(dataset, labels, counts):
+    """Each cluster's mean and scatter, bit for bit those of
+    ``sub = points[labels == j]``, ``sub.mean(axis=0)`` and
+    ``np.sum((sub - mean) ** 2)``, without a mask per cluster.
+
+    ``counts`` is ``np.bincount(labels, minlength=k)``; every one of the
+    k clusters must be non-empty.  One stable argsort of the labels lays
+    every cluster's rows out as a contiguous block, in increasing point
+    index as the mask would.  For every m >= 2 (m >= 8 included),
+    ``mean(axis=0)`` adds the rows one after another from 0.0, which is
+    the order of ``np.bincount(labels, weights=column)``; for m = 1 it
+    sums the cluster's values pairwise, so each mean is ``np.sum`` over
+    the cluster's slice of the sorted column.  Both are divided by the
+    cluster size.  Each scatter is ``np.sum`` over the cluster's block of
+    the (n, m) squared differences in sorted row order: the same
+    flattened sequence, summed pairwise, that the mask route reduces.
+
+    Returns a (k, m) array of means and a list of k scatters, both indexed
+    by label.
+    """
+    cols = dataset.columns
+    k = len(counts)
+    # the narrowest unsigned key sorts by radix; the permutation is the
+    # same for any key type
+    order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+    sizes = counts.tolist()
+    blocks = [slice(end - size, end)
+              for size, end in zip(sizes, itertools.accumulate(sizes))]
+    # np.add.reduce(x, axis=None) is np.sum(x) without the Python wrapper
+    if len(cols) == 1:
+        xs = cols[0].take(order)
+        means = np.array([[np.add.reduce(xs[b]) / size]
+                          for b, size in zip(blocks, sizes)])
+    else:
+        means = np.empty((k, len(cols)))
+        for a, col in enumerate(cols):
+            means[:, a] = np.bincount(labels, weights=col, minlength=k)
+        means /= counts[:, None]
+    diff = dataset.points.take(order, axis=0)
+    diff -= np.repeat(means, counts, axis=0)
+    diff *= diff
+    return means, [float(np.add.reduce(diff[b], axis=None)) for b in blocks]
+
+
+def _fix_empty_clusters(d2, labels, k):
     """Re-home one point per empty cluster; returns number of events.
 
     The point moved into an empty slot is the one farthest from its
     currently assigned center, excluding points that are alone in their
-    cluster (moving those would just shift the hole around).
+    cluster (moving those would just shift the hole around).  Distances
+    are read from ``d2``, the (k, n) table :func:`_assign` built for these
+    centers.
     """
     events = 0
+    idx = np.arange(len(labels))
     for c in range(k):
         while not np.any(labels == c):
             counts = np.bincount(labels, minlength=k)
             eligible = counts[labels] > 1
             if not np.any(eligible):
                 raise RuntimeError("cannot repopulate empty cluster %d" % c)
-            dist2 = np.sum((pts - centers[labels]) ** 2, axis=1)
+            dist2 = d2[labels, idx]  # each point to its own center
             dist2[~eligible] = -np.inf
             labels[int(np.argmax(dist2))] = c
             events += 1
     return events
 
 
-def _lloyd_core(pts, centers, max_iterations):
+def _lloyd_core(dataset, centers, max_iterations):
     """Run Lloyd until membership stabilises; returns raw state.
 
     Each assignment's cluster means and scatters are computed once
@@ -360,19 +430,22 @@ def _lloyd_core(pts, centers, max_iterations):
     """
     k = centers.shape[0]
     centers = np.asarray(centers, dtype=float)
+    cols = dataset.columns
     prev = None
     updates = 0
     empty_events = 0
     q_prev = np.inf
     converged = False
     while True:
-        labels = _assign(pts, centers)
-        if np.count_nonzero(np.bincount(labels, minlength=k)) < k:
-            empty_events += _fix_empty_clusters(pts, centers, labels, k)
+        labels, d2 = _assign(cols, centers)
+        counts = np.bincount(labels, minlength=k)
+        if np.count_nonzero(counts) < k:
+            empty_events += _fix_empty_clusters(d2, labels, k)
+            counts = np.bincount(labels, minlength=k)
         if prev is not None and np.array_equal(labels, prev):
             converged = True  # labels are prev, whose stats we hold
             break
-        means, scatters = _cluster_stats(pts, labels, k)
+        means, scatters = _cluster_stats(dataset, labels, counts)
         q_here = _summed(scatters, range(k))
         # Lloyd's objective never increases: the assignment step and the
         # empty-cluster fix both only remove scatter, the mean update is
@@ -410,7 +483,6 @@ def lloyd(dataset, initial_centers, config):
     -------
     ClusteringResult
     """
-    pts = dataset.points
     centers = np.asarray(initial_centers, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != dataset.m:
         raise ValueError("initial_centers must be (k, %d)" % dataset.m)
@@ -420,7 +492,7 @@ def lloyd(dataset, initial_centers, config):
     if k > dataset.n:
         raise ValueError("more centers than points")
     labels, means, scatters, updates, converged, _ = _lloyd_core(
-        pts, centers, config.max_iterations
+        dataset, centers, config.max_iterations
     )
     return _build_result(dataset, labels, means, scatters, updates, converged)
 
@@ -480,14 +552,13 @@ def kmeans(dataset, config, initial_centers=None):
         return lloyd(dataset, initial_centers, config)
     if initial_centers is not None:
         raise ValueError("initial_centers only allowed with explicit-centers")
-    pts = dataset.points
     children = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
     best = None
     for child in children:
         rng = np.random.default_rng(child)
         centers = seed(dataset, config.k, config.seeding, rng)
         labels, means, scatters, updates, converged, _ = _lloyd_core(
-            pts, centers, config.max_iterations
+            dataset, centers, config.max_iterations
         )
         # canonical (first-point) order: the winner's q, bit for bit
         q = _summed(scatters, dict.fromkeys(labels.tolist()))
@@ -532,7 +603,8 @@ def kmeans_ideal(dataset, k):
     """
     best_rgs, _, leaves, _ = _ideal_search(dataset, k)
     labels = np.asarray(best_rgs)
-    means, scatters = _cluster_stats(dataset.points, labels, k)
+    means, scatters = _cluster_stats(dataset, labels,
+                                     np.bincount(labels, minlength=k))
     return _build_result(dataset, labels, means, scatters, leaves, True)
 
 
@@ -819,7 +891,7 @@ def second_pass_diagnose(dataset, centers):
     if centers.ndim != 2 or centers.shape[0] < 2 or centers.shape[1] != dataset.m:
         raise ValueError("centers must be (k >= 2, %d)" % dataset.m)
     pts = dataset.points
-    labels = _assign(pts, centers)
+    labels, _ = _assign(dataset.columns, centers)
     k = centers.shape[0]
     radii = []
     for j in range(k):

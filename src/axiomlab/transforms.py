@@ -12,7 +12,7 @@ pairs survive and which break is what the verification suites measure.
 
 import numpy as np
 
-from .core import Dataset, DistanceMatrix
+from .core import Dataset, DistanceMatrix, _sq_dists
 
 # relative slack when comparing distances before/after a transform, so that
 # coordinate round-off is not mistaken for an axiom violation
@@ -25,8 +25,9 @@ _PAIR_RTOL = 1e-12
 
 
 def _pairwise(points):
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    """Euclidean distance table of an (n, m) point array (symmetric, the
+    floats of the broadcast form)."""
+    return np.sqrt(_sq_dists(np.ascontiguousarray(points.T), points))
 
 
 def _as_matrix(d):

@@ -11,10 +11,13 @@ import pickle
 import numpy as np
 import pytest
 
+from axiomlab.constructions import MixtureSpec
 from axiomlab.core import (
     Dataset,
     DistanceMatrix,
     Partition,
+    ValidationReport,
+    _sq_dists,
     bell_number,
     complex_objective,
     distance_matrix,
@@ -25,6 +28,8 @@ from axiomlab.core import (
     stirling2,
     validate_distance,
 )
+from axiomlab.kmeans import ClusteringResult
+from axiomlab.transforms import _pairwise
 
 # Six-point dissimilarity table used throughout: two mirrored triples with a
 # triangle-inequality defect inside each triple.  Rounded to three decimals.
@@ -127,14 +132,32 @@ def test_partition_json_roundtrip():
     assert '"clusters"' in text
 
 
+def _same_fields(a, b):
+    """Field-by-field equality for the types without an ``__eq__``;
+    array fields must be equal and read-only in both."""
+    for name in type(a).__slots__:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            if not (np.array_equal(x, y) and not y.flags.writeable):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
 @pytest.mark.parametrize(
     "value",
     [
         Dataset([[0.0, 1.0], [2.0, 3.0], [4.0, 6.0]]),
         DistanceMatrix([[0.0, 1.5], [1.5, 0.0]]),
         Partition([[0, 3], [1], [2, 4]]),
+        ClusteringResult(Partition([[0, 1], [2]]), [[0.5], [10.0]], 0.5, 2,
+                         0.99, True),
+        ValidationReport(False, [{"kind": "symmetry", "i": 0, "j": 1}]),
+        MixtureSpec([[0.0, 0.0], [5.0, 5.0]], [1.0, 0.5], [3, 4]),
     ],
-    ids=["Dataset", "DistanceMatrix", "Partition"],
+    ids=["Dataset", "DistanceMatrix", "Partition", "ClusteringResult",
+         "ValidationReport", "MixtureSpec"],
 )
 def test_value_types_copy_and_pickle(value):
     for clone in (
@@ -143,11 +166,70 @@ def test_value_types_copy_and_pickle(value):
         pickle.loads(pickle.dumps(value)),
     ):
         assert type(clone) is type(value)
-        assert clone == value and hash(clone) == hash(value)
+        if isinstance(value, (Dataset, DistanceMatrix, Partition)):
+            assert clone == value and hash(clone) == hash(value)
+        else:
+            assert _same_fields(clone, value)
         with pytest.raises(AttributeError):
             clone.extra = 1
     if isinstance(value, Dataset):
         assert pickle.loads(pickle.dumps(value)).total_scatter == value.total_scatter
+
+
+def _broadcast_sq_dists(points, centers):
+    """The broadcast form the kernel replaces: an (n, k, m) temporary
+    summed over its last axis, transposed to (k, n)."""
+    return np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=-1).T
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(61)
+    for m in list(range(1, 21)) + [131]:
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        # magnitudes from 1e-3 to 1e3 per axis, optionally offset by 1e3
+        scale = 10.0 ** rng.uniform(-3, 3, size=m)
+        for offset in (0.0, 1e3):
+            pts = rng.normal(size=(n, m)) * scale + offset
+            yield pts, rng.normal(size=(k, m)) * scale + offset
+            yield pts, pts[rng.integers(0, n, size=k)]
+        # half-integer grid with repeated points and signed zeros
+        grid = rng.integers(-4, 5, size=(n, m)) / 2
+        grid[rng.random(size=(n, m)) < 0.2] = -0.0
+        grid = np.vstack([grid, grid[: n // 2]])
+        yield grid, grid[rng.integers(0, len(grid), size=k)]
+
+
+def test_sq_dists_matches_the_broadcast_sum():
+    # np.sum adds m < 8 terms left to right, up to 128 terms with eight
+    # accumulators and above that by halving; the kernel follows each
+    for pts, centers in _kernel_cases():
+        got = _sq_dists(np.ascontiguousarray(pts.T), centers)
+        assert got.shape == (len(centers), len(pts))
+        assert np.array_equal(got, _broadcast_sq_dists(pts, centers))
+
+
+def test_distance_tables_match_the_broadcast_form():
+    for pts, _ in _kernel_cases():
+        diff = pts[:, None, :] - pts[None, :, :]
+        want = np.sqrt(np.sum(diff * diff, axis=-1))
+        assert np.array_equal(_pairwise(pts), want)
+        unique = np.unique(pts, axis=0)
+        if len(unique) >= 2:
+            ds = Dataset(unique)
+            diff = unique[:, None, :] - unique[None, :, :]
+            assert np.array_equal(distance_matrix(ds).values,
+                                  np.sqrt(np.sum(diff * diff, axis=-1)))
+    # the first coincident pair in row-major order is named, as before
+    with pytest.raises(ValueError, match="points 1 and 3 coincide"):
+        distance_matrix(Dataset([[0.0], [1.0], [2.0], [1.0], [2.0]]))
+
+
+def test_dataset_columns_are_a_cached_read_only_transpose():
+    ds = Dataset([[0.0, 1.0], [2.0, 3.0], [4.0, 6.0]])
+    cols = ds.columns
+    assert cols is ds.columns
+    assert cols.flags.c_contiguous and not cols.flags.writeable
+    assert np.array_equal(cols, ds.points.T)
 
 
 def test_distance_matrix_from_dataset():

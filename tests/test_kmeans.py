@@ -3,9 +3,10 @@
 Small fixtures are hand-checked; the exhaustive optimiser is verified
 against an independent brute-force route (full partition enumeration plus
 the two-route objective).  The O(n^2) pairwise form of the objective, the
-per-restart ``lloyd`` loop, the scalar single-point-move scan and the numpy
-branch-and-bound walk live here as oracles for the faster routes the
-package uses.
+per-restart ``lloyd`` loop, the scalar single-point-move scan, the numpy
+branch-and-bound walk, and Lloyd's broadcast assignment, per-cluster mask
+statistics and row-major k-means++ seeding live here as oracles for the
+faster routes the package uses.
 """
 
 import json
@@ -40,7 +41,13 @@ from axiomlab.kmeans import (
     seed,
     sequential_kmeans,
 )
-from axiomlab.kmeans import _fix_empty_clusters, _ideal_search, _lloyd_core
+from axiomlab.kmeans import (
+    _assign,
+    _cluster_stats,
+    _fix_empty_clusters,
+    _ideal_search,
+    _lloyd_core,
+)
 
 
 def _line(*xs):
@@ -213,7 +220,7 @@ def test_lloyd_handles_empty_cluster_by_reseeding_farthest():
     # up empty and gets the farthest point (index 0) re-homed into it
     pts = np.array([[0.0], [1.0], [10.0]])
     labels, means, scatters, updates, converged, events = _lloyd_core(
-        pts, np.array([[100.0], [200.0]]), 100
+        Dataset(pts), np.array([[100.0], [200.0]]), 100
     )
     assert events >= 1
     assert converged
@@ -235,10 +242,11 @@ def test_empty_cluster_repair_moves_the_farthest_eligible_point():
     pts = np.array([[0.0], [1.0], [5.0], [130.0]])
     centers = np.array([[0.0], [100.0], [50.0], [70.0]])
     labels = np.array([0, 0, 0, 1])
-    assert _fix_empty_clusters(pts, centers, labels, 4) == 2
+    _, d2 = _assign(Dataset(pts).columns, centers)
+    assert _fix_empty_clusters(d2, labels, 4) == 2
     assert labels.tolist() == [0, 3, 2, 1]
     # nothing empty, nothing moved
-    assert _fix_empty_clusters(pts, centers, labels, 4) == 0
+    assert _fix_empty_clusters(d2, labels, 4) == 0
     assert labels.tolist() == [0, 3, 2, 1]
 
 
@@ -502,9 +510,52 @@ def _reference_canonical_q(pts, labels):
     return q
 
 
+def _reference_seed(dataset, k, strategy, rng):
+    """``seed`` as it was before the plus-plus distances came from the
+    column kernel, kept verbatim as the oracle."""
+    pts = dataset.points
+    n = dataset.n
+    if not 2 <= k <= n:
+        raise ValueError("need 2 <= k <= n, got k=%d, n=%d" % (k, n))
+    if strategy not in ("uniform-random", "plus-plus"):
+        raise ValueError("unknown seeding strategy %r" % (strategy,))
+    if k == n:
+        return pts.copy()
+    if strategy == "uniform-random":
+        idx = rng.choice(n, size=k, replace=False)
+        return pts[idx].copy()
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
+    while len(chosen) < k:
+        total = float(d2.sum())
+        if total == 0.0:
+            mask = np.ones(n, dtype=bool)
+            mask[chosen] = False
+            nxt = int(rng.choice(np.flatnonzero(mask)))
+        else:
+            nxt = int(rng.choice(n, p=d2 / total))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, np.sum((pts - pts[nxt]) ** 2, axis=1))
+    return pts[chosen].copy()
+
+
 def _reference_assign(pts, centers):
     d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
     return np.argmin(d2, axis=1)
+
+
+def _reference_cluster_stats(pts, labels, k):
+    """Each cluster's mean and scatter from one boolean mask per cluster,
+    as Lloyd computed them before the column kernels."""
+    means = np.empty((k, pts.shape[1]))
+    scatters = []
+    for j in range(k):
+        sub = pts[labels == j]
+        mean = sub.mean(axis=0)
+        diff = sub - mean
+        means[j] = mean
+        scatters.append(float(np.sum(diff * diff)))
+    return means, scatters
 
 
 def _reference_fix_empty_clusters(pts, centers, labels, k):
@@ -580,8 +631,8 @@ def _reference_lloyd(ds, initial_centers, config):
 def _reference_kmeans(ds, config):
     best = None
     for child in np.random.SeedSequence(config.rng_seed).spawn(config.restarts):
-        centers = seed(ds, config.k, config.seeding,
-                       np.random.default_rng(child))
+        centers = _reference_seed(ds, config.k, config.seeding,
+                                  np.random.default_rng(child))
         labels, updates, converged, _ = _reference_lloyd_core(
             ds.points, centers, config.max_iterations)
         q = _reference_canonical_q(ds.points, labels)
@@ -607,12 +658,20 @@ def assert_same_result(got, want):
     assert got.converged == want.converged
 
 
+# m = 1 sums each cluster's values pairwise, 2 <= m < 8 adds the axes of
+# a squared distance left to right, 8, 9 and 11 add them with numpy's
+# eight accumulators (and 9 and 11 with leftover terms)
+_LLOYD_DIMS = [1, 2, 3, 8, 9, 11]
+# half-integer grid with signed zeros: ties, repeated points and -0.0
+_SIGNED_GRID_COORD = _GRID_COORD | st.just(-0.0)
+
+
 @st.composite
 def _lloyd_instance(draw):
-    m = draw(st.sampled_from([1, 2, 3, 8]))
+    m = draw(st.sampled_from(_LLOYD_DIMS))
     n = draw(st.integers(3, 30))
     k = draw(st.integers(2, min(5, n)))
-    coord = draw(st.sampled_from([_GRID_COORD, _WIDE_COORD]))
+    coord = draw(st.sampled_from([_SIGNED_GRID_COORD, _WIDE_COORD]))
     rows = draw(st.lists(st.lists(coord, min_size=m, max_size=m),
                          min_size=n, max_size=n))
     config = KMeansConfig(
@@ -633,10 +692,34 @@ def _lloyd_instance(draw):
 _TEN_AND_TEN = Dataset(np.r_[np.arange(10.0), 100.0 + np.arange(10.0)][:, None])
 
 
+def _clumps(n, m, rng_seed, grid=False):
+    """n points in three clumps of scattered sizes, on a half-integer grid
+    (repeated points, exact sums) or with axes scaled over 1e-3 .. 1e3
+    (rounded sums): clusters of dozens of points for the pairwise (m = 1)
+    and sequential (m >= 2) mean routes."""
+    rng = np.random.default_rng(rng_seed)
+    centers = rng.normal(size=(3, m)) * 40.0
+    pts = centers[rng.integers(0, 3, size=n)] + rng.normal(size=(n, m))
+    if grid:
+        return Dataset(np.round(pts * 2) / 2)
+    return Dataset(pts * 10.0 ** rng.uniform(-3, 3, size=m))
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @example((_TEN_AND_TEN, KMeansConfig(k=2, restarts=3, rng_seed=1), True))
 @example((_TEN_AND_TEN, KMeansConfig(k=3, seeding="uniform-random",
                                      max_iterations=1, rng_seed=2), False))
+@example((_clumps(200, 1, 1), KMeansConfig(k=3, restarts=3, rng_seed=3), False))
+@example((_clumps(200, 1, 2, grid=True),
+          KMeansConfig(k=5, seeding="uniform-random", restarts=3, rng_seed=4),
+          True))
+@example((_clumps(200, 2, 5), KMeansConfig(k=3, restarts=3, rng_seed=6), False))
+@example((_clumps(200, 3, 7, grid=True),
+          KMeansConfig(k=4, restarts=3, rng_seed=8), True))
+@example((_clumps(120, 9, 9), KMeansConfig(k=3, restarts=3, rng_seed=10), False))
+@example((_clumps(120, 11, 11, grid=True),
+          KMeansConfig(k=4, seeding="uniform-random", restarts=3, rng_seed=12),
+          False))
 @given(_lloyd_instance())
 def test_lloyd_results_match_the_recompute_everything_oracle(instance):
     ds, config, far = instance
@@ -650,6 +733,44 @@ def test_lloyd_results_match_the_recompute_everything_oracle(instance):
                        _reference_lloyd(ds, start, config))
     if ds.n <= 8:
         assert_same_result(kmeans_ideal(ds, k), _reference_kmeans_ideal(ds, k))
+
+
+def _labelled_points():
+    """Points, labels with no empty cluster and centers: the grid cases
+    hold repeated points, ties and -0.0, the wide ones span 1e-3 .. 1e3."""
+    rng = np.random.default_rng(71)
+    for _ in range(600):
+        m = int(rng.choice(_LLOYD_DIMS))
+        n = int(rng.integers(2, 61))
+        k = int(rng.integers(1, min(4, n) + 1))
+        if rng.random() < 0.5:
+            pts = rng.integers(-4, 5, size=(n + k, m)) / 2
+            pts[rng.random(size=pts.shape) < 0.2] = -0.0
+        else:
+            pts = rng.uniform(1e-3, 1e3, size=(n + k, m))
+            pts *= rng.choice([-1.0, 1.0], size=pts.shape)
+        labels = np.r_[np.arange(k), rng.integers(0, k, size=n - k)]
+        yield Dataset(pts[:n]), labels, pts[n:]
+    yield _clumps(200, 1, 1), np.arange(200) % 3, np.zeros((3, 1))
+    yield _clumps(200, 3, 7, grid=True), np.arange(200) * 7 % 4, np.zeros((4, 3))
+
+
+def test_lloyd_kernels_match_the_broadcast_and_mask_routes():
+    for ds, labels, centers in _labelled_points():
+        k = len(centers)
+        got_labels, d2 = _assign(ds.columns, centers)
+        want_d2 = np.sum((ds.points[:, None, :] - centers[None, :, :]) ** 2,
+                         axis=-1)
+        assert np.array_equal(d2, want_d2.T)
+        assert np.array_equal(got_labels, _reference_assign(ds.points, centers))
+        assert got_labels.dtype == np.intp
+        means, scatters = _cluster_stats(ds, labels,
+                                         np.bincount(labels, minlength=k))
+        want_means, want_scatters = _reference_cluster_stats(ds.points, labels, k)
+        assert np.array_equal(means, want_means)
+        # array_equal treats -0.0 and 0.0 as equal; the signs must agree too
+        assert np.array_equal(np.signbit(means), np.signbit(want_means))
+        assert scatters == want_scatters
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +987,7 @@ def growing_stats(*args):
     means, scatters = real_cluster_stats(*args)
     return means, [float(next(steps))] * len(scatters)
 km._cluster_stats = growing_stats
-expect("lloyd", lambda: km._lloyd_core(line.points, np.array([[0.0], [1.0]]), 100))
+expect("lloyd", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]]), 100))
 km._cluster_stats = real_cluster_stats
 
 # result: the shifted route behind a Lloyd result is off by about 1e-6
