@@ -10,6 +10,7 @@ negative eigenvalues of the doubly centred Gram matrix).
 All types are immutable; all functions are pure.
 """
 
+import itertools
 import json
 import math
 import os
@@ -49,6 +50,43 @@ def _scatter(pts):
     return float(np.sum(diff * diff))
 
 
+def _pairwise_sum(terms, count):
+    """Add ``count`` terms, drawn in turn from the iterable ``terms``, in
+    the order numpy's pairwise summation adds a contiguous run of them.
+
+    Below 8 terms they are added left to right from the first term; from
+    8 to 128 terms eight running accumulators take every eighth term, are
+    folded as ((0+1)+(2+3))+((4+5)+(6+7)), and the leftover terms are
+    added after; above 128 the run is halved at a multiple of 8 and each
+    half summed the same way.  This is the order of ``np.sum`` and
+    ``np.add.reduce`` over a contiguous run (numpy's own reduction then
+    adds the result to its identity, +0.0, which only turns an all -0.0
+    sum into 0.0).  The terms may be floats or arrays; an array term is
+    added into in place, so each must be a fresh array.  Every order
+    follows from this one function: the axes of a squared distance
+    (:func:`_sq_dists`) and, on k-means' plain-float route, each cluster's
+    scatter and the one-axis means.
+    """
+    terms = iter(terms)
+    if count < 8:
+        acc = next(terms)
+        for t in itertools.islice(terms, count - 1):
+            acc += t
+        return acc
+    if count <= 128:
+        r = list(itertools.islice(terms, 8))
+        for _ in range(count // 8 - 1):
+            for j in range(8):
+                r[j] += next(terms)
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for t in itertools.islice(terms, count % 8):
+            acc += t
+        return acc
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(terms, half) + _pairwise_sum(terms, count - half)
+
+
 def _sq_dists(cols, centers):
     """Squared Euclidean distances from every center to every point.
 
@@ -56,42 +94,21 @@ def _sq_dists(cols, centers):
     (:attr:`Dataset.columns`); ``centers`` is (k, m).  Returns a (k, n)
     table whose entry [j, i] equals, bit for bit,
     ``np.sum((points[i] - centers[j]) ** 2)``: the per-axis terms
-    ``(cols[a] - centers[:, a]) ** 2`` are added across the axes in the
-    order numpy's pairwise sum adds a contiguous row of m values, that is
-    left to right from the first term for m < 8, with eight running
-    accumulators folded as ((0+1)+(2+3))+((4+5)+(6+7)) plus the leftover
-    terms for 8 <= m <= 128, and by recursive halving (at a multiple of 8)
-    above 128.  Each step is a whole-table operation on (k, n) arrays, so
-    no (n, k, m) temporary is built and the per-row loop over a short
-    inner axis is gone.  The terms are squares, never -0.0, so the table
-    is the same whichever of 0.0 and the first term a sum starts from.
+    ``(cols[a] - centers[:, a]) ** 2`` are added across the axes by
+    :func:`_pairwise_sum`, the order numpy's pairwise sum adds a
+    contiguous row of m values.  Each step is a whole-table operation on
+    (k, n) arrays, made one axis at a time, so no (n, k, m) temporary is
+    built and the per-row loop over a short inner axis is gone.  The
+    terms are squares, never -0.0, so the table is the same whichever of
+    0.0 and the first term a sum starts from.
     """
 
     def term(a):
         t = np.subtract(cols[a], centers[:, a, None])
         return np.multiply(t, t, out=t)
 
-    def add(lo, count):
-        if count < 8:
-            acc = term(lo)
-            for a in range(lo + 1, lo + count):
-                acc += term(a)
-            return acc
-        if count <= 128:
-            r = [term(lo + j) for j in range(8)]
-            stop = lo + count - count % 8
-            for i in range(lo + 8, stop, 8):
-                for j in range(8):
-                    r[j] += term(i + j)
-            acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            for a in range(stop, lo + count):
-                acc += term(a)
-            return acc
-        half = count // 2
-        half -= half % 8
-        return add(lo, half) + add(lo + half, count - half)
-
-    return add(0, cols.shape[0])
+    m = cols.shape[0]
+    return _pairwise_sum(map(term, range(m)), m)
 
 
 class Dataset:
@@ -386,6 +403,13 @@ class EmbeddingReport:
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddingReport is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; restoring slot
+        # state directly would hit __setattr__
+        return (type(self), (self.embeddable, self.eigenvalues, self.coordinates,
+                             self.signs, self.axis_eigenvalues,
+                             self.max_reconstruction_error))
 
     @property
     def significant_axes(self):

@@ -140,6 +140,12 @@ class SuiteReport:
     def __setattr__(self, name, value):
         raise AttributeError("SuiteReport is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; restoring slot
+        # state directly would hit __setattr__
+        return (type(self), (self.suite, self.master_seed, self.checks,
+                             self.witnesses, self.runtime_s, self.environment))
+
     @property
     def passed(self):
         return all(c["passed"] for c in self.checks)

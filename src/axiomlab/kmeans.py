@@ -30,6 +30,34 @@ sums for m = 1, the orders of ``mean(axis=0)``, and scatters are
 scatters and ``q`` are therefore the floats of the broadcast and
 per-cluster-mask forms, bit for bit, for every m.
 
+Lloyd has two routes, chosen in one place (:func:`_first_best`) from the
+dataset's size; both run the same loop (:func:`_lloyd_core`) and result
+builder (:func:`_build_result`).  Above ``_FLOAT_ROUTE_MAX`` coordinates
+(n * m) their steps are the array kernels above (:func:`_assign_arrays`,
+:func:`_cluster_stats`, :func:`_shifted_q`).  At or below it, where
+numpy's fixed cost per call on a few dozen floats is most of the time,
+they run on plain Python floats (:func:`_assign_floats`,
+:func:`_float_stats`, :func:`_shifted_floats`): only the
+squared-distance table, its first minimum per point and the rare
+empty-cluster repair stay numpy calls; labels, counts, the convergence
+test, means, scatters, the monotonicity check, the partition, the
+centers, ``q`` and the shifted-form cross-check are lists and floats.
+Both routes give the same floats, bit for bit, because both follow
+numpy's summation order, which is written once, in
+:func:`~axiomlab.core._pairwise_sum` (left to right below 8 terms, eight
+accumulators folded ((0+1)+(2+3))+((4+5)+(6+7)) plus the leftovers from
+8 to 128, halving at a multiple of 8 above): the axes of each squared
+distance, each cluster's scatter over its row-major block of squared
+differences, and the m = 1 means (added onto numpy's +0.0 identity)
+follow it, and the m >= 2 means add the points in order from 0.0 as
+``np.bincount(weights=)`` does.  The cutoff, 64, is a measured
+crossover: single-restart ``kmeans`` on both routes, m in {1, 2, 3, 5,
+8} and k in {2, 3, 4} (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6), took
+0.63-0.97 of the array route's time at n * m <= 64; the routes break
+even near n * m = 80 for m = 1 and 96-128 for m >= 2.  The size is n * m
+because the float route's Python work per step grows with the
+coordinates, while k moves the break-even point little.
+
 Every number that matters is computed along two independent routes and
 cross-checked: the objective in centroid form (per-cluster scatters
 summed in canonical order) and in shifted-sum form, each
@@ -40,20 +68,21 @@ explicit exception, so ``python -O`` keeps it) instead of producing a
 quietly wrong number.
 """
 
+import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import pdist
 
 from .core import (
     CrossCheckError,
     Dataset,
     Partition,
     _check_enumeration_size,
+    _pairwise_sum,
     _scatter,
     _sq_dists,
 )
@@ -62,6 +91,11 @@ SEEDING_STRATEGIES = ("uniform-random", "plus-plus", "explicit-centers")
 
 # relative tolerance (floored at 1) between the two routes of a cross-check
 _CROSS_CHECK_RTOL = 1e-9
+
+# Lloyd runs on plain Python floats while the dataset holds at most this
+# many coordinates (n * m), on numpy's whole-array kernels above; see the
+# module docstring for the measurement.
+_FLOAT_ROUTE_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -174,7 +208,13 @@ class ClusteringResult:
 
 def _cross_check(what, first, second):
     """Raise CrossCheckError unless two routes agree elementwise to
-    _CROSS_CHECK_RTOL * max(1, |first|, |second|); NaN never agrees."""
+    _CROSS_CHECK_RTOL * max(1, |first|, |second|); NaN never agrees.
+    Two Python floats are compared without numpy."""
+    if type(first) is float and type(second) is float:
+        scale = max(1.0, abs(first), abs(second))
+        if not abs(first - second) <= _CROSS_CHECK_RTOL * scale:
+            raise CrossCheckError("%s: %r and %r disagree" % (what, first, second))
+        return
     first, second = np.asarray(first), np.asarray(second)
     scale = np.maximum(1.0, np.maximum(np.abs(first), np.abs(second)))
     bad = ~(np.abs(first - second) <= _CROSS_CHECK_RTOL * scale)
@@ -364,7 +404,9 @@ def _cluster_stats(dataset, labels, counts):
     flattened sequence, summed pairwise, that the mask route reduces.
 
     Returns a (k, m) array of means and a list of k scatters, both indexed
-    by label.
+    by label, and the labels in canonical order (by first member; the
+    first row of each cluster's block in the stable argsort is its first
+    member).
     """
     cols = dataset.columns
     k = len(counts)
@@ -387,7 +429,9 @@ def _cluster_stats(dataset, labels, counts):
     diff = dataset.points.take(order, axis=0)
     diff -= np.repeat(means, counts, axis=0)
     diff *= diff
-    return means, [float(np.add.reduce(diff[b], axis=None)) for b in blocks]
+    scatters = [float(np.add.reduce(diff[b], axis=None)) for b in blocks]
+    firsts = order.take([b.start for b in blocks])
+    return means, scatters, np.argsort(firsts).tolist()
 
 
 def _fix_empty_clusters(d2, labels, k):
@@ -414,53 +458,136 @@ def _fix_empty_clusters(d2, labels, k):
     return events
 
 
-def _lloyd_core(dataset, centers, max_iterations):
+def _check_descent(q_prev, q_here):
+    """Lloyd's objective never increases: the assignment step and the
+    empty-cluster fix both only remove scatter, and the mean update is
+    optimal for fixed membership.  Raise CrossCheckError if it did."""
+    if not q_here <= q_prev * (1.0 + 1e-9) + 1e-12:
+        raise CrossCheckError(
+            "Lloyd objective increased from %r to %r" % (q_prev, q_here)
+        )
+
+
+def _lloyd_core(dataset, centers, max_iterations, rows=None):
     """Run Lloyd until membership stabilises; returns raw state.
 
-    Each assignment's cluster means and scatters are computed once
-    (:func:`_cluster_stats`): the means become the next centers, and the
-    scatters, summed in label order, are checked against the previous
-    step's objective, which Lloyd never increases.  The empty-cluster
-    repair runs only when an assignment leaves a cluster empty.
+    Both routes (see the module docstring) run this one loop and differ
+    only in its two steps: on arrays when ``rows`` is None
+    (:func:`_assign_arrays`, :func:`_cluster_stats`), on plain Python
+    floats when ``rows`` is ``dataset.points.tolist()``
+    (:func:`_assign_floats`, :func:`_float_stats`).  They give the same
+    state bit for bit, with lists in place of arrays, as both add in the
+    order of :func:`~axiomlab.core._pairwise_sum`.  Each assignment's
+    cluster means and scatters are computed once: the means become the
+    next centers, and the scatters, summed in label order, are checked
+    against the previous step's objective, which Lloyd never increases.
+    The empty-cluster repair runs only when an assignment leaves a cluster
+    empty.
 
     Returns
     -------
-    labels, means, scatters, updates, converged, empty_events
-        ``means`` and ``scatters`` belong to the final ``labels``.
+    labels, means, scatters, order, updates, converged, empty_events
+        ``means`` and ``scatters`` belong to the final ``labels`` and are
+        indexed by label; ``order`` is the labels in canonical order.
     """
-    k = centers.shape[0]
-    centers = np.asarray(centers, dtype=float)
-    cols = dataset.columns
+    k = len(centers)
+    if rows is None:
+        assign = functools.partial(_assign_arrays, dataset.columns, k)
+        stats = functools.partial(_cluster_stats, dataset)
+    else:
+        assign = functools.partial(_assign_floats, dataset.columns, k)
+        stats = functools.partial(_float_stats, rows)
     prev = None
     updates = 0
     empty_events = 0
-    q_prev = np.inf
+    q_prev = math.inf
     converged = False
     while True:
-        labels, d2 = _assign(cols, centers)
-        counts = np.bincount(labels, minlength=k)
-        if np.count_nonzero(counts) < k:
-            empty_events += _fix_empty_clusters(d2, labels, k)
-            counts = np.bincount(labels, minlength=k)
-        if prev is not None and np.array_equal(labels, prev):
-            converged = True  # labels are prev, whose stats we hold
+        labels, counts, key, events = assign(centers)
+        empty_events += events
+        if key == prev:
+            converged = True  # labels are prev's, whose stats we hold
             break
-        means, scatters = _cluster_stats(dataset, labels, counts)
+        means, scatters, order = stats(labels, counts)
         q_here = _summed(scatters, range(k))
-        # Lloyd's objective never increases: the assignment step and the
-        # empty-cluster fix both only remove scatter, the mean update is
-        # optimal for fixed membership.
-        if not q_here <= q_prev * (1.0 + 1e-9) + 1e-12:
-            raise CrossCheckError(
-                "Lloyd objective increased from %r to %r" % (q_prev, q_here)
-            )
+        _check_descent(q_prev, q_here)
         q_prev = q_here
         if updates >= max_iterations:
             break
         centers = means
         updates += 1
-        prev = labels
-    return labels, means, scatters, updates, converged, empty_events
+        prev = key
+    return labels, means, scatters, order, updates, converged, empty_events
+
+
+def _assign_arrays(cols, k, centers):
+    """The array route's assignment step: :func:`_assign`, then the
+    empty-cluster repair if a cluster came up empty.
+
+    Returns the labels, their counts, the labels' bytes (equal for two
+    assignments exactly when their labels are) and the number of repairs.
+    """
+    labels, d2 = _assign(cols, np.asarray(centers, dtype=float))
+    counts = np.bincount(labels, minlength=k)
+    events = 0
+    if np.count_nonzero(counts) < k:
+        events = _fix_empty_clusters(d2, labels, k)
+        counts = np.bincount(labels, minlength=k)
+    return labels, counts, labels.tobytes(), events
+
+
+def _assign_floats(cols, k, centers):
+    """:func:`_assign_arrays` with the labels and counts as lists (the
+    labels are their own key).
+
+    The (k, n) squared-distance table still comes from
+    :func:`~axiomlab.core._sq_dists`, a few whole-table numpy calls that
+    are cheaper than a Python loop over its n * k * m terms, and its first
+    minimum per point (``argmin``) is :func:`_assign`'s answer; a repair
+    is :func:`_fix_empty_clusters` on that table.
+    """
+    d2 = _sq_dists(cols, np.asarray(centers, dtype=float))
+    found = d2.argmin(axis=0)
+    labels = found.tolist()
+    counts = list(map(labels.count, range(k)))
+    events = 0
+    if 0 in counts:
+        events = _fix_empty_clusters(d2, found, k)
+        labels = found.tolist()
+        counts = list(map(labels.count, range(k)))
+    return labels, counts, labels, events
+
+
+def _float_stats(rows, labels, counts):
+    """:func:`_cluster_stats` on plain Python floats, bit for bit.
+
+    Each cluster's rows are taken in increasing point index.  For m >= 2
+    a mean adds the rows one after another from 0.0, as
+    ``np.bincount(weights=)`` does; for m = 1 it sums the cluster's
+    values with :func:`~axiomlab.core._pairwise_sum` onto numpy's +0.0
+    identity, as ``np.add.reduce`` does.  A scatter is
+    :func:`~axiomlab.core._pairwise_sum` over the cluster's row-major
+    squared differences (never -0.0, so the identity changes nothing).
+
+    Returns k means (lists) and k scatters, indexed by label, and the
+    labels in canonical order (first appearance).
+    """
+    m = len(rows[0])
+    flats = [[] for _ in counts]  # each cluster's rows, row-major
+    for label, row in zip(labels, rows):
+        flats[label] += row
+    means = []
+    scatters = []
+    for flat, size in zip(flats, counts):
+        if m == 1:
+            mean = [(0.0 + _pairwise_sum(flat, size)) / size]
+        else:
+            mean = [functools.reduce(operator.add, flat[a::m], 0.0) / size
+                    for a in range(m)]
+        squares = [(x - c) * (x - c) for x, c in zip(flat, mean * size)]
+        means.append(mean)
+        scatters.append(_pairwise_sum(squares, len(squares)))
+    return means, scatters, list(dict.fromkeys(labels))
 
 
 def lloyd(dataset, initial_centers, config):
@@ -491,35 +618,73 @@ def lloyd(dataset, initial_centers, config):
         raise ValueError("config.k=%d but %d centers given" % (config.k, k))
     if k > dataset.n:
         raise ValueError("more centers than points")
-    labels, means, scatters, updates, converged, _ = _lloyd_core(
-        dataset, centers, config.max_iterations
-    )
-    return _build_result(dataset, labels, means, scatters, updates, converged)
+    return _first_best(dataset, [centers], config.max_iterations)
 
 
-def _build_result(dataset, labels, means, scatters, iterations, converged):
-    """The ClusteringResult of a labelling with k non-empty clusters, from
-    its per-label means and scatters.
+def _first_best(dataset, starts, max_iterations):
+    """Lloyd from each (k, m) start in turn; the ClusteringResult of the
+    first run with the smallest objective.
 
-    One pass over the labels builds the partition and its canonical
-    cluster order (first appearance).  ``centers`` are the means and ``q``
-    the scatters summed in that order, which is the float sequence of
-    :func:`objective_q`'s centroid form; ``q`` is cross-checked against the
-    O(nm) shifted form.
+    Runs are compared on their scatters summed in canonical cluster order,
+    which is the winner's ``q`` bit for bit, and only the winner becomes a
+    result.  This is where the route is chosen: on plain Python floats
+    while n * m is at most ``_FLOAT_ROUTE_MAX``, on arrays above (the
+    ``rows`` argument of :func:`_lloyd_core` and :func:`_build_result`).
+    Both give the same floats.
     """
-    blocks = {}
-    for i, label in enumerate(labels.tolist()):
-        blocks.setdefault(label, []).append(i)
-    if len(blocks) != len(scatters):
-        raise RuntimeError(
-            "expected %d clusters, got %d" % (len(scatters), len(blocks)))
-    order = list(blocks)
+    rows = None
+    if dataset.n * dataset.m <= _FLOAT_ROUTE_MAX:
+        rows = dataset.points.tolist()
+    best = None
+    for centers in starts:
+        run = _lloyd_core(dataset, centers, max_iterations, rows)
+        q = _summed(run[2], run[3])  # the scatters in canonical order
+        if best is None or q < best[0]:
+            best = (q, run)
+    labels, means, scatters, order, updates, converged, _ = best[1]
+    if rows is None:
+        labels = labels.tolist()
+    return _build_result(dataset, labels, means, scatters, order, updates,
+                         converged, rows)
+
+
+def _build_result(dataset, labels, means, scatters, order, iterations,
+                  converged, rows=None):
+    """The ClusteringResult of a labelling (a list) with k non-empty
+    clusters, from its per-label means and scatters and its canonical
+    cluster order.
+
+    ``centers`` are the means and ``q`` the scatters summed in canonical
+    order, which is the float sequence of :func:`objective_q`'s centroid
+    form; ``q`` is cross-checked against the O(nm) shifted form, on arrays
+    (:func:`_shifted_q`) or, when ``rows`` is ``dataset.points.tolist()``,
+    on floats (:func:`_shifted_floats`).
+    """
+    blocks = {label: [] for label in order}
+    for i, label in enumerate(labels):
+        blocks[label].append(i)
     partition = Partition(blocks.values())
     q = _summed(scatters, order)
-    _cross_check("objective: centroid form vs shifted form",
-                 q, _shifted_q(dataset.points, partition.clusters))
-    return ClusteringResult(partition, means[order], q, iterations,
-                            _explained(dataset, q), converged)
+    if rows is None:
+        shifted = _shifted_q(dataset.points, partition.clusters)
+    else:
+        shifted = _shifted_floats(rows, partition.clusters)
+    _cross_check("objective: centroid form vs shifted form", q, shifted)
+    return ClusteringResult(partition, [means[j] for j in order], q,
+                            iterations, _explained(dataset, q), converged)
+
+
+def _shifted_floats(rows, clusters):
+    """:func:`_shifted_q` on plain Python floats, axis by axis (an
+    independent route, so the order of its additions is free)."""
+    q = 0.0
+    for block in clusters:
+        members = [rows[i] for i in block]
+        for a, c in enumerate(members[0]):
+            diffs = [row[a] - c for row in members]
+            total = sum(diffs)
+            q += sum([t * t for t in diffs]) - total * total / len(block)
+    return q
 
 
 def kmeans(dataset, config, initial_centers=None):
@@ -553,18 +718,9 @@ def kmeans(dataset, config, initial_centers=None):
     if initial_centers is not None:
         raise ValueError("initial_centers only allowed with explicit-centers")
     children = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
-    best = None
-    for child in children:
-        rng = np.random.default_rng(child)
-        centers = seed(dataset, config.k, config.seeding, rng)
-        labels, means, scatters, updates, converged, _ = _lloyd_core(
-            dataset, centers, config.max_iterations
-        )
-        # canonical (first-point) order: the winner's q, bit for bit
-        q = _summed(scatters, dict.fromkeys(labels.tolist()))
-        if best is None or q < best[0]:
-            best = (q, labels, means, scatters, updates, converged)
-    return _build_result(dataset, *best[1:])
+    starts = (seed(dataset, config.k, config.seeding, np.random.default_rng(child))
+              for child in children)
+    return _first_best(dataset, starts, config.max_iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +759,10 @@ def kmeans_ideal(dataset, k):
     """
     best_rgs, _, leaves, _ = _ideal_search(dataset, k)
     labels = np.asarray(best_rgs)
-    means, scatters = _cluster_stats(dataset, labels,
-                                     np.bincount(labels, minlength=k))
-    return _build_result(dataset, labels, means, scatters, leaves, True)
+    means, scatters, order = _cluster_stats(dataset, labels,
+                                            np.bincount(labels, minlength=k))
+    return _build_result(dataset, best_rgs, means, scatters, order, leaves,
+                         True)
 
 
 def _ideal_search(dataset, k, collect_tol=None):
@@ -939,6 +1096,11 @@ def candidates_tree(dataset, k):
     n = dataset.n
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n, got k=%d, n=%d" % (k, n))
+    # scipy's clustering and distance modules take about half a second to
+    # import, so only this function pays for them
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import pdist
+
     merges = linkage(pdist(pts), method="single")
 
     children = {}

@@ -35,6 +35,11 @@ class BallSummary:
     def __setattr__(self, name, value):
         raise AttributeError("BallSummary is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; restoring slot
+        # state directly would hit __setattr__
+        return (type(self), (self.center, self.radius, self.size))
+
     def __repr__(self):
         return "BallSummary(center=%s, radius=%.6g, size=%d)" % (
             self.center.tolist(),
@@ -98,6 +103,15 @@ class SeparationCertificate:
 
     def __setattr__(self, name, value):
         raise AttributeError("SeparationCertificate is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; restoring slot
+        # state directly would hit __setattr__
+        return (type(self), (self.nice_ball, self.perfect_ball, self.rho,
+                             self.core, self.core_pairs, self.absolute,
+                             self.absolute_required, self.absolute_actual,
+                             self.absolute_cases,
+                             self.pairwise_center_distances))
 
     def __repr__(self):
         return (

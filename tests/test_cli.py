@@ -1,12 +1,30 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import axiomlab
 from axiomlab.cli import main
 from axiomlab.core import Dataset, Partition
+
+
+def test_cli_import_leaves_scipy_clustering_and_spatial_unloaded():
+    # scipy.cluster.hierarchy alone takes most of the start-up time; only
+    # kmeans.candidates_tree needs it, and imports it when called
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(axiomlab.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = ("import json, sys, axiomlab.cli; print(json.dumps(sorted("
+              "m for m in sys.modules if m.startswith(('scipy.cluster', "
+              "'scipy.spatial')))))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, check=True)
+    assert json.loads(out.stdout) == []
 
 
 def test_construct_cluster_certify_roundtrip(tmp_path):

@@ -17,6 +17,7 @@ from axiomlab.core import (
     DistanceMatrix,
     Partition,
     ValidationReport,
+    _pairwise_sum,
     _sq_dists,
     bell_number,
     complex_objective,
@@ -28,7 +29,9 @@ from axiomlab.core import (
     stirling2,
     validate_distance,
 )
+from axiomlab.harness import SuiteReport
 from axiomlab.kmeans import ClusteringResult
+from axiomlab.separation import BallSummary, certify
 from axiomlab.transforms import _pairwise
 
 # Six-point dissimilarity table used throughout: two mirrored triples with a
@@ -155,9 +158,19 @@ def _same_fields(a, b):
                          0.99, True),
         ValidationReport(False, [{"kind": "symmetry", "i": 0, "j": 1}]),
         MixtureSpec([[0.0, 0.0], [5.0, 5.0]], [1.0, 0.5], [3, 4]),
+        embeddability_check(DistanceMatrix(GRID)),
+        BallSummary([0.5, 2.0], 1.5, 3),
+        certify(Dataset([[0.0], [1.0], [10.0], [11.0]]),
+                Partition([[0, 1], [2, 3]])),
+        SuiteReport("interference", 7,
+                    [{"name": "gap", "trials": 3, "violations": 0,
+                      "passed": True}],
+                    [{"kind": "witness", "points": [[0.0], [1.0]]}], 0.25,
+                    {"python": "3.11.7"}),
     ],
     ids=["Dataset", "DistanceMatrix", "Partition", "ClusteringResult",
-         "ValidationReport", "MixtureSpec"],
+         "ValidationReport", "MixtureSpec", "EmbeddingReport", "BallSummary",
+         "SeparationCertificate", "SuiteReport"],
 )
 def test_value_types_copy_and_pickle(value):
     for clone in (
@@ -206,6 +219,23 @@ def test_sq_dists_matches_the_broadcast_sum():
         got = _sq_dists(np.ascontiguousarray(pts.T), centers)
         assert got.shape == (len(centers), len(pts))
         assert np.array_equal(got, _broadcast_sq_dists(pts, centers))
+
+
+def test_pairwise_sum_is_numpys_summation_order():
+    # np.add.reduce is the pairwise sum of a contiguous run added to +0.0;
+    # the sizes cross 8 (eight accumulators) and 128 (halving), the values
+    # round at every addition, and the grid holds exact sums and -0.0
+    rng = np.random.default_rng(83)
+    for count in list(range(1, 300)) + [1000, 4099]:
+        wide = rng.normal(size=count) * 10.0 ** rng.uniform(-8, 8, size=count)
+        grid = rng.integers(-4, 5, size=count) / 2
+        grid[rng.random(size=count) < 0.3] = -0.0
+        for terms in (wide, grid, np.full(count, -0.0)):
+            want = np.add.reduce(terms)
+            got = 0.0 + _pairwise_sum(terms.tolist(), count)
+            assert got == want and np.signbit(got) == np.signbit(want)
+    # it draws the terms in index order, once each, from any iterable
+    assert _pairwise_sum(iter([1.0, 2.0, 3.0]), 3) == 6.0
 
 
 def test_distance_tables_match_the_broadcast_form():

@@ -41,7 +41,9 @@ from axiomlab.kmeans import (
     seed,
     sequential_kmeans,
 )
+from axiomlab import kmeans as kmeans_module
 from axiomlab.kmeans import (
+    _FLOAT_ROUTE_MAX,
     _assign,
     _cluster_stats,
     _fix_empty_clusters,
@@ -219,7 +221,7 @@ def test_lloyd_handles_empty_cluster_by_reseeding_farthest():
     # both points are nearer the first center, so the second cluster comes
     # up empty and gets the farthest point (index 0) re-homed into it
     pts = np.array([[0.0], [1.0], [10.0]])
-    labels, means, scatters, updates, converged, events = _lloyd_core(
+    labels, means, scatters, order, updates, converged, events = _lloyd_core(
         Dataset(pts), np.array([[100.0], [200.0]]), 100
     )
     assert events >= 1
@@ -669,7 +671,9 @@ _SIGNED_GRID_COORD = _GRID_COORD | st.just(-0.0)
 @st.composite
 def _lloyd_instance(draw):
     m = draw(st.sampled_from(_LLOYD_DIMS))
-    n = draw(st.integers(3, 30))
+    # n * m on both sides of the plain-float route's cutoff, and n up to
+    # 30 for every m
+    n = draw(st.integers(3, max(30, _FLOAT_ROUTE_MAX // m + 16)))
     k = draw(st.integers(2, min(5, n)))
     coord = draw(st.sampled_from([_SIGNED_GRID_COORD, _WIDE_COORD]))
     rows = draw(st.lists(st.lists(coord, min_size=m, max_size=m),
@@ -735,6 +739,77 @@ def test_lloyd_results_match_the_recompute_everything_oracle(instance):
         assert_same_result(kmeans_ideal(ds, k), _reference_kmeans_ideal(ds, k))
 
 
+def _route_cases():
+    """Datasets whose n * m lies just below, at and just above the route
+    cutoff, with k from 2 to 5: half-integer grids with repeated points,
+    exact distance ties and -0.0, signed values over 1e-3 .. 1e3, and
+    three clumps (m = 1 clusters of 9 or more points near the cutoff).
+    First, a line with a cluster of -0.0 only, whose mean numpy sums onto
+    +0.0 and so reports as 0.0."""
+    yield Dataset([[-0.0], [-0.0], [3.0], [3.5], [7.0]]), 3
+    rng = np.random.default_rng(97)
+    for m in _LLOYD_DIMS:
+        for n in (_FLOAT_ROUTE_MAX // m - 1, _FLOAT_ROUTE_MAX // m,
+                  _FLOAT_ROUTE_MAX // m + 1):
+            n = max(n, 3)
+            k = int(rng.integers(2, min(5, n) + 1))
+            grid = rng.integers(-4, 5, size=(n, m)) / 2
+            grid[rng.random(size=grid.shape) < 0.2] = -0.0
+            wide = rng.uniform(1e-3, 1e3, size=(n, m))
+            wide *= rng.choice([-1.0, 1.0], size=wide.shape)
+            yield Dataset(grid), k
+            yield Dataset(wide), k
+            yield _clumps(n, m, int(rng.integers(1 << 30)), grid=True), k
+
+
+def _route_starts(ds, k):
+    """Starts that tie, repeat points, or leave clusters empty."""
+    m = ds.m
+    yield ds.points[:k]  # repeated points make ties and repairs too
+    # centers beyond every point: all points join cluster 0 and the other
+    # k - 1 clusters are repaired
+    yield np.array([[1e4 * (j + 1)] * m for j in range(k)])
+    # coincident centers: every distance ties and goes to center 0
+    yield np.repeat(ds.points[-1:], k, axis=0)
+
+
+def _same_state(floats, arrays):
+    labels, means, scatters, order, updates, converged, events = floats
+    assert labels == arrays[0].tolist()
+    assert np.array_equal(means, arrays[1])
+    assert np.array_equal(np.signbit(means), np.signbit(arrays[1]))
+    assert scatters == arrays[2]
+    assert (order, updates, converged, events) == tuple(arrays[3:])
+
+
+def test_float_and_array_routes_agree_at_the_cutoff(monkeypatch):
+    repairs = 0
+    long_lines = 0
+    for ds, k in _route_cases():
+        rows = ds.points.tolist()
+        for start in _route_starts(ds, k):
+            for cap in (1, 100):
+                floats = _lloyd_core(ds, start, cap, rows)
+                _same_state(floats, _lloyd_core(ds, start, cap))
+                repairs += floats[-1]
+        results = []
+        for cutoff in (10 ** 9, 0):  # everything on floats, then on arrays
+            monkeypatch.setattr(kmeans_module, "_FLOAT_ROUTE_MAX", cutoff)
+            got = [lloyd(ds, start, KMeansConfig(k=k))
+                   for start in _route_starts(ds, k)]
+            got += [kmeans(ds, KMeansConfig(k=k, seeding=seeding, restarts=3,
+                                            rng_seed=k))
+                    for seeding in ("uniform-random", "plus-plus")]
+            results.append(got)
+        for on_floats, on_arrays in zip(*results):
+            assert_same_result(on_floats, on_arrays)
+            assert np.array_equal(np.signbit(on_floats.centers),
+                                  np.signbit(on_arrays.centers))
+            if ds.m == 1:
+                long_lines += max(map(len, on_floats.partition.clusters)) >= 9
+    assert repairs > 0 and long_lines > 0
+
+
 def _labelled_points():
     """Points, labels with no empty cluster and centers: the grid cases
     hold repeated points, ties and -0.0, the wide ones span 1e-3 .. 1e3."""
@@ -764,13 +839,14 @@ def test_lloyd_kernels_match_the_broadcast_and_mask_routes():
         assert np.array_equal(d2, want_d2.T)
         assert np.array_equal(got_labels, _reference_assign(ds.points, centers))
         assert got_labels.dtype == np.intp
-        means, scatters = _cluster_stats(ds, labels,
-                                         np.bincount(labels, minlength=k))
+        means, scatters, order = _cluster_stats(
+            ds, labels, np.bincount(labels, minlength=k))
         want_means, want_scatters = _reference_cluster_stats(ds.points, labels, k)
         assert np.array_equal(means, want_means)
         # array_equal treats -0.0 and 0.0 as equal; the signs must agree too
         assert np.array_equal(np.signbit(means), np.signbit(want_means))
         assert scatters == want_scatters
+        assert order == list(dict.fromkeys(labels.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -980,21 +1056,38 @@ km._scatter = lambda pts: real_scatter(pts) * (1.0 + 1e-6) + 1e-6
 expect("objective", lambda: km.objective_q(line, Partition([[0, 1, 2], [3, 4, 5]])))
 km._scatter = real_scatter
 
-# Lloyd: the objective grows from one step to the next
-steps = iter(range(1, 100))
+# Lloyd, on both routes: the objective grows from one step to the next
+def growing(real_stats):
+    steps = iter(range(1, 100))
+    def stats(*args):
+        means, scatters, order = real_stats(*args)
+        return means, [float(next(steps))] * len(scatters), order
+    return stats
+
 real_cluster_stats = km._cluster_stats
-def growing_stats(*args):
-    means, scatters = real_cluster_stats(*args)
-    return means, [float(next(steps))] * len(scatters)
-km._cluster_stats = growing_stats
+km._cluster_stats = growing(real_cluster_stats)
 expect("lloyd", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]]), 100))
 km._cluster_stats = real_cluster_stats
 
-# result: the shifted route behind a Lloyd result is off by about 1e-6
+real_float_stats = km._float_stats
+km._float_stats = growing(real_float_stats)
+expect("lloyd-floats", lambda: km.lloyd(line, [[0.0], [1.0]], km.KMeansConfig(k=2)))
+km._float_stats = real_float_stats
+
+# result, on both routes: the shifted form behind a Lloyd result is off by
+# about 1e-6 (a cutoff of 0 sends the line to the array route)
 real_shifted_q = km._shifted_q
 km._shifted_q = lambda *args: real_shifted_q(*args) * (1.0 + 1e-6) + 1e-6
+real_cutoff = km._FLOAT_ROUTE_MAX
+km._FLOAT_ROUTE_MAX = 0
 expect("result", lambda: km.lloyd(line, [[0.0], [10.0]], km.KMeansConfig(k=2)))
+km._FLOAT_ROUTE_MAX = real_cutoff
 km._shifted_q = real_shifted_q
+
+real_shifted_floats = km._shifted_floats
+km._shifted_floats = lambda *args: real_shifted_floats(*args) * (1.0 + 1e-6) + 1e-6
+expect("result-floats", lambda: km.lloyd(line, [[0.0], [10.0]], km.KMeansConfig(k=2)))
+km._shifted_floats = real_shifted_floats
 
 # move increments: a coordinate sum that does not match the mean
 expect("increment", lambda: km._increment(
@@ -1019,5 +1112,5 @@ def test_cross_checks_raise_under_python_O():
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["optimize"] == 1
-    assert result["caught"] == ["objective", "lloyd", "result", "increment",
-                                "embed"]
+    assert result["caught"] == ["objective", "lloyd", "lloyd-floats", "result",
+                                "result-floats", "increment", "embed"]
