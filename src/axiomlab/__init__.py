@@ -4,10 +4,10 @@ The package is organised around six building blocks:
 
 - ``core``: datasets, distance matrices, partitions, partition enumeration,
   and signed (pseudo-Euclidean) embeddings of non-metric distance tables.
-- ``kmeans``: Lloyd iteration, seeding, exhaustive global optimisation,
-  local-minimum certification and streaming variants.
+- ``kmeans``: Lloyd iteration, seeding, exhaustive global optimisation
+  and local-minimum certification.
 - ``transforms``: scale, Kleinberg-style Gamma transforms, centric shrinks,
-  cluster motions and their composites.
+  cluster motions and per-cluster proportional shrinks.
 - ``separation``: ball summaries, separation certificates and the gap /
   seeding bounds that make consistency statements provable.
 - ``constructions``: generators for the specific families of datasets used

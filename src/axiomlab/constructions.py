@@ -4,24 +4,23 @@ Each function here builds a concrete geometry that makes some clustering
 statement checkable: a line layout whose intended grouping is the exact
 optimum of the k-means objective, two segment wings whose optimal
 2-clustering flips under an admissible transform, a Gaussian mixture
-calibrated to a known explained-variance ladder, and embeddings that
-realise a given distance table as a well-separated point set.  The
-verification suites drive these generators; none of them keeps state.
+calibrated to a known explained-variance ladder, and a threshold rule
+that stays consistent where k-means does not.  The verification suites
+drive these generators; none of them keeps state.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    CrossCheckError,
     Dataset,
     DistanceMatrix,
     Partition,
-    _check_enumeration_size,
     _frozen_array,
+    _reduce_through_init,
     distance_matrix,
-    enumerate_partitions,
 )
 from .transforms import is_gamma_transform
 
@@ -231,6 +230,7 @@ def wing_partition(points_per_segment):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class MixtureSpec:
     """Sampling specification for a finite Gaussian mixture.
 
@@ -245,14 +245,16 @@ class MixtureSpec:
         Points to draw per component, each >= 1.
     """
 
-    __slots__ = ("means", "covariances", "counts")
+    means: np.ndarray
+    covariances: np.ndarray
+    counts: np.ndarray
 
-    def __init__(self, means, covariances, counts):
-        means = np.asarray(means, dtype=float)
+    def __post_init__(self):
+        means = np.asarray(self.means, dtype=float)
         if means.ndim != 2 or means.shape[0] < 1:
             raise ValueError("means must have shape (k, m), got %s" % (means.shape,))
         k, m = means.shape
-        covariances = np.asarray(covariances, dtype=float)
+        covariances = np.asarray(self.covariances, dtype=float)
         if covariances.shape == (k,):
             covariances = covariances[:, None, None] * np.eye(m)[None, :, :]
         if covariances.shape != (k, m, m):
@@ -266,20 +268,14 @@ class MixtureSpec:
             eigs = np.linalg.eigvalsh((c + c.T) / 2.0)
             if eigs[0] < -1e-12 * max(1.0, eigs[-1]):
                 raise ValueError("covariance is not positive semi-definite")
-        counts = np.asarray(counts, dtype=int)
+        counts = np.asarray(self.counts, dtype=int)
         if counts.shape != (k,) or (counts < 1).any():
             raise ValueError("counts must be k positive integers")
         object.__setattr__(self, "means", _frozen_array(means))
         object.__setattr__(self, "covariances", _frozen_array(covariances))
         object.__setattr__(self, "counts", _frozen_array(counts, dtype=int))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MixtureSpec is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor; restoring slot
-        # state directly would hit __setattr__
-        return (type(self), (self.means, self.covariances, self.counts))
+    __reduce__ = _reduce_through_init
 
     @property
     def k(self):
@@ -436,78 +432,6 @@ def fixture_tables():
 
 
 # ---------------------------------------------------------------------------
-# distance-table embeddings
-# ---------------------------------------------------------------------------
-
-
-def embed_partition(d, gamma, m=1):
-    """Realise a partition of a distance table as well-separated balls.
-
-    Cluster i becomes a ball of radius r_i = half its smallest
-    within-cluster distance (0 for a singleton) with its members equally
-    spaced across the ball's diameter on the first axis; consecutive ball
-    centers sit dmax + r_i + r_{i+1} apart, dmax being the largest input
-    distance.  Any two points inside one ball end up at most 2 r_i apart
-    (no farther than they started) and points of different balls at least
-    dmax apart (no closer), so the embedded set is an admissible transform
-    of the input for gamma -- checked before returning (a failure raises
-    :class:`~axiomlab.core.CrossCheckError`).
-
-    Parameters
-    ----------
-    d : DistanceMatrix
-    gamma : Partition
-        Must cover the table's points.
-    m : int
-        Embedding dimension; the construction lives on the first axis and
-        pads the rest with zeros.
-
-    Returns
-    -------
-    Dataset
-    """
-    if not isinstance(d, DistanceMatrix):
-        raise TypeError("d must be a DistanceMatrix, got %r" % type(d).__name__)
-    if gamma.n != d.n:
-        raise ValueError("partition covers %d points, table has %d" % (gamma.n, d.n))
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-
-    arr = d.values
-    dmax = float(arr.max())
-    radii = []
-    for members in gamma.clusters:
-        if len(members) == 1:
-            radii.append(0.0)
-        else:
-            idx = np.fromiter(members, dtype=int)
-            within = arr[np.ix_(idx, idx)]
-            radii.append(0.5 * float(within[np.triu_indices(len(idx), 1)].min()))
-
-    pts = np.zeros((d.n, m))
-    center = 0.0
-    for i, members in enumerate(gamma.clusters):
-        if i > 0:
-            center += dmax + radii[i - 1] + radii[i]
-        if len(members) == 1:
-            coords = [center]
-        else:
-            coords = center + np.linspace(-radii[i], radii[i], len(members))
-        for slot, member in enumerate(members):
-            pts[member, 0] = coords[slot]
-
-    out = Dataset(pts)
-    ok, violations = is_gamma_transform(d, distance_matrix(out), gamma)
-    if not ok:
-        raise CrossCheckError(
-            "ball embedding must be admissible for its partition: %r"
-            % (violations[:3],)
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # threshold clustering
 # ---------------------------------------------------------------------------
 
@@ -595,62 +519,3 @@ def threshold_clustering(data):
     thresholds = spread / (n + 1.0)
     gaps = np.abs(pts[:, None, :] - pts[None, :, :])
     return _components((gaps < thresholds).all(axis=2))
-
-
-# ---------------------------------------------------------------------------
-# prefix-optimal partitions
-# ---------------------------------------------------------------------------
-
-
-def parity_quality(dataset, partition):
-    """Score a partition by block-size parity alone: 0 for a perfect
-    pairing (every cluster exactly two points), otherwise one plus the
-    number of odd-size clusters.
-
-    Deliberately not a geometric objective: an even prefix is best served
-    by a pairing while an odd prefix cannot have one (the canonical tie
-    rule then favours one big block), so consecutive prefix optima cannot
-    refine each other.  Exists to demonstrate that incremental clustering
-    has no ground to stand on when the quality function is unconstrained.
-    """
-    sizes = [len(c) for c in partition.clusters]
-    if all(s == 2 for s in sizes):
-        return 0.0
-    return 1.0 + sum(1 for s in sizes if s % 2)
-
-
-def exhaustive_best_partition(dataset, quality):
-    """Best partition of every prefix of the dataset, by exhaustive search.
-
-    For each prefix length 2..n, scores every partition of the first
-    points with ``quality(prefix_dataset, partition)`` and keeps the
-    minimizer, earliest in canonical order on ties.  Prefix optima need
-    not nest: the minimizer over n + 1 points may split what the
-    minimizer over n points kept together.
-
-    Parameters
-    ----------
-    dataset : Dataset
-        n must be within the enumeration cap.
-    quality : callable
-        ``quality(Dataset, Partition) -> float``; lower is better.
-
-    Returns
-    -------
-    list of Partition
-        Entry i is the best partition of the first i + 2 points.
-    """
-    n = dataset.n
-    _check_enumeration_size(n, "prefix search")
-    pts = dataset.points
-    best_per_prefix = []
-    for size in range(2, n + 1):
-        prefix = Dataset(pts[:size])
-        best = None
-        best_val = math.inf
-        for part in enumerate_partitions(size):
-            val = float(quality(prefix, part))
-            if best is None or val < best_val:
-                best, best_val = part, val
-        best_per_prefix.append(best)
-    return best_per_prefix

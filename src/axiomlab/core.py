@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +43,15 @@ def _frozen_array(values, dtype=float):
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _reduce_through_init(self):
+    """``__reduce__`` of the value types that hold arrays: copy and pickle
+    rebuild through the constructor, so ``__post_init__`` copies and
+    freezes the arrays again.  A dataclass's own deepcopy and pickle
+    restore the fields directly, and its arrays would come back
+    writable."""
+    return (type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init))
 
 
 def _scatter(pts):
@@ -111,6 +121,7 @@ def _sq_dists(cols, centers):
     return _pairwise_sum(map(term, range(m)), m)
 
 
+@dataclass(frozen=True)
 class Dataset:
     """An immutable set of n points in R^m.
 
@@ -121,10 +132,14 @@ class Dataset:
         all entries finite.
     """
 
-    __slots__ = ("points", "_total_scatter", "_columns")
+    points: np.ndarray
+    _total_scatter: float | None = field(default=None, init=False, repr=False,
+                                         compare=False)
+    _columns: np.ndarray | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
-    def __init__(self, points):
-        arr = _frozen_array(points)
+    def __post_init__(self):
+        arr = _frozen_array(self.points)
         if arr.ndim != 2:
             raise ValueError("points must be a 2-d array, got shape %s" % (arr.shape,))
         n, m = arr.shape
@@ -135,16 +150,8 @@ class Dataset:
         if not np.all(np.isfinite(arr)):
             raise ValueError("dataset coordinates must be finite")
         object.__setattr__(self, "points", arr)
-        object.__setattr__(self, "_total_scatter", None)
-        object.__setattr__(self, "_columns", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Dataset is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor; restoring slot
-        # state directly would hit __setattr__
-        return (type(self), (self.points,))
+    __reduce__ = _reduce_through_init
 
     @property
     def n(self):
@@ -199,6 +206,7 @@ class Dataset:
         np.savetxt(path, self.points, delimiter=",", header=header, comments="")
 
 
+@dataclass(frozen=True)
 class DistanceMatrix:
     """An immutable symmetric dissimilarity table.
 
@@ -208,10 +216,10 @@ class DistanceMatrix:
     inequality.
     """
 
-    __slots__ = ("values",)
+    values: np.ndarray
 
-    def __init__(self, values):
-        arr = _frozen_array(values)
+    def __post_init__(self):
+        arr = _frozen_array(self.values)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("distance matrix must be square, got shape %s" % (arr.shape,))
         if arr.shape[0] < 2:
@@ -227,13 +235,7 @@ class DistanceMatrix:
             raise ValueError("off-diagonal distances must be strictly positive")
         object.__setattr__(self, "values", arr)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DistanceMatrix is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor; restoring slot
-        # state directly would hit __setattr__
-        return (type(self), (self.values,))
+    __reduce__ = _reduce_through_init
 
     @property
     def n(self):
@@ -259,6 +261,7 @@ class DistanceMatrix:
         np.savetxt(path, self.values, delimiter=",")
 
 
+@dataclass(frozen=True)
 class Partition:
     """An immutable partition of {0, ..., n-1} into non-empty clusters.
 
@@ -268,11 +271,11 @@ class Partition:
     compare equal.
     """
 
-    __slots__ = ("clusters",)
+    clusters: tuple
 
-    def __init__(self, clusters):
+    def __post_init__(self):
         canon = sorted(
-            (tuple(sorted(int(i) for i in cluster)) for cluster in clusters),
+            (tuple(sorted(int(i) for i in cluster)) for cluster in self.clusters),
             key=lambda block: block[0] if block else -1,
         )
         if any(len(block) == 0 for block in canon):
@@ -284,14 +287,6 @@ class Partition:
                 "clusters must cover 0..n-1 exactly once, got %s" % (flat,)
             )
         object.__setattr__(self, "clusters", tuple(canon))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor; restoring slot
-        # state directly would hit __setattr__
-        return (type(self), (self.clusters,))
 
     @property
     def n(self):
@@ -320,12 +315,6 @@ class Partition:
     def __repr__(self):
         return "Partition(%s)" % (list(map(list, self.clusters)),)
 
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.clusters == other.clusters
-
-    def __hash__(self):
-        return hash(self.clusters)
-
     def to_json(self):
         return json.dumps({"clusters": [list(block) for block in self.clusters]})
 
@@ -334,6 +323,7 @@ class Partition:
         return cls(json.loads(text)["clusters"])
 
 
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
     """Outcome of :func:`validate_distance`: a verdict plus every violation.
 
@@ -342,24 +332,18 @@ class ValidationReport:
     and enough indices/values to reproduce the failure by hand.
     """
 
-    __slots__ = ("ok", "violations")
+    ok: bool
+    violations: tuple
 
-    def __init__(self, ok, violations):
-        object.__setattr__(self, "ok", bool(ok))
-        object.__setattr__(self, "violations", tuple(violations))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ValidationReport is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor; restoring slot
-        # state directly would hit __setattr__
-        return (type(self), (self.ok, self.violations))
+    def __post_init__(self):
+        object.__setattr__(self, "ok", bool(self.ok))
+        object.__setattr__(self, "violations", tuple(self.violations))
 
     def __repr__(self):
         return "ValidationReport(ok=%s, violations=%d)" % (self.ok, len(self.violations))
 
 
+@dataclass(frozen=True, eq=False)
 class EmbeddingReport:
     """Outcome of :func:`embeddability_check`.
 
@@ -381,35 +365,24 @@ class EmbeddingReport:
         distance formula on the retained axes.
     """
 
-    __slots__ = (
-        "embeddable",
-        "eigenvalues",
-        "coordinates",
-        "signs",
-        "axis_eigenvalues",
-        "max_reconstruction_error",
-    )
+    embeddable: bool
+    eigenvalues: np.ndarray
+    coordinates: np.ndarray
+    signs: np.ndarray
+    axis_eigenvalues: np.ndarray
+    max_reconstruction_error: float
 
-    def __init__(self, embeddable, eigenvalues, coordinates, signs,
-                 axis_eigenvalues, max_reconstruction_error):
-        object.__setattr__(self, "embeddable", bool(embeddable))
-        object.__setattr__(self, "eigenvalues", _frozen_array(eigenvalues))
-        object.__setattr__(self, "coordinates", _frozen_array(coordinates))
-        object.__setattr__(self, "signs", _frozen_array(signs, dtype=int))
-        object.__setattr__(self, "axis_eigenvalues", _frozen_array(axis_eigenvalues))
-        object.__setattr__(
-            self, "max_reconstruction_error", float(max_reconstruction_error)
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "embeddable", bool(self.embeddable))
+        object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues))
+        object.__setattr__(self, "coordinates", _frozen_array(self.coordinates))
+        object.__setattr__(self, "signs", _frozen_array(self.signs, dtype=int))
+        object.__setattr__(self, "axis_eigenvalues",
+                           _frozen_array(self.axis_eigenvalues))
+        object.__setattr__(self, "max_reconstruction_error",
+                           float(self.max_reconstruction_error))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EmbeddingReport is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor; restoring slot
-        # state directly would hit __setattr__
-        return (type(self), (self.embeddable, self.eigenvalues, self.coordinates,
-                             self.signs, self.axis_eigenvalues,
-                             self.max_reconstruction_error))
+    __reduce__ = _reduce_through_init
 
     @property
     def significant_axes(self):

@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .constructions import (
     collapse_to_two_groups,
@@ -115,6 +114,7 @@ class ExperimentConfig:
             raise ValueError("rel_tol must be in (0, 1)")
 
 
+@dataclass(frozen=True, eq=False)
 class SuiteReport:
     """Outcome of one suite run.
 
@@ -125,26 +125,19 @@ class SuiteReport:
     :meth:`fingerprint` hashes exactly that part.
     """
 
-    __slots__ = ("suite", "master_seed", "checks", "witnesses", "runtime_s",
-                 "environment")
+    suite: str
+    master_seed: int
+    checks: tuple
+    witnesses: tuple
+    runtime_s: float
+    environment: dict
 
-    def __init__(self, suite, master_seed, checks, witnesses, runtime_s,
-                 environment):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "master_seed", int(master_seed))
-        object.__setattr__(self, "checks", tuple(checks))
-        object.__setattr__(self, "witnesses", tuple(witnesses))
-        object.__setattr__(self, "runtime_s", float(runtime_s))
-        object.__setattr__(self, "environment", dict(environment))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuiteReport is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor; restoring slot
-        # state directly would hit __setattr__
-        return (type(self), (self.suite, self.master_seed, self.checks,
-                             self.witnesses, self.runtime_s, self.environment))
+    def __post_init__(self):
+        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "checks", tuple(self.checks))
+        object.__setattr__(self, "witnesses", tuple(self.witnesses))
+        object.__setattr__(self, "runtime_s", float(self.runtime_s))
+        object.__setattr__(self, "environment", dict(self.environment))
 
     @property
     def passed(self):
@@ -194,7 +187,6 @@ def _environment():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "platform": platform.platform(),
     }
 

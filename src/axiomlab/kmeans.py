@@ -3,10 +3,8 @@
 Contains the two-route objective evaluator, seeding strategies, Lloyd
 iteration with deterministic tie-breaking, restarted k-means that builds a
 result only for the winning restart, an exhaustive branch-and-bound global
-optimiser for small n, a vectorised single-point-move local-minimum test,
-a bounded-memory streaming variant, and diagnostics that decide whether a
-clustering is trustworthy (ball separation of the result, candidate
-cluster trees).
+optimiser for small n, and a vectorised single-point-move local-minimum
+test.
 
 Lloyd computes each cluster's mean and scatter once per assignment.
 The means become the next centers and, for the winning restart, the
@@ -79,10 +77,11 @@ import numpy as np
 
 from .core import (
     CrossCheckError,
-    Dataset,
     Partition,
     _check_enumeration_size,
+    _frozen_array,
     _pairwise_sum,
+    _reduce_through_init,
     _scatter,
     _sq_dists,
 )
@@ -137,6 +136,7 @@ class KMeansConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
+@dataclass(frozen=True, eq=False)
 class ClusteringResult:
     """Immutable outcome of a clustering run.
 
@@ -144,29 +144,21 @@ class ClusteringResult:
     partition's canonical cluster order.
     """
 
-    __slots__ = ("partition", "centers", "q", "iterations",
-                 "explained_variance", "converged")
+    partition: Partition
+    centers: np.ndarray
+    q: float
+    iterations: int
+    explained_variance: float
+    converged: bool
 
-    def __init__(self, partition, centers, q, iterations, explained_variance,
-                 converged):
-        centers = np.array(centers, dtype=float)
-        centers.setflags(write=False)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "q", float(q))
-        object.__setattr__(self, "iterations", int(iterations))
-        object.__setattr__(self, "explained_variance", float(explained_variance))
-        object.__setattr__(self, "converged", bool(converged))
+    def __post_init__(self):
+        object.__setattr__(self, "centers", _frozen_array(self.centers))
+        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "iterations", int(self.iterations))
+        object.__setattr__(self, "explained_variance", float(self.explained_variance))
+        object.__setattr__(self, "converged", bool(self.converged))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ClusteringResult is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor; restoring slot
-        # state directly would hit __setattr__
-        return (type(self), (self.partition, self.centers, self.q,
-                             self.iterations, self.explained_variance,
-                             self.converged))
+    __reduce__ = _reduce_through_init
 
     def __repr__(self):
         return "ClusteringResult(k=%d, q=%.6g, iterations=%d, converged=%s)" % (
@@ -959,220 +951,3 @@ def is_local_min(dataset, partition, rel_tol=1e-9):
         "delta_q": float(cost[row, target] - gain[row, 0]),
     }
     return False, witness
-
-
-# ---------------------------------------------------------------------------
-# streaming
-# ---------------------------------------------------------------------------
-
-
-def sequential_kmeans(stream, k):
-    """Bounded-memory k-means over a point stream.
-
-    Keeps k weighted centers.  The first k points become centers of weight
-    one.  Each later point enters as a provisional extra center; the
-    globally closest pair of the k+1 (ties: lexicographically smallest
-    index pair) is merged into its weighted mean, which frees a slot for
-    the newcomer unless the newcomer itself was merged.
-
-    Parameters
-    ----------
-    stream : Dataset or (n, m) array_like
-        Points in arrival order, n >= k.
-    k : int
-
-    Returns
-    -------
-    (centers, counts)
-        ``centers`` is (k, m), ``counts`` the weight absorbed by each slot.
-    """
-    pts = stream.points if isinstance(stream, Dataset) else np.asarray(stream, float)
-    if pts.ndim != 2:
-        raise ValueError("stream must be 2-d")
-    n = pts.shape[0]
-    if not 2 <= k <= n:
-        raise ValueError("need 2 <= k <= n, got k=%d, n=%d" % (k, n))
-    centers = pts[:k].astype(float).copy()
-    counts = np.ones(k, dtype=int)
-    for t in range(k, n):
-        cand = np.vstack([centers, pts[t]])
-        weights = np.append(counts, 1)
-        # globally closest candidate pair, lexicographic on ties
-        best = None
-        best_d2 = np.inf
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                d2 = float(np.sum((cand[a] - cand[b]) ** 2))
-                if d2 < best_d2:
-                    best_d2 = d2
-                    best = (a, b)
-        a, b = best
-        merged = (cand[a] * weights[a] + cand[b] * weights[b]) / (
-            weights[a] + weights[b]
-        )
-        centers[a] = merged
-        counts[a] = weights[a] + weights[b]
-        if b != k:
-            # the merge happened among the old centers: slot b now holds
-            # the newcomer
-            centers[b] = pts[t]
-            counts[b] = 1
-    return centers, counts
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-
-def second_pass_diagnose(dataset, centers):
-    """Would a further assignment pass provably change nothing?
-
-    Assigns every point to its nearest center and measures, per center,
-    the radius of the ball of its points.  If every pair of centers is at
-    least four times the largest radius apart, each ball is locked to its
-    center and the clustering is self-confirming.
-
-    Parameters
-    ----------
-    dataset : Dataset
-    centers : (k, m) array_like
-
-    Returns
-    -------
-    dict
-        ``{"separated": bool, "min_center_distance": float,
-        "max_radius": float, "radii": tuple}``
-    """
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim != 2 or centers.shape[0] < 2 or centers.shape[1] != dataset.m:
-        raise ValueError("centers must be (k >= 2, %d)" % dataset.m)
-    pts = dataset.points
-    labels, _ = _assign(dataset.columns, centers)
-    k = centers.shape[0]
-    radii = []
-    for j in range(k):
-        mine = pts[labels == j]
-        if len(mine) == 0:
-            radii.append(0.0)
-        else:
-            radii.append(float(np.max(np.sqrt(np.sum((mine - centers[j]) ** 2, axis=1)))))
-    cd = np.sqrt(np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=-1))
-    min_cd = float(np.min(cd[~np.eye(k, dtype=bool)]))
-    max_r = max(radii)
-    return {
-        "separated": bool(min_cd >= 4.0 * max_r),
-        "min_center_distance": min_cd,
-        "max_radius": max_r,
-        "radii": tuple(radii),
-    }
-
-
-def candidates_tree(dataset, k):
-    """Single-linkage candidate clusters and a separated-k-cut verdict.
-
-    Builds the single-linkage merge tree, annotates every node of depth
-    < k (counting the root as depth 0) with the mean and radius of its
-    points, and searches for an antichain of exactly k nodes that
-    partitions the points such that every pair of node centers t_u, t_v
-    satisfies d(t_u, t_v) >= 4 max(r_u, r_v).  Any such cut certifies a
-    well-separated k-clustering readable straight off the tree.
-
-    Parameters
-    ----------
-    dataset : Dataset
-    k : int
-        2 <= k <= n.
-
-    Returns
-    -------
-    dict
-        ``{"verdict": bool, "cut": tuple or None, "candidates": tuple}``
-        where candidates are dicts with node, depth, size, center, radius.
-        Node ids follow the scipy convention: 0..n-1 are single points,
-        n..2n-2 are merges in formation order (root is 2n-2).
-    """
-    pts = dataset.points
-    n = dataset.n
-    if not 2 <= k <= n:
-        raise ValueError("need 2 <= k <= n, got k=%d, n=%d" % (k, n))
-    # scipy's clustering and distance modules take about half a second to
-    # import, so only this function pays for them
-    from scipy.cluster.hierarchy import linkage
-    from scipy.spatial.distance import pdist
-
-    merges = linkage(pdist(pts), method="single")
-
-    children = {}
-    members = {i: [i] for i in range(n)}
-    for row, (left, right, _, _) in enumerate(merges):
-        node = n + row
-        left, right = int(left), int(right)
-        children[node] = (left, right)
-        members[node] = members[left] + members[right]
-    root = n + len(merges) - 1 if len(merges) else 0
-
-    depth = {root: 0}
-    order = [root]
-    while order:
-        node = order.pop()
-        if node in children:
-            for ch in children[node]:
-                depth[ch] = depth[node] + 1
-                order.append(ch)
-
-    def annotate(node):
-        sub = pts[members[node]]
-        center = sub.mean(axis=0)
-        radius = float(np.max(np.sqrt(np.sum((sub - center) ** 2, axis=1))))
-        return center, radius
-
-    info = {}
-    candidates = []
-    for node in sorted(depth):
-        if depth[node] < k:
-            center, radius = annotate(node)
-            info[node] = (center, radius)
-            candidates.append(
-                {
-                    "node": node,
-                    "depth": depth[node],
-                    "size": len(members[node]),
-                    "center": tuple(center.tolist()),
-                    "radius": radius,
-                }
-            )
-
-    def cuts(node, size):
-        """All antichains of `size` nodes partitioning this subtree's points."""
-        if size == 1:
-            return [[node]]
-        if node not in children:
-            return []
-        left, right = children[node]
-        out = []
-        for s in range(1, size):
-            for lc in cuts(left, s):
-                for rc in cuts(right, size - s):
-                    out.append(lc + rc)
-        return out
-
-    verdict = False
-    winning = None
-    for cut in cuts(root, k):
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                ci, ri = info[cut[i]]
-                cj, rj = info[cut[j]]
-                dist = float(np.sqrt(np.sum((ci - cj) ** 2)))
-                if dist < 4.0 * max(ri, rj):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            verdict = True
-            winning = tuple(sorted(cut))
-            break
-    return {"verdict": verdict, "cut": winning, "candidates": tuple(candidates)}

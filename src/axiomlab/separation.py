@@ -5,40 +5,37 @@ distance).  On top of those summaries this module decides which separation
 regimes a clustered dataset satisfies — nice, perfect, core, absolute —
 and provides the analytic bounds that turn separation into guarantees:
 the minimal gap that makes cluster takeover unprofitable, the gap that
-certifies global optimality, the admissible off-core mass, and seeding
-success probabilities with the restart count needed for a target
-confidence.
+certifies global optimality, and seeding success probabilities with the
+restart count needed for a target confidence.
 """
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _frozen_array, _reduce_through_init
 
+
+@dataclass(frozen=True, eq=False)
 class BallSummary:
     """Enclosing ball of one cluster: centroid, max radius, cardinality."""
 
-    __slots__ = ("center", "radius", "size")
+    center: np.ndarray
+    radius: float
+    size: int
 
-    def __init__(self, center, radius, size):
-        center = np.asarray(center, dtype=float)
-        center.setflags(write=False)
-        if radius < 0:
+    def __post_init__(self):
+        if self.radius < 0:
             raise ValueError("radius must be >= 0")
-        if size < 1:
+        if self.size < 1:
             raise ValueError("size must be >= 1")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", float(radius))
-        object.__setattr__(self, "size", int(size))
+        object.__setattr__(self, "center", _frozen_array(self.center))
+        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "size", int(self.size))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BallSummary is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor; restoring slot
-        # state directly would hit __setattr__
-        return (type(self), (self.center, self.radius, self.size))
+    __reduce__ = _reduce_through_init
 
     def __repr__(self):
         return "BallSummary(center=%s, radius=%.6g, size=%d)" % (
@@ -48,6 +45,7 @@ class BallSummary:
         )
 
 
+@dataclass(frozen=True, eq=False)
 class SeparationCertificate:
     """Which separation regimes a clustered dataset satisfies.
 
@@ -72,46 +70,31 @@ class SeparationCertificate:
     pairwise_center_distances : (k, k) ndarray
     """
 
-    __slots__ = (
-        "nice_ball",
-        "perfect_ball",
-        "rho",
-        "core",
-        "core_pairs",
-        "absolute",
-        "absolute_required",
-        "absolute_actual",
-        "absolute_cases",
-        "pairwise_center_distances",
-    )
+    nice_ball: bool
+    perfect_ball: bool
+    rho: float
+    core: bool
+    core_pairs: tuple
+    absolute: bool
+    absolute_required: float
+    absolute_actual: float
+    absolute_cases: dict
+    pairwise_center_distances: np.ndarray
 
-    def __init__(self, nice_ball, perfect_ball, rho, core, core_pairs, absolute,
-                 absolute_required, absolute_actual, absolute_cases,
-                 pairwise_center_distances):
-        dist = np.asarray(pairwise_center_distances, dtype=float)
-        dist.setflags(write=False)
-        object.__setattr__(self, "nice_ball", bool(nice_ball))
-        object.__setattr__(self, "perfect_ball", bool(perfect_ball))
-        object.__setattr__(self, "rho", float(rho))
-        object.__setattr__(self, "core", bool(core))
-        object.__setattr__(self, "core_pairs", tuple(core_pairs))
-        object.__setattr__(self, "absolute", bool(absolute))
-        object.__setattr__(self, "absolute_required", float(absolute_required))
-        object.__setattr__(self, "absolute_actual", float(absolute_actual))
-        object.__setattr__(self, "absolute_cases", dict(absolute_cases))
-        object.__setattr__(self, "pairwise_center_distances", dist)
+    def __post_init__(self):
+        object.__setattr__(self, "nice_ball", bool(self.nice_ball))
+        object.__setattr__(self, "perfect_ball", bool(self.perfect_ball))
+        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "core", bool(self.core))
+        object.__setattr__(self, "core_pairs", tuple(self.core_pairs))
+        object.__setattr__(self, "absolute", bool(self.absolute))
+        object.__setattr__(self, "absolute_required", float(self.absolute_required))
+        object.__setattr__(self, "absolute_actual", float(self.absolute_actual))
+        object.__setattr__(self, "absolute_cases", dict(self.absolute_cases))
+        object.__setattr__(self, "pairwise_center_distances",
+                           _frozen_array(self.pairwise_center_distances))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SeparationCertificate is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor; restoring slot
-        # state directly would hit __setattr__
-        return (type(self), (self.nice_ball, self.perfect_ball, self.rho,
-                             self.core, self.core_pairs, self.absolute,
-                             self.absolute_required, self.absolute_actual,
-                             self.absolute_cases,
-                             self.pairwise_center_distances))
+    __reduce__ = _reduce_through_init
 
     def __repr__(self):
         return (
@@ -314,38 +297,6 @@ def absolute_gap_bound(summaries, k, n):
         default=0.0,
     )
     return {"bound": max(case1, case2), "case1": case1, "case2": case2}
-
-
-def off_core_fraction_bound(g, rho, n_c, n):
-    """Maximal fraction of a cluster allowed to lie off its core.
-
-    With core quality q = g / (2 rho), the returned value is
-    (q n_c) / (q n_c - q (n - n_c) + n), clamped to [0, 1]: the share of
-    the cluster's points that may sit outside the core ball without
-    breaking core-preserving assignment.
-
-    Parameters
-    ----------
-    g : float
-        Positive core gap.
-    rho : float
-        Positive ball radius scale.
-    n_c : int
-        Size of the cluster in question.
-    n : int
-        Total number of points, n >= n_c.
-
-    Returns
-    -------
-    float
-    """
-    if g <= 0 or rho <= 0:
-        raise ValueError("g and rho must be positive")
-    if n_c <= 0 or n <= 0 or n_c > n:
-        raise ValueError("need 0 < n_c <= n")
-    q = g / (2.0 * rho)
-    value = (q * n_c) / (q * n_c - q * (n - n_c) + n)
-    return min(max(value, 0.0), 1.0)
 
 
 def seeding_success(p, k, strategy, rho=None, target_confidence=None):

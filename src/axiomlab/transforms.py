@@ -6,13 +6,14 @@ with a reference partition and produces a new one.  The classic
 distances may only shrink, between-cluster distances may only grow
 (:func:`is_gamma_transform` checks exactly that and reports every violating
 pair).  The geometric transforms below (centric shrinks, rigid cluster
-motions and their composites) deliberately do *not* all satisfy it — which
-pairs survive and which break is what the verification suites measure.
+motions and per-cluster proportional shrinks) deliberately do *not* all
+satisfy it — which pairs survive and which break is what the verification
+suites measure.
 """
 
 import numpy as np
 
-from .core import Dataset, DistanceMatrix, _sq_dists
+from .core import Dataset, DistanceMatrix
 
 # relative slack when comparing distances before/after a transform, so that
 # coordinate round-off is not mistaken for an axiom violation
@@ -22,12 +23,6 @@ _PAIR_RTOL = 1e-12
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _pairwise(points):
-    """Euclidean distance table of an (n, m) point array (symmetric, the
-    floats of the broadcast form)."""
-    return np.sqrt(_sq_dists(np.ascontiguousarray(points.T), points))
 
 
 def _as_matrix(d):
@@ -277,46 +272,3 @@ def inner_proportional_transform(dataset, gamma, lams):
         mu = pts[idx].mean(axis=0)
         pts[idx] = mu + lam * (pts[idx] - mu)
     return Dataset(pts)
-
-
-def discrete_consistency_transform(dataset, gamma, motions, lam):
-    """Shrink all clusters by lam, then translate each cluster rigidly.
-
-    This composite is the discrete workhorse of consistency experiments:
-    an inner shrink followed by per-cluster motions.  Alongside the
-    transformed dataset it reports whether the net effect is admissible in
-    the sense of :func:`is_gamma_transform` (within distances not grown,
-    between distances not shrunk) -- computed directly on raw pairwise
-    distances so that even degenerate intermediate configurations are
-    handled.
-
-    Parameters
-    ----------
-    dataset : Dataset
-    gamma : Partition
-    motions : sequence of (m,) array_like, one vector per cluster
-    lam : float in (0, 1]
-        Common shrink factor applied to every cluster first.
-
-    Returns
-    -------
-    (Dataset, bool)
-    """
-    if gamma.n != dataset.n:
-        raise ValueError("partition does not match dataset")
-    motions = [np.asarray(v, dtype=float) for v in motions]
-    if len(motions) != gamma.k:
-        raise ValueError("need one motion per cluster (%d), got %d" % (gamma.k, len(motions)))
-    for v in motions:
-        if v.shape != (dataset.m,):
-            raise ValueError("motion vectors must have shape (%d,)" % dataset.m)
-    shrunk = inner_proportional_transform(dataset, gamma, [lam] * gamma.k)
-    pts = shrunk.points.copy()
-    for block, v in zip(gamma.clusters, motions):
-        idx = list(block)
-        pts[idx] = pts[idx] + v
-    out = Dataset(pts)
-    ok, _ = is_gamma_transform(
-        _pairwise(dataset.points), _pairwise(pts), gamma
-    )
-    return out, ok

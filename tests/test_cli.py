@@ -13,18 +13,42 @@ from axiomlab.cli import main
 from axiomlab.core import Dataset, Partition
 
 
-def test_cli_import_leaves_scipy_clustering_and_spatial_unloaded():
-    # scipy.cluster.hierarchy alone takes most of the start-up time; only
-    # kmeans.candidates_tree needs it, and imports it when called
+_WITHOUT_SCIPY = """
+import json, sys
+from axiomlab.cli import main
+
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+sys.modules["scipy"] = None  # any later import of scipy raises ImportError
+out = sys.argv[1]
+codes = [
+    main(["construct", "--what", "line", "--sizes", "3,2",
+          "--out", out + "/line.csv"]),
+    main(["cluster", "--data", out + "/line.csv", "--k", "2",
+          "--restarts", "10", "--seed", "3", "--out", out + "/result.json"]),
+    main(["certify", "--data", out + "/line.csv",
+          "--partition", out + "/line.partition.json",
+          "--out", out + "/cert.json"]),
+]
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test and benchmark dependency only: importing the CLI
+    # loads none of it, and a round trip runs with it blocked
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(axiomlab.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    script = ("import json, sys, axiomlab.cli; print(json.dumps(sorted("
-              "m for m in sys.modules if m.startswith(('scipy.cluster', "
-              "'scipy.spatial')))))")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=env, check=True)
-    assert json.loads(out.stdout) == []
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result == {"loaded": [], "codes": [0, 0, 0]}
+    built = Partition.from_json((tmp_path / "line.partition.json").read_text())
+    clustered = json.loads((tmp_path / "result.json").read_text())
+    assert Partition(clustered["partition"]) == built
+    assert json.loads((tmp_path / "cert.json").read_text())["nice_ball"] is True
 
 
 def test_construct_cluster_certify_roundtrip(tmp_path):

@@ -8,12 +8,9 @@ from axiomlab.constructions import (
     MixtureSpec,
     collapse_to_two_groups,
     default_mixture_spec,
-    embed_partition,
-    exhaustive_best_partition,
     fixture_tables,
     gaussian_mixture,
     krich_line,
-    parity_quality,
     rotated_segments,
     threshold_clustering,
     wing_partition,
@@ -307,73 +304,6 @@ def test_fixture_coordinates_reconstruct_grid():
 
 
 # ---------------------------------------------------------------------------
-# partition embedding
-# ---------------------------------------------------------------------------
-
-
-def test_embed_partition_singleton_layout():
-    d = DistanceMatrix(np.array([[0.0, 3.0, 5.0], [3.0, 0.0, 4.0], [5.0, 4.0, 0.0]]))
-    gamma = Partition([(0,), (1,), (2,)])
-    ds = embed_partition(d, gamma)
-    assert ds.m == 1
-    emb = distance_matrix(ds).values
-    # singleton clusters land exactly one diameter apart along a line
-    assert emb[0, 1] == pytest.approx(5.0)
-    assert emb[1, 2] == pytest.approx(5.0)
-    assert emb[0, 2] == pytest.approx(10.0)
-    with pytest.raises(TypeError):
-        embed_partition(distance_matrix(ds).values, gamma)
-
-
-def test_embed_partition_is_admissible_on_random_tables():
-    rng = np.random.default_rng(31)
-    for _ in range(30):
-        n = int(rng.integers(4, 9))
-        pts = rng.normal(size=(n, 2))
-        d = distance_matrix(Dataset(pts))
-        k = int(rng.integers(2, 4))
-        labels = rng.integers(0, k, size=n)
-        labels[:k] = np.arange(k)  # keep every cluster inhabited
-        gamma = Partition.from_labels(labels)
-        ds = embed_partition(d, gamma, m=int(rng.integers(1, 4)))
-        assert ds.n == n
-        ok, violations = is_gamma_transform(d, distance_matrix(ds), gamma)
-        assert ok and violations == ()
-
-
-def test_embed_partition_recovery_when_well_separated():
-    # exhaustive k-means recovers the embedded partition whenever the
-    # cluster diameter dominates the ball radii by the usual factor four
-    rng = np.random.default_rng(5)
-    tried = kept = 0
-    for _ in range(400):
-        n = int(rng.integers(4, 9))
-        k = int(rng.integers(2, 4))
-        pts = rng.normal(size=(n, 2))
-        d = distance_matrix(Dataset(pts))
-        labels = rng.integers(0, k, size=n)
-        labels[:k] = np.arange(k)
-        gamma = Partition.from_labels(labels)
-        tried += 1
-        radii = []
-        arr = d.values
-        for cluster in gamma.clusters:
-            if len(cluster) == 1:
-                radii.append(0.0)
-                continue
-            idx = np.array(cluster)
-            sub = arr[np.ix_(idx, idx)]
-            radii.append(0.5 * sub[np.triu_indices(len(idx), k=1)].min())
-        if arr.max() < 4.0 * max(radii):
-            continue
-        kept += 1
-        ds = embed_partition(d, gamma)
-        assert kmeans_ideal(ds, gamma.k).partition == gamma
-    assert tried == 400
-    assert kept > 100
-
-
-# ---------------------------------------------------------------------------
 # threshold clustering
 # ---------------------------------------------------------------------------
 
@@ -489,67 +419,3 @@ def test_components_follow_a_permuted_chain():
             cut[i, j] = cut[j, i] = False
             assert _components(cut) == _scipy_components(cut)
             assert _components(cut).k == 2
-
-
-# ---------------------------------------------------------------------------
-# exhaustive prefix search
-# ---------------------------------------------------------------------------
-
-_DEMO_CLOUD = np.array(
-    [
-        [4.022346, 5.142886],
-        [3.745942, 4.646777],
-        [4.442992, 5.164956],
-        [3.616975, 5.188107],
-        [3.807503, 5.010183],
-        [4.169602, 4.874328],
-        [3.557578, 5.248182],
-        [3.876208, 4.507264],
-        [4.102748, 5.073515],
-        [3.895329, 4.878176],
-    ]
-)
-
-
-def test_parity_quality_values():
-    ds = _line(0.0, 1.0, 2.0, 3.0)
-    assert parity_quality(ds, Partition([(0, 1), (2, 3)])) == 0.0
-    assert parity_quality(ds, Partition([(0, 1, 2), (3,)])) == 3.0
-    assert parity_quality(_line(0.0, 1.0, 2.0), Partition([(0, 1), (2,)])) == 2.0
-
-
-def test_prefix_best_is_non_nesting_for_parity_quality():
-    best = exhaustive_best_partition(Dataset(_DEMO_CLOUD), parity_quality)
-    assert len(best) == 9  # prefixes of size 2..10
-    assert best[1] == Partition([(0, 1, 2)])
-    assert best[2] == Partition([(0, 1), (2, 3)])
-    # the optimum over a larger prefix never contains the smaller one:
-    # parity flips with every added point
-    nonnesting = []
-    for i in range(1, len(best)):
-        prev, cur = best[i - 1], best[i]
-        restricted = [tuple(m for m in c if m < prev.n) for c in cur.clusters]
-        if Partition([c for c in restricted if c]) != prev:
-            nonnesting.append(i + 2)
-    assert nonnesting == [4, 5, 6, 7, 8, 9, 10]
-
-
-def test_prefix_best_agrees_with_exhaustive_kmeans():
-    from axiomlab.kmeans import objective_q
-
-    rng = np.random.default_rng(4)
-    ds = Dataset(rng.normal(size=(4, 2)))
-
-    def two_cluster_q(data, part):
-        return objective_q(data, part) if part.k == 2 else np.inf
-
-    best = exhaustive_best_partition(ds, two_cluster_q)
-    for i, part in enumerate(best):
-        prefix = Dataset(ds.points[: i + 2])
-        assert part == kmeans_ideal(prefix, 2).partition
-
-
-def test_prefix_best_respects_enumeration_cap():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="AXIOMLAB_ENUMERATION_CAP"):
-        exhaustive_best_partition(Dataset(rng.normal(size=(13, 2))), parity_quality)

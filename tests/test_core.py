@@ -6,6 +6,7 @@ the implementation existed, and are frozen here.
 """
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -32,7 +33,6 @@ from axiomlab.core import (
 from axiomlab.harness import SuiteReport
 from axiomlab.kmeans import ClusteringResult
 from axiomlab.separation import BallSummary, certify
-from axiomlab.transforms import _pairwise
 
 # Six-point dissimilarity table used throughout: two mirrored triples with a
 # triangle-inequality defect inside each triple.  Rounded to three decimals.
@@ -136,14 +136,10 @@ def test_partition_json_roundtrip():
 
 
 def _same_fields(a, b):
-    """Field-by-field equality for the types without an ``__eq__``;
-    array fields must be equal and read-only in both."""
-    for name in type(a).__slots__:
-        x, y = getattr(a, name), getattr(b, name)
-        if isinstance(x, np.ndarray):
-            if not (np.array_equal(x, y) and not y.flags.writeable):
-                return False
-        elif x != y:
+    """Field-by-field equality for the types that compare by identity."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
             return False
     return True
 
@@ -183,9 +179,18 @@ def test_value_types_copy_and_pickle(value):
             assert clone == value and hash(clone) == hash(value)
         else:
             assert _same_fields(clone, value)
+        # a dataclass's own deepcopy and pickle skip __post_init__ and would
+        # hand back writable arrays
+        for f in dataclasses.fields(clone):
+            held = getattr(clone, f.name)
+            assert not isinstance(held, np.ndarray) or not held.flags.writeable
         with pytest.raises(AttributeError):
             clone.extra = 1
     if isinstance(value, Dataset):
+        # equality and hash ignore the caches, filled or not
+        fresh = Dataset(value.points)
+        assert value.total_scatter > 0.0 and value.columns.shape == (2, 3)
+        assert fresh == value and value == fresh and hash(fresh) == hash(value)
         assert pickle.loads(pickle.dumps(value)).total_scatter == value.total_scatter
 
 
@@ -240,9 +245,6 @@ def test_pairwise_sum_is_numpys_summation_order():
 
 def test_distance_tables_match_the_broadcast_form():
     for pts, _ in _kernel_cases():
-        diff = pts[:, None, :] - pts[None, :, :]
-        want = np.sqrt(np.sum(diff * diff, axis=-1))
-        assert np.array_equal(_pairwise(pts), want)
         unique = np.unique(pts, axis=0)
         if len(unique) >= 2:
             ds = Dataset(unique)

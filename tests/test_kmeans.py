@@ -29,7 +29,6 @@ from axiomlab.core import (
 from axiomlab.kmeans import (
     ClusteringResult,
     KMeansConfig,
-    candidates_tree,
     explained_variance,
     is_local_min,
     kmeans,
@@ -37,9 +36,7 @@ from axiomlab.kmeans import (
     kmeans_ideal_minima,
     lloyd,
     objective_q,
-    second_pass_diagnose,
     seed,
-    sequential_kmeans,
 )
 from axiomlab import kmeans as kmeans_module
 from axiomlab.kmeans import (
@@ -960,76 +957,6 @@ def test_is_local_min_skips_singleton_sources():
 
 
 # ---------------------------------------------------------------------------
-# streaming
-# ---------------------------------------------------------------------------
-
-
-def test_sequential_kmeans_identical_stream():
-    centers, counts = sequential_kmeans(np.ones((6, 1)), 2)
-    assert sorted(counts.tolist()) == [1, 5]
-    assert np.allclose(centers, 1.0)
-
-
-def test_sequential_kmeans_two_far_groups():
-    # alternating arrivals from two tight, far-apart groups: the two slots
-    # end up holding one group each
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(20, 2)) * 0.1
-    b = rng.normal(size=(20, 2)) * 0.1 + 100.0
-    stream = np.empty((40, 2))
-    stream[0::2] = a
-    stream[1::2] = b
-    centers, counts = sequential_kmeans(stream, 2)
-    assert sorted(counts.tolist()) == [20, 20]
-    got = sorted(centers[:, 0].tolist())
-    assert abs(got[0]) < 1.0 and abs(got[1] - 100.0) < 1.0
-    with pytest.raises(ValueError):
-        sequential_kmeans(stream, 41)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-
-def test_second_pass_diagnose_boundary():
-    # two radius-1 balls; centers 4 apart pass (inclusive), 3.9 apart fail
-    ds = _line(-1.0, 1.0, 3.0, 5.0)
-    ok = second_pass_diagnose(ds, [[0.0], [4.0]])
-    assert ok["separated"]
-    assert ok["min_center_distance"] == pytest.approx(4.0)
-    assert ok["max_radius"] == pytest.approx(1.0)
-    bad = second_pass_diagnose(_line(-1.0, 1.0, 2.9, 4.9), [[0.0], [3.9]])
-    assert not bad["separated"]
-    with pytest.raises(ValueError):
-        second_pass_diagnose(ds, [[0.0]])
-
-
-def test_candidates_tree_separated_balls():
-    rng = np.random.default_rng(8)
-    a = rng.uniform(-1, 1, size=(15, 2))
-    b = rng.uniform(-1, 1, size=(15, 2)) + [50.0, 0.0]
-    ds = Dataset(np.vstack([a, b]))
-    report = candidates_tree(ds, 2)
-    assert report["verdict"]
-    assert report["cut"] is not None and len(report["cut"]) == 2
-    sizes = sorted(
-        c["size"] for c in report["candidates"] if c["node"] in report["cut"]
-    )
-    assert sizes == [15, 15]
-    for c in report["candidates"]:
-        assert c["depth"] < 2
-
-
-def test_candidates_tree_rejects_jammed_data():
-    rng = np.random.default_rng(13)
-    ds = Dataset(rng.uniform(0, 1, size=(25, 2)))
-    report = candidates_tree(ds, 3)
-    assert not report["verdict"]
-    assert report["cut"] is None
-
-
-# ---------------------------------------------------------------------------
 # cross-checks are exceptions, not asserts
 # ---------------------------------------------------------------------------
 
@@ -1037,8 +964,8 @@ def test_candidates_tree_rejects_jammed_data():
 _CORRUPTED_CROSS_CHECKS = """
 import json, sys
 import numpy as np
-from axiomlab import constructions, kmeans as km
-from axiomlab.core import CrossCheckError, Dataset, Partition, distance_matrix
+from axiomlab import kmeans as km
+from axiomlab.core import CrossCheckError, Dataset, Partition
 
 caught = []
 
@@ -1093,11 +1020,6 @@ km._shifted_floats = real_shifted_floats
 expect("increment", lambda: km._increment(
     np.array([1.0]), np.array([0.0]), np.array([5.0]), 2, +1))
 
-# embedding: the admissibility check reports a violation
-constructions.is_gamma_transform = lambda *args: (False, [{"kind": "corrupted"}])
-expect("embed", lambda: constructions.embed_partition(
-    distance_matrix(line), Partition([[0, 1, 2], [3, 4, 5]])))
-
 print(json.dumps({"optimize": sys.flags.optimize, "caught": caught}))
 """
 
@@ -1113,4 +1035,4 @@ def test_cross_checks_raise_under_python_O():
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["optimize"] == 1
     assert result["caught"] == ["objective", "lloyd", "lloyd-floats", "result",
-                                "result-floats", "increment", "embed"]
+                                "result-floats", "increment"]

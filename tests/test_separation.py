@@ -10,11 +10,11 @@ from axiomlab.core import Dataset, Partition
 from axiomlab.kmeans import kmeans_ideal
 from axiomlab.separation import (
     BallSummary,
+    SeparationCertificate,
     absolute_gap_bound,
     ball_summaries,
     certify,
     motion_gap_bound,
-    off_core_fraction_bound,
     seeding_success,
 )
 
@@ -52,6 +52,24 @@ def test_ball_summaries_basics():
     assert summaries[0].size == 3
     assert summaries[1].radius == 0.0  # singleton
     assert summaries[1].size == 1
+
+
+def test_value_types_copy_the_callers_arrays():
+    # each keeps a read-only copy; the caller's array stays writable and
+    # writing to it changes nothing held
+    center = np.zeros(2)
+    ball = BallSummary(center, 1.0, 1)
+    center[0] = 1.0
+    assert ball.center.tolist() == [0.0, 0.0] and not ball.center.flags.writeable
+    table = np.array([[0.0, 4.0], [4.0, 0.0]])
+    cert = SeparationCertificate(
+        nice_ball=True, perfect_ball=True, rho=1.0, core=True, core_pairs=(),
+        absolute=False, absolute_required=9.0, absolute_actual=2.0,
+        absolute_cases={}, pairwise_center_distances=table,
+    )
+    table[0, 1] = 5.0
+    held = cert.pairwise_center_distances
+    assert held.tolist() == [[0.0, 4.0], [4.0, 0.0]] and not held.flags.writeable
 
 
 def test_ball_summaries_radius_matches_brute_force():
@@ -174,26 +192,6 @@ def test_absolute_gap_bound_zero_radii_and_imbalance():
         absolute_gap_bound(balanced, 2, 21)  # size mismatch
     with pytest.raises(ValueError):
         absolute_gap_bound(balanced[:1], 1, 10)
-
-
-# ---------------------------------------------------------------------------
-# off-core fraction
-# ---------------------------------------------------------------------------
-
-
-def test_off_core_fraction_bound_values():
-    # q = 1 telescopes to one half regardless of cluster size
-    assert off_core_fraction_bound(2.0, 1.0, 10, 100) == pytest.approx(0.5)
-    assert off_core_fraction_bound(2.0, 1.0, 77, 1000) == pytest.approx(0.5)
-    # g = rho, n_c = n/2 gives one quarter
-    assert off_core_fraction_bound(1.0, 1.0, 50, 100) == pytest.approx(0.25)
-    # vanishing gap allows nothing off-core
-    assert off_core_fraction_bound(1e-9, 1.0, 50, 100) == pytest.approx(0.0, abs=1e-9)
-    assert 0.0 <= off_core_fraction_bound(1.9, 1.0, 99, 100) <= 1.0
-    with pytest.raises(ValueError):
-        off_core_fraction_bound(0.0, 1.0, 5, 10)
-    with pytest.raises(ValueError):
-        off_core_fraction_bound(1.0, 1.0, 11, 10)
 
 
 # ---------------------------------------------------------------------------

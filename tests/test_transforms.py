@@ -9,7 +9,6 @@ from axiomlab.transforms import (
     _PAIR_RTOL,
     centric_matrix_transform,
     centric_transform,
-    discrete_consistency_transform,
     inner_proportional_transform,
     is_gamma_transform,
     motion_transform,
@@ -293,7 +292,7 @@ def test_motion_transform_validation():
 
 
 # ---------------------------------------------------------------------------
-# inner-proportional and the discrete composite
+# inner-proportional shrinks
 # ---------------------------------------------------------------------------
 
 
@@ -314,29 +313,6 @@ def test_inner_proportional_shrinks_each_cluster_by_its_factor():
         inner_proportional_transform(ds, gamma, [0.5, 0.5])
     with pytest.raises(ValueError):
         inner_proportional_transform(ds, gamma, [0.5, 0.5, 0.0])
-
-
-def test_discrete_consistency_transform_outward_is_admissible():
-    ds = _line(-1.0, 1.0, 9.0, 11.0)
-    gamma = Partition([[0, 1], [2, 3]])
-    out, ok = discrete_consistency_transform(
-        ds, gamma, [np.array([-3.0]), np.array([3.0])], 0.5
-    )
-    assert ok
-    # shrink halves offsets around centroids 0 and 10, then motions apply
-    assert np.allclose(out.points.ravel(), [-3.5, -2.5, 12.5, 13.5])
-
-
-def test_discrete_consistency_transform_flags_inward_motion():
-    ds = _line(-1.0, 1.0, 9.0, 11.0)
-    gamma = Partition([[0, 1], [2, 3]])
-    out, ok = discrete_consistency_transform(
-        ds, gamma, [np.array([4.0]), np.array([-4.0])], 1.0
-    )
-    assert not ok
-    assert np.allclose(out.points.ravel(), [3.0, 5.0, 5.0, 7.0])
-    with pytest.raises(ValueError):
-        discrete_consistency_transform(ds, gamma, [np.array([1.0])], 0.5)
 
 
 # ---------------------------------------------------------------------------
