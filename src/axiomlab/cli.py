@@ -97,6 +97,8 @@ def _cmd_transform(args):
             raise SystemExit("transform scale needs --alpha")
         out = scale(ds, args.alpha)
     else:
+        if args.partition is None:
+            raise SystemExit("transform %s needs --partition" % args.kind)
         gamma = _read_partition(args.partition)
         if args.kind == "centric":
             if args.cluster is None or args.lam is None:

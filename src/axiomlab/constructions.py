@@ -20,6 +20,7 @@ from .core import (
     Partition,
     _frozen_array,
     _reduce_through_init,
+    _scatter,
     distance_matrix,
 )
 from .transforms import is_gamma_transform
@@ -388,10 +389,7 @@ def collapse_to_two_groups(dataset, gamma, lam=0.1, explained=0.98):
 
     a_idx = np.concatenate([np.fromiter(c, dtype=int) for c in groups[0]])
     b_idx = np.concatenate([np.fromiter(c, dtype=int) for c in groups[1]])
-    layout_ss = float(
-        ((out[a_idx] - out[a_idx].mean(axis=0)) ** 2).sum()
-        + ((out[b_idx] - out[b_idx].mean(axis=0)) ** 2).sum()
-    )
+    layout_ss = _scatter(out[a_idx]) + _scatter(out[b_idx])
     ratio = explained / (1.0 - explained)
     # between-SS of a 2-group split is (na * nb / n) * gap^2; solve the gap
     gap = math.sqrt(ratio * layout_ss * n / (len(a_idx) * len(b_idx)))
@@ -516,6 +514,7 @@ def threshold_clustering(data):
                 "dimension %d has no unique extreme pair; "
                 "the threshold rule refuses ties" % j
             )
-    thresholds = spread / (n + 1.0)
-    gaps = np.abs(pts[:, None, :] - pts[None, :, :])
-    return _components((gaps < thresholds).all(axis=2))
+    linked = np.ones((n, n), dtype=bool)
+    for col, threshold in zip(data.columns, spread / (n + 1.0)):
+        linked &= np.abs(col[:, None] - col) < threshold
+    return _components(linked)

@@ -1,18 +1,19 @@
 """Data model and combinatorial / spectral primitives.
 
 This module defines the three value types everything else builds on
-(:class:`Dataset`, :class:`DistanceMatrix`, :class:`Partition`), exhaustive
-partition enumeration in canonical order, and the signed-embedding machinery
-that turns an arbitrary symmetric dissimilarity table into coordinates with
-per-axis signs (+1 for ordinary axes, -1 for "imaginary" ones coming from
-negative eigenvalues of the doubly centred Gram matrix).
+(:class:`Dataset`, :class:`DistanceMatrix`, :class:`Partition`), the one
+geometry kernel every distance table and enclosing ball is computed with
+(:func:`_sq_dists`, :func:`_balls`), exhaustive partition enumeration in
+canonical order, and the signed-embedding machinery that turns an
+arbitrary symmetric dissimilarity table into coordinates with per-axis
+signs (+1 for ordinary axes, -1 for "imaginary" ones coming from negative
+eigenvalues of the doubly centred Gram matrix).
 
 All types are immutable; all functions are pure.
 """
 
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -119,6 +120,30 @@ def _sq_dists(cols, centers):
 
     m = cols.shape[0]
     return _pairwise_sum(map(term, range(m)), m)
+
+
+def _balls(points, clusters, centers=None):
+    """Each cluster's center and the radius of its enclosing ball.
+
+    ``clusters`` holds the clusters' point indices (a
+    :attr:`Partition.clusters`); ``centers``, if given, is one center per
+    cluster in the same order, and otherwise each center is its cluster's
+    mean, ``points[block].mean(axis=0)``.  A radius is the square root of
+    the largest :func:`_sq_dists` entry from the center to the cluster's
+    points.  That equals, bit for bit, the largest of the broadcast form's
+    ``np.sqrt(np.sum((points[block] - center) ** 2, axis=1))``: the
+    squared distances are the same floats, and ``sqrt`` is correctly
+    rounded and monotone, so it commutes with the maximum.
+
+    Returns a (k, m) array of centers and a (k,) array of radii.
+    """
+    out, radii = [], []
+    for j, block in enumerate(clusters):
+        sub = points[list(block)]
+        center = sub.mean(axis=0) if centers is None else centers[j]
+        out.append(center)
+        radii.append(np.sqrt(_sq_dists(sub.T, center[None, :]).max()))
+    return np.array(out), np.array(radii)
 
 
 @dataclass(frozen=True)
@@ -251,11 +276,6 @@ class DistanceMatrix:
 
     def __hash__(self):
         return hash(self.values.tobytes())
-
-    @classmethod
-    def from_csv(cls, path):
-        """Load a distance matrix from a headerless CSV of raw rows."""
-        return cls(np.loadtxt(path, delimiter=",", ndmin=2))
 
     def to_csv(self, path):
         np.savetxt(path, self.values, delimiter=",")
@@ -501,35 +521,8 @@ def validate_distance(values, require_metric=False):
 
 
 # ---------------------------------------------------------------------------
-# partition counting and enumeration
+# partition enumeration
 # ---------------------------------------------------------------------------
-
-
-def stirling2(n, k):
-    """Number of partitions of an n-set into exactly k non-empty blocks.
-
-    Exact integer arithmetic via the alternating-sum formula
-    S(n, k) = (1/k!) * sum_{j=0}^{k} (-1)^j C(k, j) (k - j)^n.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be non-negative")
-    if k > n:
-        return 0
-    if k == 0:
-        return 1 if n == 0 else 0
-    total = sum(
-        (-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)
-    )
-    return total // math.factorial(k)
-
-
-def bell_number(n):
-    """Number of partitions of an n-set: B(n) = sum_{k=1}^{n} S(n, k)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return 1
-    return sum(stirling2(n, k) for k in range(1, n + 1))
 
 
 def _check_enumeration_size(n, what):
@@ -615,11 +608,6 @@ enumerate_partitions.__doc__ = enumerate_partitions.__doc__ % {
 }
 
 
-def partition_count(n, k=None):
-    """How many partitions :func:`enumerate_partitions` would yield."""
-    return bell_number(n) if k is None else stirling2(n, k)
-
-
 # ---------------------------------------------------------------------------
 # signed embeddings
 # ---------------------------------------------------------------------------
@@ -683,7 +671,8 @@ def rigid_distance_matrix(coords, signs, clamp=False):
     """Distances induced by signed coordinates.
 
     The squared distance is sum_d signs[d] * (x_id - x_jd)^2: real axes
-    add, imaginary axes subtract.
+    add, imaginary axes subtract.  The signed (n, n) terms are added one
+    axis at a time, in axis order, onto a table of zeros.
 
     Parameters
     ----------
@@ -702,8 +691,10 @@ def rigid_distance_matrix(coords, signs, clamp=False):
     signs = np.asarray(signs, dtype=float)
     if coords.ndim != 2 or signs.shape != (coords.shape[1],):
         raise ValueError("coords must be (n, r) and signs (r,)")
-    diff = coords[:, None, :] - coords[None, :, :]
-    sq = np.einsum("ijd,d->ij", diff * diff, signs)
+    sq = np.zeros((coords.shape[0],) * 2)
+    for col, sign in zip(coords.T, signs):
+        t = col[:, None] - col
+        sq += sign * (t * t)
     if not clamp and np.any(sq < -1e-9 * max(1.0, np.max(np.abs(sq)))):
         raise ValueError("signed geometry yields a negative squared distance")
     return np.sqrt(np.clip(sq, 0.0, None))

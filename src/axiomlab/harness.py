@@ -27,15 +27,15 @@ from .constructions import (
     krich_line,
     threshold_clustering,
 )
-from .core import Dataset, Partition, distance_matrix
+from .core import Dataset, Partition, _sq_dists, distance_matrix
 from .kmeans import (
     KMeansConfig,
+    _assign,
     is_local_min,
     kmeans,
     kmeans_ideal,
     kmeans_ideal_minima,
     lloyd,
-    objective_q,
 )
 from .separation import certify, motion_gap_bound, seeding_success
 from .transforms import (
@@ -93,15 +93,12 @@ class ExperimentConfig:
         optimiser.
     rel_tol : float
         Relative tolerance for objective comparisons.
-    out : str or None
-        Default output path for rendered reports.
     """
 
     master_seed: int = 0
     trials: int | None = None
     restarts: int = 40
     rel_tol: float = 1e-9
-    out: str | None = None
 
     def __post_init__(self):
         if self.master_seed < 0:
@@ -154,9 +151,6 @@ class SuiteReport:
             "runtime_s": self.runtime_s,
             "environment": self.environment,
         }
-
-    def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True)
 
     def fingerprint(self):
         """sha256 over the results: suite, master seed, checks, witnesses.
@@ -485,8 +479,7 @@ def _suite_separation_4rho(config, seeds):
             _ball_points(rng, cb, rb, 1, m),
         ])
         # one assignment step: nobody may cross over to the other seed
-        dist = np.linalg.norm(pts[:, None, :] - seeds_ab[None, :, :], axis=2)
-        first = dist.argmin(axis=1)
+        first, _ = _assign(ds.columns, seeds_ab)
         crossed = (first[:na] != 0).sum() + (first[na:] != 1).sum()
         # and iterating to convergence keeps the ball partition
         res = lloyd(ds, seeds_ab, KMeansConfig(k=2))
@@ -520,10 +513,10 @@ def _suite_core_preservation(config, seeds):
             _ball_points(rng, np.zeros(m), rho, 1, m),
             _ball_points(rng, cb, rho, 1, m),
         ])
-        dist = np.linalg.norm(pts[:, None, :] - seeds_ab[None, :, :], axis=2)
-        first = dist.argmin(axis=1)
-        in_core_a = np.linalg.norm(pts[:na], axis=1) <= g / 2.0
-        in_core_b = np.linalg.norm(pts[na:] - cb, axis=1) <= g / 2.0
+        first, _ = _assign(pts.T, seeds_ab)
+        home = np.sqrt(_sq_dists(pts.T, np.vstack([np.zeros(m), cb])))
+        in_core_a = home[0, :na] <= g / 2.0
+        in_core_b = home[1, na:] <= g / 2.0
         crossed = (first[:na][in_core_a] != 0).sum() + (
             first[na:][in_core_b] != 1).sum()
         if crossed:
@@ -731,7 +724,7 @@ def variance_grid(config=None):
 # ---------------------------------------------------------------------------
 
 
-def report(results, format="json", out=None):
+def report(results, format="json"):
     """Render a suite report or a variance grid.
 
     Parameters
@@ -741,8 +734,6 @@ def report(results, format="json", out=None):
         previously serialized report parsed back from JSON.
     format : str
         ``"json"``, ``"csv"``, or ``"markdown"``.
-    out : str, optional
-        Path to also write the rendering to.
 
     Returns
     -------
@@ -755,17 +746,12 @@ def report(results, format="json", out=None):
     else:
         raise TypeError("results must be a SuiteReport or a report dict")
     if format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif format == "csv":
-        text = _render_csv(payload)
-    elif format == "markdown":
-        text = _render_markdown(payload)
-    else:
-        raise ValueError("format must be json, csv, or markdown, got %r" % (format,))
-    if out is not None:
-        with open(out, "w") as fh:
-            fh.write(text)
-    return text
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if format == "csv":
+        return _render_csv(payload)
+    if format == "markdown":
+        return _render_markdown(payload)
+    raise ValueError("format must be json, csv, or markdown, got %r" % (format,))
 
 
 def _render_csv(payload):

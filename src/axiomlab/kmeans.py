@@ -68,7 +68,6 @@ quietly wrong number.
 
 import functools
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -166,30 +165,6 @@ class ClusteringResult:
             self.q,
             self.iterations,
             self.converged,
-        )
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "clusters": [list(b) for b in self.partition.clusters],
-                "centers": self.centers.tolist(),
-                "q": self.q,
-                "iterations": self.iterations,
-                "explained_variance": self.explained_variance,
-                "converged": self.converged,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)
-        return cls(
-            Partition(raw["clusters"]),
-            np.asarray(raw["centers"], dtype=float),
-            raw["q"],
-            raw["iterations"],
-            raw["explained_variance"],
-            raw["converged"],
         )
 
 

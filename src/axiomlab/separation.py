@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _frozen_array, _reduce_through_init
+from .core import _balls, _frozen_array, _reduce_through_init, _sq_dists
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,13 +142,9 @@ def ball_summaries(dataset, gamma):
     """
     if gamma.n != dataset.n:
         raise ValueError("partition does not match dataset")
-    out = []
-    for block in gamma.clusters:
-        sub = dataset.points[list(block)]
-        center = sub.mean(axis=0)
-        radius = float(np.max(np.sqrt(np.sum((sub - center) ** 2, axis=1))))
-        out.append(BallSummary(center, radius, len(block)))
-    return tuple(out)
+    centers, radii = _balls(dataset.points, gamma.clusters)
+    return tuple(BallSummary(c, r, len(b))
+                 for c, r, b in zip(centers, radii, gamma.clusters))
 
 
 def certify(dataset, gamma):
@@ -172,9 +168,9 @@ def certify(dataset, gamma):
     if k < 2:
         raise ValueError("certification needs at least 2 clusters")
     centers = np.stack([s.center for s in summaries])
-    dist = np.sqrt(
-        np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
-    )
+    # entry [j, i] is the broadcast form's [i, j], and (x - y) ** 2 equals
+    # (y - x) ** 2 exactly, so the table is symmetric and the same
+    dist = np.sqrt(_sq_dists(centers.T, centers))
 
     nice = True
     core = True
@@ -299,16 +295,16 @@ def absolute_gap_bound(summaries, k, n):
     return {"bound": max(case1, case2), "case1": case1, "case2": case2}
 
 
-def seeding_success(p, k, strategy, rho=None, target_confidence=None):
+def seeding_success(p, k, strategy, target_confidence=None):
     """Probability that one seed lands in every cluster, plus restarts.
 
     For the uniform-random strategy the success probability is
     q = prod_{j=1}^{k-1} (1 - (k-j) p), with p the smallest cluster's
     share of the points.  For plus-plus seeding on 4-rho-separated data
     the per-step odds improve to 9 (k-j) p : 4 (1 - (k-j) p); the ball
-    radius rho cancels out of the ratio and is accepted only for
-    interface symmetry.  When a target confidence is given, the smallest
-    restart count m with 1 - (1-q)^m >= confidence is returned alongside.
+    radius rho cancels out of the ratio, so it is not a parameter.  When
+    a target confidence is given, the smallest restart count m with
+    1 - (1-q)^m >= confidence is returned alongside.
 
     Parameters
     ----------
@@ -318,8 +314,6 @@ def seeding_success(p, k, strategy, rho=None, target_confidence=None):
         Number of clusters, >= 2.
     strategy : str
         ``"uniform-random"`` or ``"plus-plus"``.
-    rho : float, optional
-        Ignored in the value (cancels); must be positive if given.
     target_confidence : float, optional
         In (0, 1); enables the restart count.
 
@@ -334,8 +328,6 @@ def seeding_success(p, k, strategy, rho=None, target_confidence=None):
         raise ValueError("p must be positive")
     if p > 1.0 / k:
         raise ValueError("p=%r exceeds 1/k; no cluster share can" % (p,))
-    if rho is not None and rho <= 0:
-        raise ValueError("rho must be positive when given")
     q = 1.0
     for j in range(1, k):
         hit = (k - j) * p

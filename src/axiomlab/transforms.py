@@ -13,7 +13,7 @@ suites measure.
 
 import numpy as np
 
-from .core import Dataset, DistanceMatrix
+from .core import Dataset, DistanceMatrix, _balls, _sq_dists
 
 # relative slack when comparing distances before/after a transform, so that
 # coordinate round-off is not mistaken for an axiom violation
@@ -39,18 +39,6 @@ def _check_cluster_id(gamma, cluster_id):
 def _check_lambda(lam):
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must lie in (0, 1], got %r" % (lam,))
-
-
-def _cluster_means(dataset, gamma):
-    return [dataset.points[list(b)].mean(axis=0) for b in gamma.clusters]
-
-
-def _cluster_radii(points, gamma, means):
-    radii = []
-    for block, mu in zip(gamma.clusters, means):
-        sub = points[list(block)]
-        radii.append(float(np.max(np.sqrt(np.sum((sub - mu) ** 2, axis=1)))))
-    return radii
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +188,8 @@ def motion_transform(dataset, gamma, cluster_id, vector):
     The move is legal when (a) the moved cluster's centroid does not get
     closer to any other cluster's centroid, and (b) after the move the
     enclosing balls (centroid, max point distance) of all clusters are
-    pairwise non-overlapping.
+    pairwise non-overlapping.  The moved cluster's centroid is taken as
+    its old centroid plus ``vector``.
 
     Parameters
     ----------
@@ -222,27 +211,19 @@ def motion_transform(dataset, gamma, cluster_id, vector):
         raise ValueError("vector must have shape (%d,)" % dataset.m)
     pts = dataset.points.copy()
     idx = list(gamma.clusters[cluster_id])
-    before_means = _cluster_means(dataset, gamma)
+    before, _ = _balls(pts, gamma.clusters)
     pts[idx] = pts[idx] + vector
     moved = Dataset(pts)
 
-    after_means = [m.copy() for m in before_means]
-    after_means[cluster_id] = before_means[cluster_id] + vector
-    radii = _cluster_radii(pts, gamma, after_means)
+    after = before.copy()
+    after[cluster_id] += vector
+    _, radii = _balls(pts, gamma.clusters, after)
 
-    legal = True
-    for j in range(gamma.k):
-        if j == cluster_id:
-            continue
-        d_before = float(np.linalg.norm(before_means[cluster_id] - before_means[j]))
-        d_after = float(np.linalg.norm(after_means[cluster_id] - after_means[j]))
-        if d_after < d_before * (1.0 - _PAIR_RTOL):
-            legal = False
-    for i in range(gamma.k):
-        for j in range(i + 1, gamma.k):
-            gap = float(np.linalg.norm(after_means[i] - after_means[j]))
-            if gap < (radii[i] + radii[j]) * (1.0 - _PAIR_RTOL):
-                legal = False
+    d_before = np.sqrt(_sq_dists(before.T, before))
+    d_after = np.sqrt(_sq_dists(after.T, after))
+    closer = d_after[cluster_id] < d_before[cluster_id] * (1.0 - _PAIR_RTOL)
+    overlap = d_after < (radii[:, None] + radii) * (1.0 - _PAIR_RTOL)
+    legal = not closer.any() and not np.triu(overlap, 1).any()
     return moved, legal
 
 

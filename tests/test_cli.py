@@ -106,6 +106,11 @@ def test_transform_kinds(tmp_path):
     with pytest.raises(SystemExit):  # scale without --alpha
         main(["transform", "--data", str(data), "--kind", "scale",
               "--out", str(scaled)])
+    for kind in ("centric", "motion", "inner"):  # no --partition
+        with pytest.raises(SystemExit, match="needs --partition"):
+            main(["transform", "--data", str(data), "--kind", kind,
+                  "--cluster", "0", "--lam", "0.5", "--vector", "1.0",
+                  "--lams", "0.5,0.9", "--out", str(tmp_path / "none.csv")])
 
 
 def test_construct_other_kinds(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+import axiomlab.constructions as constructions
 from axiomlab.constructions import (
     MixtureSpec,
     collapse_to_two_groups,
@@ -372,6 +373,24 @@ def test_threshold_consistency_needs_distance_level_shrink():
             assert threshold_clustering(shrunk) == part
             checked += 1
     assert checked > 300
+
+
+def test_threshold_links_match_the_broadcast_table(monkeypatch):
+    # the Dataset path builds its link table axis by axis; the broadcast
+    # form it replaced compares an (n, n, m) table of gaps at once
+    seen = []
+    monkeypatch.setattr(constructions, "_components", seen.append)
+    rng = np.random.default_rng(101)
+    for m in (1, 2, 3):
+        for _ in range(40):
+            n = int(rng.integers(2, 16))
+            clumps = rng.normal(size=(3, m)) * 10.0
+            pts = clumps[rng.integers(0, 3, size=n)] + rng.normal(size=(n, m)) * 0.3
+            gaps = np.abs(pts[:, None, :] - pts[None, :, :])
+            spread = pts.max(axis=0) - pts.min(axis=0)
+            want = (gaps < spread / (n + 1.0)).all(axis=2)
+            threshold_clustering(Dataset(pts))
+            assert np.array_equal(seen.pop(), want)
 
 
 def test_threshold_tie_refusals():

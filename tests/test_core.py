@@ -18,16 +18,14 @@ from axiomlab.core import (
     DistanceMatrix,
     Partition,
     ValidationReport,
+    _balls,
     _pairwise_sum,
     _sq_dists,
-    bell_number,
     complex_objective,
     distance_matrix,
     embeddability_check,
     enumerate_partitions,
-    partition_count,
     rigid_distance_matrix,
-    stirling2,
     validate_distance,
 )
 from axiomlab.harness import SuiteReport
@@ -110,7 +108,7 @@ def test_distance_matrix_csv_roundtrip(tmp_path):
     dm = DistanceMatrix(GRID)
     path = tmp_path / "dist.csv"
     dm.to_csv(path)
-    assert DistanceMatrix.from_csv(path) == dm
+    assert DistanceMatrix(np.loadtxt(path, delimiter=",", ndmin=2)) == dm
 
 
 def test_partition_canonicalisation():
@@ -256,6 +254,14 @@ def test_distance_tables_match_the_broadcast_form():
         distance_matrix(Dataset([[0.0], [1.0], [2.0], [1.0], [2.0]]))
 
 
+def test_balls_measure_radii_from_the_means_or_the_given_centers():
+    pts = np.array([[0.0], [2.0], [10.0]])
+    centers, radii = _balls(pts, ((0, 1), (2,)))
+    assert centers.tolist() == [[1.0], [10.0]] and radii.tolist() == [1.0, 0.0]
+    centers, radii = _balls(pts, ((0, 1), (2,)), np.array([[0.0], [7.0]]))
+    assert centers.tolist() == [[0.0], [7.0]] and radii.tolist() == [2.0, 3.0]
+
+
 def test_dataset_columns_are_a_cached_read_only_transpose():
     ds = Dataset([[0.0, 1.0], [2.0, 3.0], [4.0, 6.0]])
     cols = ds.columns
@@ -318,30 +324,48 @@ def test_validate_distance_metric_on_euclidean_data():
 
 
 # ---------------------------------------------------------------------------
-# counting and enumeration
+# enumeration
 # ---------------------------------------------------------------------------
 
 # B(0)..B(12), computed by the textbook DP on Stirling numbers.
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
 
 
+def _stirling2_table(n_max):
+    """S(n, k) for 0 <= k <= n <= n_max by S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    stirling = {(0, 0): 1}
+    for n in range(1, n_max + 1):
+        for k in range(0, n + 1):
+            stirling[n, k] = (k * stirling.get((n - 1, k), 0)
+                              + stirling.get((n - 1, k - 1), 0))
+    return stirling
+
+
 def test_bell_and_stirling_frozen_values():
-    assert [bell_number(n) for n in range(13)] == BELL
-    assert stirling2(4, 2) == 7
-    assert stirling2(9, 4) == 7770
-    assert stirling2(10, 3) == 9330
-    assert stirling2(5, 5) == 1
-    assert stirling2(5, 6) == 0
-    assert stirling2(0, 0) == 1
+    stirling = _stirling2_table(12)
+    assert [sum(stirling[n, k] for k in range(n + 1)) for n in range(13)] == BELL
+    assert stirling[4, 2] == 7
+    assert stirling[9, 4] == 7770
+    assert stirling[10, 3] == 9330
+    assert stirling[5, 5] == 1
+    assert stirling.get((5, 6), 0) == 0
+    assert stirling[0, 0] == 1
+    # the enumeration reproduces the frozen values beyond the n <= 7 sweep
+    assert len(list(enumerate_partitions(9, k=4))) == 7770
+    assert len(list(enumerate_partitions(10, k=3))) == 9330
+    assert len(list(enumerate_partitions(5, k=5))) == 1
 
 
 def test_enumerate_partitions_counts():
+    stirling = _stirling2_table(7)
+    assert stirling[4, 2] == 7 and stirling[7, 3] == 301
     assert len(list(enumerate_partitions(4))) == 15
     assert len(list(enumerate_partitions(4, k=2))) == 7
     for n in range(1, 8):
-        assert len(list(enumerate_partitions(n))) == partition_count(n)
+        assert len(list(enumerate_partitions(n))) == BELL[n]
+        assert sum(stirling[n, k] for k in range(1, n + 1)) == BELL[n]
         for k in range(1, n + 1):
-            assert len(list(enumerate_partitions(n, k=k))) == partition_count(n, k)
+            assert len(list(enumerate_partitions(n, k=k))) == stirling[n, k]
 
 
 def test_enumerate_partitions_canonical_order():
@@ -435,6 +459,34 @@ def test_rigid_distance_matrix_reproduces_grid():
     assert np.max(np.abs(recon - GRID)) < 1e-3
     with pytest.raises(ValueError):
         rigid_distance_matrix([[0.0, 0.0], [0.0, 3.0]], [1, -1])
+
+
+def _einsum_rigid_sq(coords, signs):
+    # the signed squared table as computed before the per-axis kernel
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.einsum("ijd,d->ij", diff * diff, signs)
+
+
+def test_rigid_distance_matrix_matches_the_einsum_form():
+    # the per-axis sum may differ from einsum's order in the last bits;
+    # axis 0 is real and keeps every pair 0.9 apart, and imaginary axes
+    # are short, so no entry is a near-cancellation
+    rng = np.random.default_rng(89)
+    for _ in range(200):
+        n, r = int(rng.integers(2, 10)), int(rng.integers(1, 12))
+        signs = rng.choice([1.0, -1.0], size=r)
+        signs[0] = 1.0
+        coords = rng.normal(size=(n, r)) * np.where(signs > 0, 1.0, 0.01)
+        coords[:, 0] = rng.permutation(n) + rng.uniform(0.0, 0.1, size=n)
+        want = np.sqrt(np.clip(_einsum_rigid_sq(coords, signs), 0.0, None))
+        got = rigid_distance_matrix(coords, signs, clamp=True)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    want = np.sqrt(np.clip(_einsum_rigid_sq(GRID_COORDS, GRID_SIGNS), 0.0, None))
+    np.testing.assert_allclose(rigid_distance_matrix(GRID_COORDS, GRID_SIGNS),
+                               want, rtol=1e-12, atol=0.0)
+    # no axes: every distance is zero
+    assert np.array_equal(rigid_distance_matrix(np.zeros((3, 0)), np.zeros(0)),
+                          np.zeros((3, 3)))
 
 
 def test_complex_objective_mean_centers():

@@ -42,7 +42,7 @@ def test_suite_report_is_immutable_and_serializable():
     rep = run_suite("interference")
     with pytest.raises(AttributeError):
         rep.suite = "something-else"
-    parsed = json.loads(rep.to_json())
+    parsed = json.loads(report(rep, format="json"))
     assert parsed["suite"] == "interference"
     assert parsed["master_seed"] == 0
     assert parsed["passed"] is True
@@ -178,11 +178,10 @@ def test_variance_grid_structure_and_determinism():
 # ---------------------------------------------------------------------------
 
 
-def test_report_json_roundtrip_and_master_seed(tmp_path):
+def test_report_json_roundtrip_and_master_seed():
     rep = run_suite("interference")
-    path = tmp_path / "suite.json"
-    text = report(rep, format="json", out=str(path))
-    assert path.read_text() == text
+    text = report(rep, format="json")
+    assert text == json.dumps(rep.as_dict(), sort_keys=True, indent=2) + "\n"
     parsed = json.loads(text)
     assert parsed["master_seed"] == 0
     # a parsed report dict renders again identically

@@ -71,16 +71,6 @@ def test_config_validation():
     assert cfg.seeding == "plus-plus"
 
 
-def test_result_json_roundtrip():
-    ds = _line(0.0, 1.0, 10.0, 11.0)
-    res = lloyd(ds, [[0.0], [10.0]], KMeansConfig(k=2))
-    back = ClusteringResult.from_json(res.to_json())
-    assert back.partition == res.partition
-    assert np.allclose(back.centers, res.centers)
-    assert back.q == res.q
-    assert back.converged == res.converged
-
-
 # ---------------------------------------------------------------------------
 # objective
 # ---------------------------------------------------------------------------

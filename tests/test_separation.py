@@ -91,6 +91,50 @@ def test_ball_summaries_radius_matches_brute_force():
         BallSummary([0.0], -1.0, 2)
 
 
+def _reference_balls(points, gamma):
+    # the broadcast form the ball kernel replaced
+    out = []
+    for block in gamma.clusters:
+        sub = points[list(block)]
+        center = sub.mean(axis=0)
+        radius = float(np.max(np.sqrt(np.sum((sub - center) ** 2, axis=1))))
+        out.append((center, radius))
+    return out
+
+
+def _ball_cases():
+    # m below 8, at 8 (numpy's eight accumulators) and above; half-integer
+    # grids with repeated points, and spread-out floats
+    rng = np.random.default_rng(71)
+    for m in (1, 2, 3, 8, 9, 11):
+        for t in range(40):
+            n = int(rng.integers(2, 14))
+            if t % 2:
+                pts = rng.integers(-4, 5, size=(n, m)) / 2
+            else:
+                pts = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3)
+            labels = rng.integers(0, 4, size=n)
+            labels[:2] = (0, 1)  # at least two clusters
+            yield Dataset(pts), Partition.from_labels(labels)
+
+
+def test_ball_summaries_match_the_broadcast_form():
+    for ds, gamma in _ball_cases():
+        got = ball_summaries(ds, gamma)
+        for s, (center, radius), block in zip(
+                got, _reference_balls(ds.points, gamma), gamma.clusters):
+            assert np.array_equal(s.center, center)
+            assert s.radius == radius and s.size == len(block)
+
+
+def test_certify_center_table_matches_the_broadcast_form():
+    for ds, gamma in _ball_cases():
+        centers = np.stack([c for c, _ in _reference_balls(ds.points, gamma)])
+        want = np.sqrt(
+            np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=-1))
+        assert np.array_equal(certify(ds, gamma).pairwise_center_distances, want)
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -206,7 +250,7 @@ def test_seeding_success_frozen_values():
     q, m = seeding_success(1.0 / 3.0, 3, "uniform-random")
     assert q == pytest.approx(2.0 / 9.0)
     assert m is None
-    q, _ = seeding_success(0.5, 2, "plus-plus", rho=3.0)
+    q, _ = seeding_success(0.5, 2, "plus-plus")
     assert q == pytest.approx(4.5 / 6.5)
 
 
@@ -224,8 +268,6 @@ def test_seeding_success_validation():
         seeding_success(0.0, 2, "uniform-random")
     with pytest.raises(ValueError):
         seeding_success(0.3, 2, "other")
-    with pytest.raises(ValueError):
-        seeding_success(0.3, 2, "plus-plus", rho=-1.0)
     with pytest.raises(ValueError):
         seeding_success(0.3, 2, "plus-plus", target_confidence=1.0)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from axiomlab.core import Dataset, DistanceMatrix, Partition, distance_matrix
 from axiomlab.transforms import (
@@ -280,6 +280,94 @@ def test_motion_transform_illegal_when_balls_overlap():
     gamma = Partition([[0, 1], [2, 3]])
     _, legal = motion_transform(ds, gamma, 1, np.array([0.3]))
     assert not legal
+
+
+def _reference_motion_transform(dataset, gamma, cluster_id, vector):
+    # the loop form the ball and distance kernels replaced: 1-d norms and a
+    # Python loop over cluster pairs
+    vector = np.asarray(vector, dtype=float)
+    pts = dataset.points.copy()
+    idx = list(gamma.clusters[cluster_id])
+    before_means = [dataset.points[list(b)].mean(axis=0) for b in gamma.clusters]
+    pts[idx] = pts[idx] + vector
+    moved = Dataset(pts)
+    after_means = [m.copy() for m in before_means]
+    after_means[cluster_id] = before_means[cluster_id] + vector
+    radii = []
+    for block, mu in zip(gamma.clusters, after_means):
+        sub = pts[list(block)]
+        radii.append(float(np.max(np.sqrt(np.sum((sub - mu) ** 2, axis=1)))))
+    legal = True
+    for j in range(gamma.k):
+        if j == cluster_id:
+            continue
+        d_before = float(np.linalg.norm(before_means[cluster_id] - before_means[j]))
+        d_after = float(np.linalg.norm(after_means[cluster_id] - after_means[j]))
+        if d_after < d_before * (1.0 - _PAIR_RTOL):
+            legal = False
+    for i in range(gamma.k):
+        for j in range(i + 1, gamma.k):
+            gap = float(np.linalg.norm(after_means[i] - after_means[j]))
+            if gap < (radii[i] + radii[j]) * (1.0 - _PAIR_RTOL):
+                legal = False
+    return moved, legal
+
+
+# Two balls of radius 5; the second moves away along (3, 4) until the
+# centers (0, 0) and (6, 8) are exactly 10 apart: the balls touch, which
+# is legal.  Starting its points 1e-9 closer makes them overlap, which is
+# not.
+_TOUCHING = ([[-5.0, 0.0], [5.0, 0.0], [-2.0, 4.0], [8.0, 4.0]], [0, 0, 1, 1],
+             1, [3.0, 4.0])
+_OVERLAPPING = ([[-5.0, 0.0], [5.0, 0.0], [-2.0 - 1e-9, 4.0], [8.0 - 1e-9, 4.0]],
+                [0, 0, 1, 1], 1, [3.0, 4.0])
+
+
+@st.composite
+def _motion_cases(draw):
+    """(points, labels, cluster_id, vector): k = 1..4 clusters of 1..4
+    points in m = 1..3 dimensions around spread-out offsets, on a
+    half-integer grid (exact ties, touching balls, repeated points) or as
+    floats, moved by a grid or float vector."""
+    m = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    if sum(sizes) < 2:
+        sizes.append(1)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = rng.integers(-3, 4, size=(len(sizes), m)) * 3.0
+    if draw(st.booleans()):
+        spread = rng.integers(-2, 3, size=(len(labels), m)) / 2
+        vector = rng.integers(-4, 5, size=m) / 2
+    else:
+        spread = rng.normal(size=(len(labels), m))
+        vector = rng.normal(size=m) * 3.0
+    order = rng.permutation(len(labels))
+    points = (offsets[labels] + spread)[order]
+    cluster_id = draw(st.integers(0, len(sizes) - 1))
+    return points, labels[order], cluster_id, vector
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_motion_cases())
+@example(_TOUCHING)
+@example(_OVERLAPPING)
+def test_motion_transform_matches_the_loop(case):
+    points, labels, cluster_id, vector = case
+    ds = Dataset(points)
+    gamma = Partition.from_labels(labels)
+    cid = min(cluster_id, gamma.k - 1)
+    moved, legal = motion_transform(ds, gamma, cid, vector)
+    ref_moved, ref_legal = _reference_motion_transform(ds, gamma, cid, vector)
+    assert legal is ref_legal
+    assert np.array_equal(moved.points, ref_moved.points)
+
+
+def test_motion_transform_touching_balls_are_legal():
+    for (points, labels, cid, vector), want in ((_TOUCHING, True),
+                                               (_OVERLAPPING, False)):
+        gamma = Partition.from_labels(labels)
+        assert motion_transform(Dataset(points), gamma, cid, vector)[1] is want
 
 
 def test_motion_transform_validation():
