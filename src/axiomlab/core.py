@@ -521,11 +521,11 @@ def validate_distance(values, require_metric=False):
 
 
 # ---------------------------------------------------------------------------
-# partition enumeration
+# the exhaustive-search size cap
 # ---------------------------------------------------------------------------
 
 
-def _check_enumeration_size(n, what):
+def _check_enumeration_size(n):
     """Refuse exhaustive work over n points beyond the enumeration cap.
 
     The cap is DEFAULT_ENUMERATION_CAP unless the AXIOMLAB_ENUMERATION_CAP
@@ -547,65 +547,9 @@ def _check_enumeration_size(n, what):
             )
     if not 1 <= n <= cap:
         raise ValueError(
-            "%s supports 1 <= n <= %d (n=%d); set %s to raise the cap"
-            % (what, cap, n, _ENUMERATION_CAP_ENV)
+            "exhaustive search supports 1 <= n <= %d (n=%d); set %s to raise the cap"
+            % (cap, n, _ENUMERATION_CAP_ENV)
         )
-
-
-def enumerate_partitions(n, k=None):
-    """Yield every partition of {0, ..., n-1} in canonical order.
-
-    The canonical order is the lexicographic order of restricted growth
-    strings: the all-in-one-cluster partition comes first, the
-    all-singletons partition last.  With ``k`` given, only partitions into
-    exactly k clusters are produced (same relative order).
-
-    The enumeration is refused for n beyond a safety cap (default
-    %(cap)d, override with the %(env)s environment variable) because the
-    count grows like the Bell numbers.
-
-    Parameters
-    ----------
-    n : int
-        Number of points, 1 <= n <= cap.
-    k : int, optional
-        Exact number of clusters to keep.
-
-    Yields
-    ------
-    Partition
-    """
-    _check_enumeration_size(n, "partition enumeration")
-    if k is not None and not 1 <= k <= n:
-        raise ValueError("k must satisfy 1 <= k <= n, got k=%s" % (k,))
-
-    rgs = np.zeros(n, dtype=int)
-
-    def rec(i, used):
-        if i == n:
-            if k is None or used == k:
-                blocks = [[] for _ in range(used)]
-                for p in range(n):
-                    blocks[rgs[p]].append(p)
-                yield Partition(blocks)
-            return
-        # value v < used reuses an existing block, v == used opens a new one
-        for v in range(used + 1):
-            # prune: remaining positions cannot open enough new blocks
-            if k is not None:
-                new_used = max(used, v + 1)
-                if new_used > k or new_used + (n - 1 - i) < k:
-                    continue
-            rgs[i] = v
-            yield from rec(i + 1, max(used, v + 1))
-
-    yield from rec(0, 0)
-
-
-enumerate_partitions.__doc__ = enumerate_partitions.__doc__ % {
-    "cap": DEFAULT_ENUMERATION_CAP,
-    "env": _ENUMERATION_CAP_ENV,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,17 @@ constructive witnesses only.  Every trial draws its randomness from a
 substream spawned off the configured master seed, so trials are
 order-independent and a whole suite run is reproducible bit for bit from
 ``(master seed, config)``.  Reports record the master seed and the
-environment they ran in, and fingerprint their results alone; a failing
-check always carries at least one witness small enough to replay by hand.
+environment they ran in, and fingerprint their results alone.
+
+Every suite reports to one tally: a trial that reports a missed premise
+(its instance does not meet the claim's hypothesis) is not counted, every
+failure is one violation, and the suite's first ``_WITNESS_CAP``
+failures, over all its checks, are kept as witnesses small enough to
+replay by hand, so a failing suite always carries at least one.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import platform
@@ -73,7 +79,8 @@ GRID_BANDS = {"original": 3.0, "kleinberg": 1.0, "centric": 3.0}
 # that column lands on its reference values
 _GRID_CENTRIC_LAMBDA = 0.8224
 
-# witnesses kept per check; one is enough to replay, a few help triage
+# witnesses kept per suite, shared by all its checks; one is enough to
+# replay, a few help triage
 _WITNESS_CAP = 3
 
 
@@ -185,13 +192,44 @@ def _environment():
     }
 
 
-def _check(name, trials, violations):
-    return {
-        "name": name,
-        "trials": int(trials),
-        "violations": int(violations),
-        "passed": violations == 0,
-    }
+class _Tally:
+    """The checks and witnesses of one suite run.
+
+    A check records one violation per failure, a ``(points, partition,
+    params)`` triple; the suite's first ``_WITNESS_CAP`` failures, over
+    all its checks, become witnesses.
+    """
+
+    def __init__(self, trials):
+        self.trials = trials  # ExperimentConfig.trials: None keeps each default
+        self.checks = []
+        self.witnesses = []
+
+    def check(self, name, trials, failures):
+        for points, partition, params in failures:
+            if len(self.witnesses) < _WITNESS_CAP:
+                self.witnesses.append(_witness(name, points, partition, **params))
+        self.checks.append({
+            "name": name,
+            "trials": int(trials),
+            "violations": len(failures),
+            "passed": not failures,
+        })
+
+    def sampled(self, name, seq, default, trial):
+        """Run ``trial(rng)`` on a generator per child of ``seq`` and check.
+
+        ``default`` trials unless the config overrides it.  A trial returns
+        its list of failures, or None when the instance misses the claim's
+        premise; those are not counted as trials.
+        """
+        trials, failures = 0, []
+        for child in seq.spawn(self.trials or default):
+            found = trial(np.random.default_rng(child))
+            if found is not None:
+                trials += 1
+                failures += found
+        self.check(name, trials, failures)
 
 
 def _witness(check, points, partition, **params):
@@ -205,12 +243,29 @@ def _witness(check, points, partition, **params):
     }
 
 
-def _ball_points(rng, center, radius, size, m):
-    """``size`` points uniform in the closed m-ball around ``center``."""
+def _ball_points(rng, center, radius, size):
+    """``size`` points uniform in the closed ball around ``center``."""
+    m = len(center)
     direction = rng.normal(size=(size, m))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     radii = radius * rng.uniform(0.0, 1.0, size=size) ** (1.0 / m)
     return np.asarray(center, dtype=float) + radii[:, None] * direction
+
+
+def _unit(rng, m):
+    """A uniformly random unit vector in R^m."""
+    direction = rng.normal(size=m)
+    return direction / np.linalg.norm(direction)
+
+
+def _two_balls(rng, far, ra, na, rb, nb):
+    """``na`` points in the ball (0, ra), then ``nb`` in (far, rb).
+
+    Returns the points and the partition into the two balls.
+    """
+    pts = np.vstack([_ball_points(rng, np.zeros(len(far)), ra, na),
+                     _ball_points(rng, far, rb, nb)])
+    return pts, Partition([tuple(range(na)), tuple(range(na, na + nb))])
 
 
 # ---------------------------------------------------------------------------
@@ -218,55 +273,39 @@ def _ball_points(rng, center, radius, size, m):
 # ---------------------------------------------------------------------------
 
 
-def _suite_scale_invariance(config, seeds):
+def _suite_scale_invariance(config, seeds, tally):
     alphas = (0.1, 3.0, 10.0)
     argmin_seq, thr_seq = seeds.spawn(2)
 
-    trials = config.trials or 20
-    violations = 0
-    witnesses = []
-    for child in argmin_seq.spawn(trials):
-        rng = np.random.default_rng(child)
+    def argmin(rng):
         n = int(rng.integers(4, 9))
         k = int(rng.integers(2, 4))
         ds = Dataset(rng.normal(size=(n, int(rng.integers(1, 4)))))
         base = kmeans_ideal_minima(ds, k, rel_tol=config.rel_tol)
         base_q = kmeans_ideal(ds, k).q
+        failures = []
         for alpha in alphas:
             scaled = scale(ds, alpha)
             minima = kmeans_ideal_minima(scaled, k, rel_tol=config.rel_tol)
             q = kmeans_ideal(scaled, k).q
-            ok = minima == base and math.isclose(
-                q, alpha * alpha * base_q, rel_tol=config.rel_tol
-            )
-            if not ok:
-                violations += 1
-                if len(witnesses) < _WITNESS_CAP:
-                    witnesses.append(_witness(
-                        "kmeans-ideal-argmin", ds.points, base[0],
-                        k=k, alpha=alpha))
-    checks = [_check("kmeans-ideal-argmin", trials, violations)]
+            if minima != base or not math.isclose(
+                    q, alpha * alpha * base_q, rel_tol=config.rel_tol):
+                failures.append((ds.points, base[0], {"k": k, "alpha": alpha}))
+        return failures
 
-    trials = config.trials or 100
-    violations = 0
-    for child in thr_seq.spawn(trials):
-        rng = np.random.default_rng(child)
+    def threshold(rng):
         n = int(rng.integers(4, 25))
         ds = Dataset(np.sort(rng.uniform(0.0, 1.0, n))[:, None])
         part = threshold_clustering(ds)
-        for alpha in alphas:
-            if threshold_clustering(scale(ds, alpha)) != part:
-                violations += 1
-                if len(witnesses) < _WITNESS_CAP:
-                    witnesses.append(_witness(
-                        "threshold-partition", ds.points, part, alpha=alpha))
-    checks.append(_check("threshold-partition", trials, violations))
-    return checks, witnesses
+        return [(ds.points, part, {"alpha": alpha}) for alpha in alphas
+                if threshold_clustering(scale(ds, alpha)) != part]
+
+    tally.sampled("kmeans-ideal-argmin", argmin_seq, 20, argmin)
+    tally.sampled("threshold-partition", thr_seq, 100, threshold)
 
 
-def _suite_k_richness(config, seeds):
+def _suite_k_richness(config, seeds, tally):
     hit_seq, freq_seq = seeds.spawn(2)
-    witnesses = []
 
     # every composition of cluster sizes is reachable, exhaustively
     def compositions(total, max_part):
@@ -277,27 +316,20 @@ def _suite_k_richness(config, seeds):
             for rest in compositions(total - first, first):
                 yield (first,) + rest
 
-    cases = violations = 0
-    for n in range(2, 8):
-        for sizes in compositions(n, n - 1):
-            if len(sizes) < 2:
-                continue
-            cases += 1
-            ds, part = krich_line(sizes)
-            got = kmeans_ideal(ds, len(sizes)).partition
-            if got != part:
-                violations += 1
-                if len(witnesses) < _WITNESS_CAP:
-                    witnesses.append(_witness(
-                        "line-recovery", ds.points, part, sizes=list(sizes)))
-    checks = [_check("line-recovery", cases, violations)]
+    # parts of at most n - 1 make at least two clusters
+    layouts = [sizes for n in range(2, 8) for sizes in compositions(n, n - 1)]
+    failures = []
+    for sizes in layouts:
+        ds, part = krich_line(sizes)
+        if kmeans_ideal(ds, len(sizes)).partition != part:
+            failures.append((ds.points, part, {"sizes": list(sizes)}))
+    tally.check("line-recovery", len(layouts), failures)
 
     # a single uniformly seeded restart succeeds at least as often as the
     # closed-form all-clusters-hit probability, within 3 sigma
     trials = config.trials or 2000
-    violations = 0
-    k_seeds = hit_seq.spawn(3)
-    for k, k_seed in zip((2, 3, 4), k_seeds):
+    failures = []
+    for k, k_seed in zip((2, 3, 4), hit_seq.spawn(3)):
         ds, part = krich_line((3,) * k)
         q, _ = seeding_success(1.0 / k, k, "uniform-random")
         hits = 0
@@ -308,18 +340,15 @@ def _suite_k_richness(config, seeds):
                 hits += 1
         sigma = math.sqrt(q * (1.0 - q) / trials)
         if hits / trials < q - 3.0 * sigma:
-            violations += 1
-            witnesses.append(_witness(
-                "single-restart-hit-rate", ds.points, part,
-                k=k, hits=hits, trials=trials, bound=q))
-    checks.append(_check("single-restart-hit-rate", 3 * trials, violations))
+            failures.append((ds.points, part,
+                             {"k": k, "hits": hits, "trials": trials, "bound": q}))
+    tally.check("single-restart-hit-rate", 3 * trials, failures)
 
     # on balanced data the all-clusters-hit frequency of the seed draw
     # itself matches the closed form within 3 sigma (two-sided)
     trials = config.trials or 3000
-    violations = 0
-    k_seeds = freq_seq.spawn(3)
-    for k, k_seed in zip((2, 3, 4), k_seeds):
+    failures = []
+    for k, k_seed in zip((2, 3, 4), freq_seq.spawn(3)):
         per = 200
         labels = np.repeat(np.arange(k), per)
         q, _ = seeding_success(1.0 / k, k, "uniform-random")
@@ -331,188 +360,130 @@ def _suite_k_richness(config, seeds):
                 hits += 1
         sigma = math.sqrt(q * (1.0 - q) / trials)
         if abs(hits / trials - q) > 3.0 * sigma:
-            violations += 1
-            witnesses.append(_witness(
-                "seed-hit-frequency", np.empty((0, 1)), None,
-                k=k, hits=hits, trials=trials, expected=q))
-    checks.append(_check("seed-hit-frequency", 3 * trials, violations))
-    return checks, witnesses
+            failures.append((np.empty((0, 1)), None,
+                             {"k": k, "hits": hits, "trials": trials, "expected": q}))
+    tally.check("seed-hit-frequency", 3 * trials, failures)
 
 
-def _suite_centric_local(config, seeds):
+def _suite_centric_local(config, seeds, tally):
     lams = (0.9, 0.5, 0.1)
-    trials = config.trials or 100
-    checked = violations = 0
-    witnesses = []
-    for child in seeds.spawn(trials):
-        rng = np.random.default_rng(child)
+
+    def trial(rng):
         n = int(rng.integers(6, 31))
         k = int(rng.integers(2, 4))
         ds = Dataset(rng.normal(size=(n, int(rng.integers(1, 4)))))
         cfg = KMeansConfig(k=k, seeding="uniform-random", restarts=1,
                            rng_seed=int(rng.integers(2 ** 31)))
-        res = kmeans(ds, cfg)
+        part = kmeans(ds, cfg).partition
         # Lloyd fixed points need not be single-point-move stable; the
         # statement under test is about genuine local minima only
-        if not is_local_min(ds, res.partition, rel_tol=config.rel_tol):
-            continue
-        checked += 1
-        cluster = int(rng.integers(res.partition.k))
+        if not is_local_min(ds, part, rel_tol=config.rel_tol):
+            return None
+        cluster = int(rng.integers(part.k))
+        failures = []
         for lam in lams:
-            shrunk = centric_transform(ds, res.partition, cluster, lam)
-            if not is_local_min(shrunk, res.partition, rel_tol=config.rel_tol):
-                violations += 1
-                if len(witnesses) < _WITNESS_CAP:
-                    witnesses.append(_witness(
-                        "local-minimum-preserved", ds.points, res.partition,
-                        cluster=cluster, lam=lam))
-    return [_check("local-minimum-preserved", checked, violations)], witnesses
+            shrunk = centric_transform(ds, part, cluster, lam)
+            if not is_local_min(shrunk, part, rel_tol=config.rel_tol):
+                failures.append((ds.points, part, {"cluster": cluster, "lam": lam}))
+        return failures
+
+    tally.sampled("local-minimum-preserved", seeds, 100, trial)
 
 
-def _suite_centric_global(config, seeds):
+def _suite_centric_global(config, seeds, tally):
     lams = (0.9, 0.5, 0.1)
     ideal_seq, thr_seq = seeds.spawn(2)
-    witnesses = []
 
-    trials = config.trials or 50
-    violations = 0
-    for child in ideal_seq.spawn(trials):
-        rng = np.random.default_rng(child)
+    def ideal(rng):
         n = int(rng.integers(4, 11))
         k = int(rng.integers(2, min(4, n)))
         ds = Dataset(rng.normal(size=(n, int(rng.integers(1, 4)))))
         best = kmeans_ideal(ds, k).partition
         cluster = int(rng.integers(best.k))
+        failures = []
         for lam in lams:
             shrunk = centric_transform(ds, best, cluster, lam)
-            minima = kmeans_ideal_minima(shrunk, k, rel_tol=config.rel_tol)
-            if best not in minima:
-                violations += 1
-                if len(witnesses) < _WITNESS_CAP:
-                    witnesses.append(_witness(
-                        "global-minimum-preserved", ds.points, best,
-                        cluster=cluster, lam=lam))
-    checks = [_check("global-minimum-preserved", trials, violations)]
+            if best not in kmeans_ideal_minima(shrunk, k, rel_tol=config.rel_tol):
+                failures.append((ds.points, best, {"cluster": cluster, "lam": lam}))
+        return failures
 
     # threshold clustering, fed distance tables, is likewise unmoved by
     # a centric shrink of any of its own clusters
-    trials = config.trials or 100
-    violations = 0
-    for child in thr_seq.spawn(trials):
-        rng = np.random.default_rng(child)
+    def threshold(rng):
         n = int(rng.integers(4, 25))
         ds = Dataset(np.sort(rng.uniform(0.0, 1.0, n))[:, None])
         d = distance_matrix(ds)
         part = threshold_clustering(d)
         big = [i for i, c in enumerate(part.clusters) if len(c) >= 2]
         if not big:
-            continue
+            return []
         cluster = big[int(rng.integers(len(big)))]
+        failures = []
         for lam in lams:
             shrunk = centric_matrix_transform(d, part, cluster, lam)
             if threshold_clustering(shrunk) != part:
-                violations += 1
-                if len(witnesses) < _WITNESS_CAP:
-                    witnesses.append(_witness(
-                        "threshold-partition-preserved", ds.points, part,
-                        cluster=cluster, lam=lam))
-    checks.append(_check("threshold-partition-preserved", trials, violations))
-    return checks, witnesses
+                failures.append((ds.points, part, {"cluster": cluster, "lam": lam}))
+        return failures
+
+    tally.sampled("global-minimum-preserved", ideal_seq, 50, ideal)
+    tally.sampled("threshold-partition-preserved", thr_seq, 100, threshold)
 
 
-def _suite_motion_consistency(config, seeds):
-    trials = config.trials or 50
-    checked = violations = 0
-    witnesses = []
-    for child in seeds.spawn(trials):
-        rng = np.random.default_rng(child)
+def _suite_motion_consistency(config, seeds, tally):
+    def trial(rng):
         m = int(rng.integers(1, 4))
         n1, n2 = int(rng.integers(3, 6)), int(rng.integers(3, 6))
         r1, r2 = rng.uniform(0.3, 1.0, 2)
         gap = motion_gap_bound(n1, r1, n2, r2) * float(rng.uniform(1.0, 2.0)) + 1e-6
-        direction = rng.normal(size=m)
-        direction /= np.linalg.norm(direction)
-        c2 = direction * (r1 + r2 + gap)
-        pts = np.vstack([
-            _ball_points(rng, np.zeros(m), r1, n1, m),
-            _ball_points(rng, c2, r2, n2, m),
-        ])
+        direction = _unit(rng, m)
+        pts, gamma = _two_balls(rng, direction * (r1 + r2 + gap), r1, n1, r2, n2)
         ds = Dataset(pts)
-        gamma = Partition([tuple(range(n1)), tuple(range(n1, n1 + n2))])
         if kmeans_ideal(ds, 2).partition != gamma:
-            continue  # the balls must be the optimum for the claim to bite
-        checked += 1
+            return None  # the balls must be the optimum for the claim to bite
         moved, legal = motion_transform(
             ds, gamma, 1, direction * float(rng.uniform(0.1, 3.0)))
-        if not legal or kmeans_ideal(moved, 2).partition != gamma:
-            violations += 1
-            if len(witnesses) < _WITNESS_CAP:
-                witnesses.append(_witness(
-                    "moved-cluster-stays-optimal", ds.points, gamma,
-                    gap=gap, legal=bool(legal)))
-    return [_check("moved-cluster-stays-optimal", checked, violations)], witnesses
+        if legal and kmeans_ideal(moved, 2).partition == gamma:
+            return []
+        return [(pts, gamma, {"gap": gap, "legal": bool(legal)})]
+
+    tally.sampled("moved-cluster-stays-optimal", seeds, 50, trial)
 
 
-def _suite_separation_4rho(config, seeds):
-    trials = config.trials or 200
-    violations = 0
-    witnesses = []
-    for t, child in enumerate(seeds.spawn(trials)):
-        rng = np.random.default_rng(child)
+def _suite_separation_4rho(config, seeds, tally):
+    count = itertools.count()
+
+    def trial(rng):
         m = int(rng.integers(1, 4))
         ra, rb = rng.uniform(0.2, 1.2, 2)
         na, nb = int(rng.integers(3, 26)), int(rng.integers(3, 26))
         rho = max(ra, rb)
         # exercise the boundary case exactly every tenth trial
-        stretch = 1.0 if t % 10 == 0 else 1.0 + float(rng.uniform(0.0, 0.5))
-        direction = rng.normal(size=m)
-        direction /= np.linalg.norm(direction)
-        cb = direction * (4.0 * rho * stretch)
-        pts = np.vstack([
-            _ball_points(rng, np.zeros(m), ra, na, m),
-            _ball_points(rng, cb, rb, nb, m),
-        ])
+        stretch = 1.0 if next(count) % 10 == 0 else 1.0 + float(rng.uniform(0.0, 0.5))
+        cb = _unit(rng, m) * (4.0 * rho * stretch)
+        pts, gamma = _two_balls(rng, cb, ra, na, rb, nb)
+        seeds_ab, _ = _two_balls(rng, cb, ra, 1, rb, 1)
         ds = Dataset(pts)
-        gamma = Partition([tuple(range(na)), tuple(range(na, na + nb))])
-        seeds_ab = np.vstack([
-            _ball_points(rng, np.zeros(m), ra, 1, m),
-            _ball_points(rng, cb, rb, 1, m),
-        ])
         # one assignment step: nobody may cross over to the other seed
         first, _ = _assign(ds.columns, seeds_ab)
         crossed = (first[:na] != 0).sum() + (first[na:] != 1).sum()
         # and iterating to convergence keeps the ball partition
         res = lloyd(ds, seeds_ab, KMeansConfig(k=2))
         if crossed or res.partition != gamma:
-            violations += 1
-            if len(witnesses) < _WITNESS_CAP:
-                witnesses.append(_witness(
-                    "one-seed-per-ball-stability", pts, gamma,
-                    seeds=seeds_ab, crossed=int(crossed)))
-    return [_check("one-seed-per-ball-stability", trials, violations)], witnesses
+            return [(pts, gamma, {"seeds": seeds_ab, "crossed": int(crossed)})]
+        return []
+
+    tally.sampled("one-seed-per-ball-stability", seeds, 200, trial)
 
 
-def _suite_core_preservation(config, seeds):
-    trials = config.trials or 200
-    violations = 0
-    witnesses = []
-    for child in seeds.spawn(trials):
-        rng = np.random.default_rng(child)
+def _suite_core_preservation(config, seeds, tally):
+    def trial(rng):
         m = int(rng.integers(1, 4))
         rho = float(rng.uniform(0.3, 1.0))
         g = float(rng.uniform(0.05, 2.0)) * rho
-        direction = rng.normal(size=m)
-        direction /= np.linalg.norm(direction)
-        cb = direction * (2.0 * rho + g)
+        cb = _unit(rng, m) * (2.0 * rho + g)
         na, nb = int(rng.integers(5, 26)), int(rng.integers(5, 26))
-        pts = np.vstack([
-            _ball_points(rng, np.zeros(m), rho, na, m),
-            _ball_points(rng, cb, rho, nb, m),
-        ])
-        seeds_ab = np.vstack([
-            _ball_points(rng, np.zeros(m), rho, 1, m),
-            _ball_points(rng, cb, rho, 1, m),
-        ])
+        pts, gamma = _two_balls(rng, cb, rho, na, rho, nb)
+        seeds_ab, _ = _two_balls(rng, cb, rho, 1, rho, 1)
         first, _ = _assign(pts.T, seeds_ab)
         home = np.sqrt(_sq_dists(pts.T, np.vstack([np.zeros(m), cb])))
         in_core_a = home[0, :na] <= g / 2.0
@@ -520,56 +491,45 @@ def _suite_core_preservation(config, seeds):
         crossed = (first[:na][in_core_a] != 0).sum() + (
             first[na:][in_core_b] != 1).sum()
         if crossed:
-            violations += 1
-            if len(witnesses) < _WITNESS_CAP:
-                witnesses.append(_witness(
-                    "core-points-stay-home", pts,
-                    Partition([tuple(range(na)), tuple(range(na, na + nb))]),
-                    seeds=seeds_ab, rho=rho, g=g, crossed=int(crossed)))
-    return [_check("core-points-stay-home", trials, violations)], witnesses
+            return [(pts, gamma, {"seeds": seeds_ab, "rho": rho, "g": g,
+                                  "crossed": int(crossed)})]
+        return []
+
+    tally.sampled("core-points-stay-home", seeds, 200, trial)
 
 
-def _suite_absolute_global(config, seeds):
-    trials = config.trials or 30
-    checked = violations = 0
-    witnesses = []
-    for child in seeds.spawn(trials):
-        rng = np.random.default_rng(child)
+def _suite_absolute_global(config, seeds, tally):
+    def trial(rng):
         m = int(rng.integers(1, 3))
         k = int(rng.integers(2, 4))
         sizes = [int(rng.integers(2, 4)) for _ in range(k)]
         while sum(sizes) > 10:
             sizes[int(rng.integers(k))] = 2
         radii = rng.uniform(0.05, 0.35, k)
-        direction = rng.normal(size=m)
-        direction /= np.linalg.norm(direction)
-        offsets = _ball_points(rng, np.zeros(m), 1.0, k, m)
+        direction = _unit(rng, m)
+        offsets = _ball_points(rng, np.zeros(m), 1.0, k)
         spacing = 20.0 * k
         gamma = Partition.from_labels(np.repeat(np.arange(k), sizes))
         for _ in range(6):
             centers = spacing * np.arange(k)[:, None] * direction + offsets
             pts = np.vstack([
-                _ball_points(rng2, centers[j], radii[j], sizes[j], m)
-                for j, rng2 in enumerate(
-                    np.random.default_rng(child).spawn(k))
+                _ball_points(ball_rng, centers[j], radii[j], sizes[j])
+                for j, ball_rng in enumerate(rng.spawn(k))
             ])
             ds = Dataset(pts)
-            cert = certify(ds, gamma)
-            if cert.absolute:
+            if certify(ds, gamma).absolute:
                 break
             spacing *= 2.0
-        if not cert.absolute:
-            continue
-        checked += 1
+        else:
+            return None
         if kmeans_ideal(ds, k).partition != gamma:
-            violations += 1
-            if len(witnesses) < _WITNESS_CAP:
-                witnesses.append(_witness(
-                    "certified-absolute-is-global", pts, gamma, k=k))
-    return [_check("certified-absolute-is-global", checked, violations)], witnesses
+            return [(pts, gamma, {"k": k})]
+        return []
+
+    tally.sampled("certified-absolute-is-global", seeds, 30, trial)
 
 
-def _suite_interference(config, seeds):
+def _suite_interference(config, seeds, tally):
     # fixed four-point construction: a legal shrink-and-stretch followed
     # by a global rescale makes one cross-cluster distance smaller than
     # it ever was
@@ -580,27 +540,22 @@ def _suite_interference(config, seeds):
     d1 = distance_matrix(before)
     d3 = distance_matrix(after)
     ok, _ = is_gamma_transform(d1, d3, gamma)
-    checks = [_check("transform-admissible", 1, 0 if ok else 1)]
-
     rescaled = scale(d3, alpha)
     labels = gamma.labels()
-    shrunk_pairs = []
-    for i in range(before.n):
-        for j in range(i + 1, before.n):
-            if labels[i] != labels[j] and rescaled.values[i, j] < d1.values[i, j]:
-                shrunk_pairs.append((i, j))
-    checks.append(_check("cross-distance-decreases", 1,
-                         0 if shrunk_pairs else 1))
-    witnesses = []
+    shrunk_pairs = [(i, j) for i in range(before.n) for j in range(i + 1, before.n)
+                    if labels[i] != labels[j]
+                    and rescaled.values[i, j] < d1.values[i, j]]
+    replay = (before.points, gamma, {"moved_points": after.points, "alpha": alpha})
+    tally.check("transform-admissible", 1, [] if ok else [replay])
+    tally.check("cross-distance-decreases", 1, [] if shrunk_pairs else [replay])
     if ok and shrunk_pairs:
         i, j = shrunk_pairs[0]
         # the witness is recorded on success: it is the content of the claim
-        witnesses.append(_witness(
+        tally.witnesses.append(_witness(
             "cross-distance-decreases", before.points, gamma,
             moved_points=after.points, alpha=alpha, pair=[i, j],
             before=float(d1.values[i, j]),
             after=float(rescaled.values[i, j])))
-    return checks, witnesses
 
 
 _SUITES = {
@@ -636,12 +591,13 @@ def run_suite(name, config=None):
     if config is None:
         config = ExperimentConfig()
     start = time.perf_counter()
-    checks, witnesses = _SUITES[name](config, np.random.SeedSequence(config.master_seed))
+    tally = _Tally(config.trials)
+    _SUITES[name](config, np.random.SeedSequence(config.master_seed), tally)
     return SuiteReport(
         name,
         config.master_seed,
-        checks,
-        witnesses,
+        tally.checks,
+        tally.witnesses,
         time.perf_counter() - start,
         _environment(),
     )

@@ -761,7 +761,7 @@ def _ideal_search(dataset, k, collect_tol=None):
     """
     pts = dataset.points
     n, m = pts.shape
-    _check_enumeration_size(n, "exhaustive search")
+    _check_enumeration_size(n)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n, got k=%d, n=%d" % (k, n))
 

@@ -153,11 +153,11 @@ def test_04_k_richness_of_the_exhaustive_and_sampled_optimisers():
 
 
 def test_05_centric_shrink_preserves_local_minima():
-    """On 500 random instances (n <= 30): every Lloyd result that is a
+    """On 1 000 random instances (n <= 30): every Lloyd result that is a
     genuine single-point-move local minimum stays one after shrinking a
     random cluster about its centroid by 0.9, 0.5, and 0.1 (100%)."""
     checked = 0
-    for child in np.random.SeedSequence(31).spawn(500):
+    for child in np.random.SeedSequence(31).spawn(1000):
         rng = np.random.default_rng(child)
         n = int(rng.integers(6, 31))
         k = int(rng.integers(2, 4))
@@ -165,14 +165,18 @@ def test_05_centric_shrink_preserves_local_minima():
         cfg = KMeansConfig(k=k, seeding="uniform-random", restarts=1,
                            rng_seed=int(rng.integers(2 ** 31)))
         res = kmeans(ds, cfg)
-        if not is_local_min(ds, res.partition):
+        ok, _ = is_local_min(ds, res.partition)
+        if not ok:
             continue
         checked += 1
         cluster = int(rng.integers(res.partition.k))
         for lam in (0.9, 0.5, 0.1):
             shrunk = centric_transform(ds, res.partition, cluster, lam)
-            assert is_local_min(shrunk, res.partition)
-    assert checked >= 450  # Lloyd fixed points rarely fail move-stability
+            ok, witness = is_local_min(shrunk, res.partition)
+            assert ok, witness
+    # about half the Lloyd fixed points are genuine local minima (472 of
+    # the 1 000 here)
+    assert checked >= 450
 
 
 def test_06_centric_shrink_preserves_the_global_minimum():

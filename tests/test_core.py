@@ -24,13 +24,13 @@ from axiomlab.core import (
     complex_objective,
     distance_matrix,
     embeddability_check,
-    enumerate_partitions,
     rigid_distance_matrix,
     validate_distance,
 )
 from axiomlab.harness import SuiteReport
-from axiomlab.kmeans import ClusteringResult
+from axiomlab.kmeans import ClusteringResult, kmeans_ideal
 from axiomlab.separation import BallSummary, certify
+from brute_force import enumerate_partitions
 
 # Six-point dissimilarity table used throughout: two mirrored triples with a
 # triangle-inequality defect inside each triple.  Rounded to three decimals.
@@ -386,16 +386,20 @@ def test_enumerate_partitions_canonical_order():
         assert mins == sorted(mins)
 
 
+def _evenly_spaced(n):
+    return Dataset(np.arange(n, dtype=float)[:, None])
+
+
 def test_enumeration_cap(monkeypatch):
     monkeypatch.delenv("AXIOMLAB_ENUMERATION_CAP", raising=False)
-    with pytest.raises(ValueError):
-        list(enumerate_partitions(13))
+    with pytest.raises(ValueError, match="set AXIOMLAB_ENUMERATION_CAP"):
+        kmeans_ideal(_evenly_spaced(13), 2)
     monkeypatch.setenv("AXIOMLAB_ENUMERATION_CAP", "5")
-    with pytest.raises(ValueError):
-        list(enumerate_partitions(6))
-    assert len(list(enumerate_partitions(5))) == 52
-    with pytest.raises(ValueError):
-        list(enumerate_partitions(4, k=5))
+    with pytest.raises(ValueError, match="set AXIOMLAB_ENUMERATION_CAP"):
+        kmeans_ideal(_evenly_spaced(6), 2)
+    assert kmeans_ideal(_evenly_spaced(5), 2).partition.n == 5
+    with pytest.raises(ValueError, match="1 <= k <= n"):
+        kmeans_ideal(_evenly_spaced(4), 5)
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
@@ -404,7 +408,7 @@ def test_enumeration_cap_rejects_bad_values(monkeypatch, raw):
     # a bad value is reported as such, not as every n being too large
     with pytest.raises(ValueError,
                        match="AXIOMLAB_ENUMERATION_CAP must be a positive integer"):
-        list(enumerate_partitions(3))
+        kmeans_ideal(_evenly_spaced(3), 2)
 
 
 # ---------------------------------------------------------------------------

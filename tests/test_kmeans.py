@@ -24,7 +24,6 @@ from axiomlab.core import (
     CrossCheckError,
     Dataset,
     Partition,
-    enumerate_partitions,
 )
 from axiomlab.kmeans import (
     ClusteringResult,
@@ -47,6 +46,7 @@ from axiomlab.kmeans import (
     _ideal_search,
     _lloyd_core,
 )
+from brute_force import enumerate_partitions
 
 
 def _line(*xs):
