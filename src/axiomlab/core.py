@@ -3,11 +3,11 @@
 This module defines the three value types everything else builds on
 (:class:`Dataset`, :class:`DistanceMatrix`, :class:`Partition`), the one
 geometry kernel every distance table and enclosing ball is computed with
-(:func:`_sq_dists`, :func:`_balls`), exhaustive partition enumeration in
-canonical order, and the signed-embedding machinery that turns an
-arbitrary symmetric dissimilarity table into coordinates with per-axis
-signs (+1 for ordinary axes, -1 for "imaginary" ones coming from negative
-eigenvalues of the doubly centred Gram matrix).
+(:func:`_sq_dists`, :func:`_balls`), the size cap on exhaustive search
+(:func:`_check_enumeration_size`), and the signed-embedding machinery that
+turns an arbitrary symmetric dissimilarity table into coordinates with
+per-axis signs (+1 for ordinary axes, -1 for "imaginary" ones coming from
+negative eigenvalues of the doubly centred Gram matrix).
 
 All types are immutable; all functions are pure.
 """
@@ -19,9 +19,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-# Partition enumeration grows like the Bell numbers (B(12) = 4 213 597), so
-# anything bigger than this is refused unless the caller raises the cap via
-# the AXIOMLAB_ENUMERATION_CAP environment variable.
+# The partitions of n points grow like the Bell numbers (B(12) = 4 213 597),
+# so exhaustive search (kmeans.kmeans_ideal, kmeans.kmeans_ideal_minima)
+# refuses n above this unless the caller raises the cap via the
+# AXIOMLAB_ENUMERATION_CAP environment variable.
 DEFAULT_ENUMERATION_CAP = 12
 
 _ENUMERATION_CAP_ENV = "AXIOMLAB_ENUMERATION_CAP"

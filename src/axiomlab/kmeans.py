@@ -28,9 +28,10 @@ sums for m = 1, the orders of ``mean(axis=0)``, and scatters are
 scatters and ``q`` are therefore the floats of the broadcast and
 per-cluster-mask forms, bit for bit, for every m.
 
-Lloyd has two routes, chosen in one place (:func:`_first_best`) from the
+Lloyd has two routes, chosen in one place (:func:`_float_rows`) from the
 dataset's size; both run the same loop (:func:`_lloyd_core`) and result
-builder (:func:`_build_result`).  Above ``_FLOAT_ROUTE_MAX`` coordinates
+builder (:func:`_build_result`), and :func:`kmeans_ideal` builds its
+result on the same route.  Above ``_FLOAT_ROUTE_MAX`` coordinates
 (n * m) their steps are the array kernels above (:func:`_assign_arrays`,
 :func:`_cluster_stats`, :func:`_shifted_q`).  At or below it, where
 numpy's fixed cost per call on a few dozen floats is most of the time,
@@ -594,14 +595,12 @@ def _first_best(dataset, starts, max_iterations):
 
     Runs are compared on their scatters summed in canonical cluster order,
     which is the winner's ``q`` bit for bit, and only the winner becomes a
-    result.  This is where the route is chosen: on plain Python floats
-    while n * m is at most ``_FLOAT_ROUTE_MAX``, on arrays above (the
-    ``rows`` argument of :func:`_lloyd_core` and :func:`_build_result`).
-    Both give the same floats.
+    result.  The runs and the result are on plain Python floats while
+    n * m is at most ``_FLOAT_ROUTE_MAX``, on arrays above (the ``rows``
+    argument of :func:`_lloyd_core` and :func:`_build_result`, from
+    :func:`_float_rows`).  Both give the same floats.
     """
-    rows = None
-    if dataset.n * dataset.m <= _FLOAT_ROUTE_MAX:
-        rows = dataset.points.tolist()
+    rows = _float_rows(dataset)
     best = None
     for centers in starts:
         run = _lloyd_core(dataset, centers, max_iterations, rows)
@@ -613,6 +612,15 @@ def _first_best(dataset, starts, max_iterations):
         labels = labels.tolist()
     return _build_result(dataset, labels, means, scatters, order, updates,
                          converged, rows)
+
+
+def _float_rows(dataset):
+    """The route rule: ``dataset.points.tolist()``, for the plain-float
+    route, while n * m is at most ``_FLOAT_ROUTE_MAX``; None, for the
+    array route, above."""
+    if dataset.n * dataset.m <= _FLOAT_ROUTE_MAX:
+        return dataset.points.tolist()
+    return None
 
 
 def _build_result(dataset, labels, means, scatters, order, iterations,
@@ -709,9 +717,11 @@ def kmeans_ideal(dataset, k):
     and the m >= 8 caveat); the returned ``q`` is the winning labels'
     cluster scatters summed in canonical order (the float value of
     :func:`objective_q`'s centroid form), cross-checked against the
-    shifted form.
+    shifted form.  The result is built on the route Lloyd would take for
+    this dataset (:func:`_float_rows`); both give the same floats.
 
-    Subject to the same size cap as partition enumeration.
+    n may not exceed ``DEFAULT_ENUMERATION_CAP`` (12), or the
+    ``AXIOMLAB_ENUMERATION_CAP`` environment variable when it is set.
 
     Parameters
     ----------
@@ -725,11 +735,13 @@ def kmeans_ideal(dataset, k):
         ``iterations`` is the number of complete partitions evaluated.
     """
     best_rgs, _, leaves, _ = _ideal_search(dataset, k)
-    labels = np.asarray(best_rgs)
-    means, scatters, order = _cluster_stats(dataset, labels,
-                                            np.bincount(labels, minlength=k))
-    return _build_result(dataset, best_rgs, means, scatters, order, leaves,
-                         True)
+    rows = _float_rows(dataset)
+    if rows is None:
+        labels = np.asarray(best_rgs)
+        stats = _cluster_stats(dataset, labels, np.bincount(labels, minlength=k))
+    else:
+        stats = _float_stats(rows, best_rgs, list(map(best_rgs.count, range(k))))
+    return _build_result(dataset, best_rgs, *stats, leaves, True, rows)
 
 
 def _ideal_search(dataset, k, collect_tol=None):
@@ -754,10 +766,18 @@ def _ideal_search(dataset, k, collect_tol=None):
     bit.  From m = 8 on ``np.sum`` adds the axes pairwise, so a partial
     sum may differ from that walk in its last bit.
 
-    A branch is cut when its partial sum exceeds the incumbent (widened
-    by collect_tol * max(1, incumbent) when collecting) or when too few
-    points remain to open the missing clusters; a leaf replaces the
-    incumbent only when strictly better.
+    Each child is tested in its parent's loop, before any call: it is cut
+    when its partial sum exceeds the bound, or when it would leave too few
+    points to open the missing clusters.  The bound is the incumbent,
+    widened by collect_tol * max(1, incumbent) when collecting, kept in
+    one local that starts at inf and changes only with the incumbent.  A
+    leaf (the last point placed) is scored in the loop as well, so only
+    inner nodes cost a call; it replaces the incumbent only when strictly
+    better.  A child that is cut or scored still makes its cluster's round
+    trip ``s[a] = s[a] + x[a] - x[a]``: in floats (s + x) - x need not be
+    s, every later increment reads those sums, and the oracle walk, which
+    enters every child, makes that trip, so dropping it would move the
+    partial sums' last bits.
     """
     pts = dataset.points
     n, m = pts.shape
@@ -770,32 +790,17 @@ def _ideal_search(dataset, k, collect_tol=None):
     sums = [[0.0] * m for _ in range(k)]
     axes = range(m)
     rgs = [0] * n
-    best_q = math.inf
+    last = n - 1
+    best_q = bound = math.inf
     best_rgs = None
     leaves = 0
     near = []
 
     def rec(i, used, partial):
-        nonlocal best_q, best_rgs, leaves
-        if best_rgs is not None:
-            bound = best_q
-            if collect_tol is not None:
-                bound += collect_tol * max(1.0, best_q)
-            if partial > bound:
-                return
-        if i == n:
-            if used != k:
-                return
-            leaves += 1
-            if partial < best_q:
-                best_q = partial
-                best_rgs = rgs.copy()
-            if collect_tol is not None:
-                near.append((partial, rgs.copy()))
-            return
-        if used + (n - i) < k:
-            return  # not enough points left to open the missing clusters
+        nonlocal best_q, bound, best_rgs, leaves
         x = points[i]
+        # every point from i on must open a cluster of its own
+        forced = used + (n - i) == k
         for j in range(min(used + 1, k)):
             c = counts[j]
             s = sums[j]
@@ -807,14 +812,33 @@ def _ideal_search(dataset, k, collect_tol=None):
                     t = x[a] - s[a] / c
                     d2 += t * t
                 delta = c / (c + 1) * d2
-            counts[j] = c + 1
+            p = partial + delta
+            if p > bound or (forced and j < used):
+                pass  # cut: too costly, or k clusters are out of reach
+            elif i == last:
+                leaves += 1
+                rgs[i] = j
+                if p < best_q:
+                    best_q = p
+                    best_rgs = rgs.copy()
+                    bound = p
+                    if collect_tol is not None:
+                        bound += collect_tol * max(1.0, p)
+                if collect_tol is not None:
+                    near.append((p, rgs.copy()))
+            else:
+                counts[j] = c + 1
+                for a in axes:
+                    s[a] += x[a]
+                rgs[i] = j
+                rec(i + 1, used + 1 if j == used else used, p)
+                counts[j] = c
+                for a in axes:
+                    s[a] -= x[a]
+                continue
+            # a child cut here or a leaf still takes its sums round trip
             for a in axes:
-                s[a] += x[a]
-            rgs[i] = j
-            rec(i + 1, used + 1 if j == used else used, partial + delta)
-            counts[j] = c
-            for a in axes:
-                s[a] -= x[a]
+                s[a] = s[a] + x[a] - x[a]
 
     rec(0, 0, 0.0)
     if best_rgs is None:

@@ -9,6 +9,7 @@ statistics and row-major k-means++ seeding live here as oracles for the
 faster routes the package uses.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -421,7 +422,32 @@ def _search_instance(draw, dims, coords):
     return Dataset(rows), k, collect_tol
 
 
+# twelve half-integer grid points with repeats: two blobs of six, with
+# four optimal partitions at k = 3 and at k = 4
+_TIED_12 = Dataset([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5],
+                    [0.0, 0.0], [0.5, 0.5], [2.0, 0.0], [2.5, 0.0],
+                    [2.0, 0.5], [2.5, 0.5], [2.0, 0.0], [2.5, 0.5]])
+
+
+def _at_the_cap(test):
+    """Add explicit examples at n = 12, the default cap, where the suites
+    and the exact benchmark search (the strategy draws n <= 9), with and
+    without collect_tol: for k = 2..4 and m = 1..3, normal points with
+    axes scaled over 1e-3 .. 1e3, whose sums round (so (s + x) - x is not
+    always s), and ``_TIED_12``."""
+    rng = np.random.default_rng(12)
+    cases = [(Dataset(rng.normal(size=(12, m))
+                      * 10.0 ** rng.uniform(-3, 3, size=m)), k)
+             for k in (2, 3, 4) for m in (1, 2, 3)]
+    cases += [(_TIED_12, k) for k in (2, 3, 4)]
+    for ds, k in cases:
+        for collect_tol in (None, 1e-9):
+            test = example((ds, k, collect_tol))(test)
+    return test
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
+@_at_the_cap
 @given(_search_instance(st.integers(1, 7), [_GRID_COORD, _WIDE_COORD]))
 def test_ideal_search_matches_numpy_walk(instance):
     # same float operations in the same order up to m = 7: every prune,
@@ -463,6 +489,7 @@ def test_kmeans_ideal_minima_collects_all_optima():
     assert Partition([[0, 2], [1, 3]]) in minima
     assert Partition([[0, 3], [1, 2]]) not in minima
     assert len(minima) == 2
+    assert len(kmeans_ideal_minima(_TIED_12, 3)) == 4
 
 
 def test_kmeans_ideal_respects_cap(monkeypatch):
@@ -787,6 +814,8 @@ def test_float_and_array_routes_agree_at_the_cutoff(monkeypatch):
             got += [kmeans(ds, KMeansConfig(k=k, seeding=seeding, restarts=3,
                                             rng_seed=k))
                     for seeding in ("uniform-random", "plus-plus")]
+            if ds.n <= 12:
+                got.append(kmeans_ideal(ds, k))
             results.append(got)
         for on_floats, on_arrays in zip(*results):
             assert_same_result(on_floats, on_arrays)
@@ -1026,3 +1055,17 @@ def test_cross_checks_raise_under_python_O():
     assert result["optimize"] == 1
     assert result["caught"] == ["objective", "lloyd", "lloyd-floats", "result",
                                 "result-floats", "increment"]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so every check in the package
+    # must raise explicitly
+    src = os.path.dirname(axiomlab.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                tree = ast.parse(f.read(), filename=name)
+            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
