@@ -296,12 +296,12 @@ class Partition:
 
     def __post_init__(self):
         canon = sorted(
-            (tuple(sorted(int(i) for i in cluster)) for cluster in self.clusters),
+            (tuple(sorted(map(int, cluster))) for cluster in self.clusters),
             key=lambda block: block[0] if block else -1,
         )
         if any(len(block) == 0 for block in canon):
             raise ValueError("clusters must be non-empty")
-        flat = sorted(i for block in canon for i in block)
+        flat = sorted(itertools.chain.from_iterable(canon))
         n = len(flat)
         if flat != list(range(n)):
             raise ValueError(

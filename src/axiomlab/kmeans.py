@@ -6,12 +6,16 @@ result only for the winning restart, an exhaustive branch-and-bound global
 optimiser for small n, and a vectorised single-point-move local-minimum
 test.
 
-Lloyd computes each cluster's mean and scatter once per assignment.
-The means become the next centers and, for the winning restart, the
-returned centers.  The scatters feed the monotonicity check, the
-comparison between restarts and the returned objective.  A dataset's
-total scatter is computed once
-(:attr:`~axiomlab.core.Dataset.total_scatter`).
+On the array route a Lloyd step computes only its clusters' means, the
+next centers; the step's objective, for the monotonicity check, is read
+from the next assignment's distance table, whose centers those means
+are.  Each restart's exact cluster scatters are computed once, from one
+stable sort of its final labels: they are checked against that
+objective, compared between restarts and, for the winning restart,
+summed into the returned objective, and the same sort gives the
+members its partition is built from.  The plain-float route computes
+the means and scatters at every step.  A dataset's total scatter is
+computed once (:attr:`~axiomlab.core.Dataset.total_scatter`).
 
 Lloyd's kernels and k-means++ seeding read the points as contiguous
 per-axis columns (:attr:`~axiomlab.core.Dataset.columns`, one transpose
@@ -33,9 +37,9 @@ dataset's size; both run the same loop (:func:`_lloyd_core`) and result
 builder (:func:`_build_result`), and :func:`kmeans_ideal` builds its
 result on the same route.  Above ``_FLOAT_ROUTE_MAX`` coordinates
 (n * m) their steps are the array kernels above (:func:`_assign_arrays`,
-:func:`_cluster_stats`, :func:`_shifted_q`).  At or below it, where
-numpy's fixed cost per call on a few dozen floats is most of the time,
-they run on plain Python floats (:func:`_assign_floats`,
+:func:`_means`, :func:`_cluster_stats`, :func:`_shifted_q`).  At or
+below it, where numpy's fixed cost per call on a few dozen floats is
+most of the time, they run on plain Python floats (:func:`_assign_floats`,
 :func:`_float_stats`, :func:`_shifted_floats`): only the
 squared-distance table, its first minimum per point and the rare
 empty-cluster repair stay numpy calls; labels, counts, the convergence
@@ -61,10 +65,11 @@ Every number that matters is computed along two independent routes and
 cross-checked: the objective in centroid form (per-cluster scatters
 summed in canonical order) and in shifted-sum form, each
 single-point-move increment in closed form and through the moved
-cluster mean, and each Lloyd step against the previous objective.  A
-disagreement raises :class:`~axiomlab.core.CrossCheckError` at once (an
-explicit exception, so ``python -O`` keeps it) instead of producing a
-quietly wrong number.
+cluster mean, each Lloyd step against the previous objective, and each
+converged array-route run's final scatters against the objective read
+from its last distance table.  A disagreement raises
+:class:`~axiomlab.core.CrossCheckError` at once (an explicit exception,
+so ``python -O`` keeps it) instead of producing a quietly wrong number.
 """
 
 import functools
@@ -222,19 +227,25 @@ def objective_q(dataset, partition):
     for block in partition.clusters:
         centroid_form += _scatter(pts[list(block)])
     _cross_check("objective: centroid form vs shifted form",
-                 centroid_form, _shifted_q(pts, partition.clusters))
+                 centroid_form, _shifted_q(dataset.columns, partition.clusters))
     return centroid_form
 
 
-def _shifted_q(pts, clusters):
+def _shifted_q(cols, clusters):
     """The objective's shifted form: per cluster, with c its first member,
-    sum |x - c|^2 - |sum (x - c)|^2 / n_j; O(nm)."""
+    sum |x - c|^2 - |sum (x - c)|^2 / n_j; O(nm).
+
+    ``cols`` is :attr:`~axiomlab.core.Dataset.columns`, so each cluster's
+    differences are an (m, n_j) array whose per-axis sums run along
+    contiguous rows (an independent route, so the order of its additions
+    is free)."""
     q = 0.0
     for block in clusters:
-        sub = pts[list(block)]
-        diff = sub - sub[0]
-        total = diff.sum(axis=0)
-        q += float(np.sum(diff * diff)) - float(total @ total) / len(sub)
+        idx = np.fromiter(block, dtype=np.intp, count=len(block))
+        sub = cols.take(idx, axis=1)
+        diff = sub - sub[:, :1]
+        total = np.add.reduce(diff, axis=1)
+        q += float(np.sum(diff * diff)) - float(total @ total) / len(block)
     return q
 
 
@@ -245,6 +256,12 @@ def _summed(scatters, order):
     for j in order:
         q += scatters[j]
     return q
+
+
+def _canonical(members):
+    """The labels in canonical cluster order (by first member), from each
+    label's members in increasing point index."""
+    return sorted(range(len(members)), key=lambda j: members[j][0])
 
 
 def explained_variance(dataset, result):
@@ -355,51 +372,70 @@ def _assign(cols, centers):
 
 
 def _cluster_stats(dataset, labels, counts):
-    """Each cluster's mean and scatter, bit for bit those of
-    ``sub = points[labels == j]``, ``sub.mean(axis=0)`` and
-    ``np.sum((sub - mean) ** 2)``, without a mask per cluster.
+    """Each cluster's mean, scatter and members, the means and scatters
+    bit for bit those of ``sub = points[labels == j]``,
+    ``sub.mean(axis=0)`` and ``np.sum((sub - mean) ** 2)``, without a mask
+    per cluster.
 
     ``counts`` is ``np.bincount(labels, minlength=k)``; every one of the
     k clusters must be non-empty.  One stable argsort of the labels lays
     every cluster's rows out as a contiguous block, in increasing point
-    index as the mask would.  For every m >= 2 (m >= 8 included),
-    ``mean(axis=0)`` adds the rows one after another from 0.0, which is
-    the order of ``np.bincount(labels, weights=column)``; for m = 1 it
-    sums the cluster's values pairwise, so each mean is ``np.sum`` over
-    the cluster's slice of the sorted column.  Both are divided by the
-    cluster size.  Each scatter is ``np.sum`` over the cluster's block of
-    the (n, m) squared differences in sorted row order: the same
-    flattened sequence, summed pairwise, that the mask route reduces.
+    index as the mask would.  The means are :func:`_means` on that sort.
+    Each scatter is ``np.sum`` over the cluster's block of the (n, m)
+    squared differences in sorted row order: the same flattened sequence,
+    summed pairwise, that the mask route reduces.
 
-    Returns a (k, m) array of means and a list of k scatters, both indexed
-    by label, and the labels in canonical order (by first member; the
-    first row of each cluster's block in the stable argsort is its first
-    member).
+    Returns a (k, m) array of means, a list of k scatters and a list of k
+    index arrays, each cluster's members in increasing point index (its
+    block of the argsort), all indexed by label.
     """
-    cols = dataset.columns
-    k = len(counts)
-    # the narrowest unsigned key sorts by radix; the permutation is the
-    # same for any key type
-    order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
-    sizes = counts.tolist()
-    blocks = [slice(end - size, end)
-              for size, end in zip(sizes, itertools.accumulate(sizes))]
-    # np.add.reduce(x, axis=None) is np.sum(x) without the Python wrapper
-    if len(cols) == 1:
-        xs = cols[0].take(order)
-        means = np.array([[np.add.reduce(xs[b]) / size]
-                          for b, size in zip(blocks, sizes)])
-    else:
-        means = np.empty((k, len(cols)))
-        for a, col in enumerate(cols):
-            means[:, a] = np.bincount(labels, weights=col, minlength=k)
-        means /= counts[:, None]
+    sort = _sorted_blocks(labels, counts)
+    order, blocks = sort
+    means = _means(dataset.columns, labels, counts, sort)
     diff = dataset.points.take(order, axis=0)
     diff -= np.repeat(means, counts, axis=0)
     diff *= diff
+    # np.add.reduce(x, axis=None) is np.sum(x) without the Python wrapper
     scatters = [float(np.add.reduce(diff[b], axis=None)) for b in blocks]
-    firsts = order.take([b.start for b in blocks])
-    return means, scatters, np.argsort(firsts).tolist()
+    return means, scatters, [order[b] for b in blocks]
+
+
+def _sorted_blocks(labels, counts):
+    """One stable argsort of the labels and each label's slice of it, a
+    contiguous block of its members in increasing point index."""
+    # the narrowest unsigned key sorts by radix; the permutation is the
+    # same for any key type
+    order = np.argsort(labels.astype(np.min_scalar_type(len(counts) - 1)),
+                       kind="stable")
+    sizes = counts.tolist()
+    blocks = [slice(end - size, end)
+              for size, end in zip(sizes, itertools.accumulate(sizes))]
+    return order, blocks
+
+
+def _means(cols, labels, counts, sort=None):
+    """Each cluster's mean, bit for bit ``points[labels == j].mean(axis=0)``,
+    as a (k, m) array indexed by label; the array route's center update.
+
+    For every m >= 2 (m >= 8 included), ``mean(axis=0)`` adds the rows
+    one after another from 0.0, which is the order of
+    ``np.bincount(labels, weights=column)``; for m = 1 it sums the
+    cluster's values pairwise, so each mean is ``np.sum`` over the
+    cluster's slice of the stably sorted column (``sort`` is
+    :func:`_sorted_blocks`' answer, made here when not given).  Both are
+    divided by the cluster size.
+    """
+    if len(cols) == 1:
+        order, blocks = sort or _sorted_blocks(labels, counts)
+        xs = cols[0].take(order)
+        return np.array([[np.add.reduce(xs[b]) / (b.stop - b.start)]
+                         for b in blocks])
+    k = len(counts)
+    means = np.empty((k, len(cols)))
+    for a, col in enumerate(cols):
+        means[:, a] = np.bincount(labels, weights=col, minlength=k)
+    means /= counts[:, None]
+    return means
 
 
 def _fix_empty_clusters(d2, labels, k):
@@ -440,60 +476,100 @@ def _lloyd_core(dataset, centers, max_iterations, rows=None):
     """Run Lloyd until membership stabilises; returns raw state.
 
     Both routes (see the module docstring) run this one loop and differ
-    only in its two steps: on arrays when ``rows`` is None
-    (:func:`_assign_arrays`, :func:`_cluster_stats`), on plain Python
-    floats when ``rows`` is ``dataset.points.tolist()``
+    only in its steps: on arrays when ``rows`` is None
+    (:func:`_assign_arrays`, :func:`_means`, :func:`_cluster_stats`), on
+    plain Python floats when ``rows`` is ``dataset.points.tolist()``
     (:func:`_assign_floats`, :func:`_float_stats`).  They give the same
     state bit for bit, with lists in place of arrays, as both add in the
-    order of :func:`~axiomlab.core._pairwise_sum`.  Each assignment's
-    cluster means and scatters are computed once: the means become the
-    next centers, and the scatters, summed in label order, are checked
-    against the previous step's objective, which Lloyd never increases.
-    The empty-cluster repair runs only when an assignment leaves a cluster
+    order of :func:`~axiomlab.core._pairwise_sum`.
+
+    Each step turns an assignment into the next centers, its clusters'
+    means.  Lloyd never increases the objective, and each step's
+    objective is checked against the previous one.  On the array route a
+    step computes only the means, and its objective is read from the next
+    assignment's (k, n) table, whose centers are exactly those means: the
+    sum of each point's entry for the center of the cluster it came from.
+    The exact block scatters are computed once, for the final labels, and
+    are checked against the last step's objective too; when the run
+    converged, the last table's centers are the final labels' own means,
+    so the two must also agree to the cross-check tolerance.  On the
+    plain-float route, where numpy's fixed cost per call is most of the
+    time, each step computes the exact scatters with the means and takes
+    its objective from them, and the final ones are the last step's.  The
+    empty-cluster repair runs only when an assignment leaves a cluster
     empty.
 
     Returns
     -------
-    labels, means, scatters, order, updates, converged, empty_events
-        ``means`` and ``scatters`` belong to the final ``labels`` and are
-        indexed by label; ``order`` is the labels in canonical order.
+    labels, means, scatters, members, updates, converged, empty_events
+        ``means``, ``scatters`` and ``members`` belong to the final
+        ``labels`` and are indexed by label; ``members`` holds each
+        cluster's point indices in increasing order.
     """
     k = len(centers)
     if rows is None:
         assign = functools.partial(_assign_arrays, dataset.columns, k)
+        step = functools.partial(_center_step, dataset.columns)
         stats = functools.partial(_cluster_stats, dataset)
     else:
         assign = functools.partial(_assign_floats, dataset.columns, k)
-        stats = functools.partial(_float_stats, rows)
-    prev = None
+        step = stats = functools.partial(_float_stats, rows)
+    prev = owners = scatters = None
     updates = 0
     empty_events = 0
     q_prev = math.inf
     converged = False
     while True:
-        labels, counts, key, events = assign(centers)
+        labels, counts, key, events, q_table = assign(centers, owners)
         empty_events += events
+        if q_table is not None:  # the objective of the owners' step
+            _check_descent(q_prev, q_table)
+            q_prev = q_table
         if key == prev:
-            converged = True  # labels are prev's, whose stats we hold
+            converged = True  # labels are prev's
             break
-        means, scatters, order = stats(labels, counts)
-        q_here = _summed(scatters, range(k))
-        _check_descent(q_prev, q_here)
-        q_prev = q_here
         if updates >= max_iterations:
             break
+        means, scatters, members = step(labels, counts)
+        if scatters is not None:
+            q_prev = _checked(q_prev, scatters)
         centers = means
         updates += 1
         prev = key
-    return labels, means, scatters, order, updates, converged, empty_events
+        owners = labels
+    if scatters is None or not converged:
+        means, scatters, members = stats(labels, counts)
+        q_here = _checked(q_prev, scatters)
+        if converged and q_table is not None:
+            _cross_check("Lloyd objective: block scatters vs distance table",
+                         q_here, q_table)
+    return labels, means, scatters, members, updates, converged, empty_events
 
 
-def _assign_arrays(cols, k, centers):
+def _checked(q_prev, scatters):
+    """The scatters summed in label order, checked not to exceed the
+    previous objective."""
+    q_here = _summed(scatters, range(len(scatters)))
+    _check_descent(q_prev, q_here)
+    return q_here
+
+
+def _center_step(cols, labels, counts):
+    """The array route's step: the next centers (:func:`_means`), with no
+    scatters or members (the loop reads the step's objective from the
+    next table)."""
+    return _means(cols, labels, counts), None, None
+
+
+def _assign_arrays(cols, k, centers, owners):
     """The array route's assignment step: :func:`_assign`, then the
     empty-cluster repair if a cluster came up empty.
 
     Returns the labels, their counts, the labels' bytes (equal for two
-    assignments exactly when their labels are) and the number of repairs.
+    assignments exactly when their labels are), the number of repairs,
+    and, when ``owners`` are the labels whose means ``centers`` are, their
+    objective read from the (k, n) table: the sum of each point's entry
+    for its owner (its distance to its own cluster's mean), else None.
     """
     labels, d2 = _assign(cols, np.asarray(centers, dtype=float))
     counts = np.bincount(labels, minlength=k)
@@ -501,12 +577,18 @@ def _assign_arrays(cols, k, centers):
     if np.count_nonzero(counts) < k:
         events = _fix_empty_clusters(d2, labels, k)
         counts = np.bincount(labels, minlength=k)
-    return labels, counts, labels.tobytes(), events
+    q_table = None
+    if owners is not None:
+        n = len(owners)
+        own = d2.ravel().take(owners * n + np.arange(n))
+        q_table = float(np.add.reduce(own))
+    return labels, counts, labels.tobytes(), events, q_table
 
 
-def _assign_floats(cols, k, centers):
+def _assign_floats(cols, k, centers, owners):
     """:func:`_assign_arrays` with the labels and counts as lists (the
-    labels are their own key).
+    labels are their own key) and no table objective (this route takes
+    each step's objective from its exact scatters).
 
     The (k, n) squared-distance table still comes from
     :func:`~axiomlab.core._sq_dists`, a few whole-table numpy calls that
@@ -523,7 +605,7 @@ def _assign_floats(cols, k, centers):
         events = _fix_empty_clusters(d2, found, k)
         labels = found.tolist()
         counts = list(map(labels.count, range(k)))
-    return labels, counts, labels, events
+    return labels, counts, labels, events, None
 
 
 def _float_stats(rows, labels, counts):
@@ -537,13 +619,15 @@ def _float_stats(rows, labels, counts):
     :func:`~axiomlab.core._pairwise_sum` over the cluster's row-major
     squared differences (never -0.0, so the identity changes nothing).
 
-    Returns k means (lists) and k scatters, indexed by label, and the
-    labels in canonical order (first appearance).
+    Returns k means (lists), k scatters and k member lists, each
+    cluster's point indices in increasing order, all indexed by label.
     """
     m = len(rows[0])
     flats = [[] for _ in counts]  # each cluster's rows, row-major
-    for label, row in zip(labels, rows):
-        flats[label] += row
+    members = [[] for _ in counts]
+    for i, label in enumerate(labels):
+        flats[label] += rows[i]
+        members[label].append(i)
     means = []
     scatters = []
     for flat, size in zip(flats, counts):
@@ -555,7 +639,7 @@ def _float_stats(rows, labels, counts):
         squares = [(x - c) * (x - c) for x, c in zip(flat, mean * size)]
         means.append(mean)
         scatters.append(_pairwise_sum(squares, len(squares)))
-    return means, scatters, list(dict.fromkeys(labels))
+    return means, scatters, members
 
 
 def lloyd(dataset, initial_centers, config):
@@ -604,13 +688,11 @@ def _first_best(dataset, starts, max_iterations):
     best = None
     for centers in starts:
         run = _lloyd_core(dataset, centers, max_iterations, rows)
-        q = _summed(run[2], run[3])  # the scatters in canonical order
+        q = _summed(run[2], _canonical(run[3]))  # scatters in canonical order
         if best is None or q < best[0]:
             best = (q, run)
-    labels, means, scatters, order, updates, converged, _ = best[1]
-    if rows is None:
-        labels = labels.tolist()
-    return _build_result(dataset, labels, means, scatters, order, updates,
+    _, means, scatters, members, updates, converged, _ = best[1]
+    return _build_result(dataset, means, scatters, members, updates,
                          converged, rows)
 
 
@@ -623,27 +705,29 @@ def _float_rows(dataset):
     return None
 
 
-def _build_result(dataset, labels, means, scatters, order, iterations,
+def _build_result(dataset, means, scatters, members, iterations,
                   converged, rows=None):
-    """The ClusteringResult of a labelling (a list) with k non-empty
-    clusters, from its per-label means and scatters and its canonical
-    cluster order.
+    """The ClusteringResult of a labelling with k non-empty clusters, from
+    its per-label means, scatters and members (:func:`_cluster_stats` or
+    :func:`_float_stats`).
 
-    ``centers`` are the means and ``q`` the scatters summed in canonical
-    order, which is the float sequence of :func:`objective_q`'s centroid
-    form; ``q`` is cross-checked against the O(nm) shifted form, on arrays
-    (:func:`_shifted_q`) or, when ``rows`` is ``dataset.points.tolist()``,
-    on floats (:func:`_shifted_floats`).
+    The canonical cluster order sorts the labels by first member.  The
+    partition is the members in that order (index arrays on the array
+    route, lists on the plain-float route), ``centers`` are the means and
+    ``q`` the scatters in that order, which is the float sequence of
+    :func:`objective_q`'s centroid form; ``q`` is cross-checked against
+    the O(nm) shifted form, on arrays (:func:`_shifted_q`) or, when
+    ``rows`` is ``dataset.points.tolist()``, on floats
+    (:func:`_shifted_floats`).
     """
-    blocks = {label: [] for label in order}
-    for i, label in enumerate(labels):
-        blocks[label].append(i)
-    partition = Partition(blocks.values())
-    q = _summed(scatters, order)
+    order = _canonical(members)
     if rows is None:
-        shifted = _shifted_q(dataset.points, partition.clusters)
+        partition = Partition([members[j].tolist() for j in order])
+        shifted = _shifted_q(dataset.columns, partition.clusters)
     else:
+        partition = Partition([members[j] for j in order])
         shifted = _shifted_floats(rows, partition.clusters)
+    q = _summed(scatters, order)
     _cross_check("objective: centroid form vs shifted form", q, shifted)
     return ClusteringResult(partition, [means[j] for j in order], q,
                             iterations, _explained(dataset, q), converged)
@@ -670,11 +754,11 @@ def kmeans(dataset, config, initial_centers=None):
     seedings are drawn from child generators spawned off
     ``config.rng_seed`` and the result with the smallest objective wins
     (first winner kept on exact ties).  Each restart's Lloyd run returns
-    its final clusters' means and scatters; restarts are compared on the
-    scatters summed in canonical cluster order, which is the winner's
-    reported ``q`` bit for bit.  Only the winner is turned into a
-    :class:`ClusteringResult`, from those same means and scatters, with
-    ``q`` cross-checked against the O(nm) shifted form.
+    its final clusters' means, scatters and members; restarts are
+    compared on the scatters summed in canonical cluster order, which is
+    the winner's reported ``q`` bit for bit.  Only the winner is turned
+    into a :class:`ClusteringResult`, from those same means, scatters and
+    members, with ``q`` cross-checked against the O(nm) shifted form.
 
     Parameters
     ----------
@@ -741,7 +825,7 @@ def kmeans_ideal(dataset, k):
         stats = _cluster_stats(dataset, labels, np.bincount(labels, minlength=k))
     else:
         stats = _float_stats(rows, best_rgs, list(map(best_rgs.count, range(k))))
-    return _build_result(dataset, best_rgs, *stats, leaves, True, rows)
+    return _build_result(dataset, *stats, leaves, True, rows)
 
 
 def _ideal_search(dataset, k, collect_tol=None):

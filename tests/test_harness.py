@@ -269,6 +269,34 @@ def test_variance_grid_structure_and_determinism():
     assert again == grid
 
 
+# the 15 measured cells (original, kleinberg, centric; k = 2..6 each) as
+# float.hex, at restarts=5: a change of summation order anywhere on the
+# k-means path moves their last bits
+_GRID_PINS = {
+    0: ["0x1.bb4d2361073cap+5", "0x1.1cf45a24fb1afp+6", "0x1.49c45d0baa0b7p+6",
+        "0x1.682b329a42e0cp+6", "0x1.6b6e77a1893c1p+6",
+        "0x1.8800000000000p+6", "0x1.8cccc17999682p+6", "0x1.8e66574ccc8afp+6",
+        "0x1.8fffed1fffadap+6", "0x1.8fffee8d7ffd1p+6",
+        "0x1.c32341f3ca6acp+5", "0x1.2483f912579acp+6", "0x1.5262ea6a57b7fp+6",
+        "0x1.738b9bc572f8ap+6", "0x1.75cbbfa7d4effp+6"],
+    1: ["0x1.b84c840442b51p+5", "0x1.1b0ce55509637p+6", "0x1.4abae66fbdc01p+6",
+        "0x1.692fb77cf47c6p+6", "0x1.6c796781f3e9cp+6",
+        "0x1.8800000000000p+6", "0x1.8cccbfaf258ecp+6", "0x1.8e6654e98768fp+6",
+        "0x1.8fffea23e9433p+6", "0x1.8fffebddc52a3p+6",
+        "0x1.c1fe16aacfcc0p+5", "0x1.22880b3af9b0cp+6", "0x1.534cdfae9f675p+6",
+        "0x1.74215fef0a1c8p+6", "0x1.76415013780f6p+6"],
+}
+
+
+@pytest.mark.parametrize("master_seed", sorted(_GRID_PINS))
+def test_variance_grid_is_bit_identical(master_seed):
+    grid = variance_grid(ExperimentConfig(master_seed=master_seed, restarts=5))
+    cells = [(r["regime"], r["k"]) for r in grid["rows"]]
+    assert cells == [(reg, k) for reg in ("original", "kleinberg", "centric")
+                     for k in GRID_KS]
+    assert [r["measured"].hex() for r in grid["rows"]] == _GRID_PINS[master_seed]
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 # ---------------------------------------------------------------------------

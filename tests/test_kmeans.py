@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
 import axiomlab
+from axiomlab.constructions import rotated_segments
 from axiomlab.core import (
     CrossCheckError,
     Dataset,
@@ -209,7 +210,7 @@ def test_lloyd_handles_empty_cluster_by_reseeding_farthest():
     # both points are nearer the first center, so the second cluster comes
     # up empty and gets the farthest point (index 0) re-homed into it
     pts = np.array([[0.0], [1.0], [10.0]])
-    labels, means, scatters, order, updates, converged, events = _lloyd_core(
+    labels, means, scatters, members, updates, converged, events = _lloyd_core(
         Dataset(pts), np.array([[100.0], [200.0]]), 100
     )
     assert events >= 1
@@ -220,6 +221,7 @@ def test_lloyd_handles_empty_cluster_by_reseeding_farthest():
         mine = pts[labels == j]
         assert np.array_equal(means[j], mine.mean(axis=0))
         assert scatters[j] == float(np.sum((mine - mine.mean(axis=0)) ** 2))
+        assert members[j].tolist() == np.flatnonzero(labels == j).tolist()
     res = lloyd(Dataset(pts), [[100.0], [200.0]], KMeansConfig(k=2))
     assert res.partition == Partition([[0, 1], [2]])
 
@@ -753,6 +755,20 @@ def test_lloyd_results_match_the_recompute_everything_oracle(instance):
         assert_same_result(kmeans_ideal(ds, k), _reference_kmeans_ideal(ds, k))
 
 
+@pytest.mark.parametrize("rotated", [False, True])
+def test_kmeans_at_segment_cross_scale_matches_the_oracle(rotated):
+    # acceptance test 12's 4 000-point crosses: clusters of thousands of
+    # points and runs of dozens of steps, past the Hypothesis sizes
+    ds = rotated_segments(rotated, points_per_segment=1000, rng=11)
+    for rng_seed in (11, 12, 13):
+        config = KMeansConfig(k=2, seeding="plus-plus", restarts=3,
+                              rng_seed=rng_seed)
+        got = kmeans(ds, config)
+        want = _reference_kmeans(ds, config)
+        assert_same_result(got, want)
+        assert got.centers.tobytes() == want.centers.tobytes()
+
+
 def _route_cases():
     """Datasets whose n * m lies just below, at and just above the route
     cutoff, with k from 2 to 5: half-integer grids with repeated points,
@@ -788,12 +804,13 @@ def _route_starts(ds, k):
 
 
 def _same_state(floats, arrays):
-    labels, means, scatters, order, updates, converged, events = floats
+    labels, means, scatters, members, updates, converged, events = floats
     assert labels == arrays[0].tolist()
     assert np.array_equal(means, arrays[1])
     assert np.array_equal(np.signbit(means), np.signbit(arrays[1]))
     assert scatters == arrays[2]
-    assert (order, updates, converged, events) == tuple(arrays[3:])
+    assert members == [block.tolist() for block in arrays[3]]
+    assert (updates, converged, events) == tuple(arrays[4:])
 
 
 def test_float_and_array_routes_agree_at_the_cutoff(monkeypatch):
@@ -855,14 +872,15 @@ def test_lloyd_kernels_match_the_broadcast_and_mask_routes():
         assert np.array_equal(d2, want_d2.T)
         assert np.array_equal(got_labels, _reference_assign(ds.points, centers))
         assert got_labels.dtype == np.intp
-        means, scatters, order = _cluster_stats(
+        means, scatters, members = _cluster_stats(
             ds, labels, np.bincount(labels, minlength=k))
         want_means, want_scatters = _reference_cluster_stats(ds.points, labels, k)
         assert np.array_equal(means, want_means)
         # array_equal treats -0.0 and 0.0 as equal; the signs must agree too
         assert np.array_equal(np.signbit(means), np.signbit(want_means))
         assert scatters == want_scatters
-        assert order == list(dict.fromkeys(labels.tolist()))
+        assert [block.tolist() for block in members] == [
+            np.flatnonzero(labels == j).tolist() for j in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -988,37 +1006,73 @@ from axiomlab.core import CrossCheckError, Dataset, Partition
 
 caught = []
 
-def expect(name, call):
+# a row counts only when the check named by its message raised
+DESCENT = "Lloyd objective increased"
+TABLE = "Lloyd objective: block scatters vs distance table"
+SHIFTED = "objective: centroid form vs shifted form"
+
+def expect(name, call, check):
     try:
         call()
-    except CrossCheckError:
-        caught.append(name)
+    except CrossCheckError as err:
+        if str(err).startswith(check):
+            caught.append(name)
 
 line = Dataset(np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]]))
 
 # objective: the centroid route is off by about 1e-6
 real_scatter = km._scatter
 km._scatter = lambda pts: real_scatter(pts) * (1.0 + 1e-6) + 1e-6
-expect("objective", lambda: km.objective_q(line, Partition([[0, 1, 2], [3, 4, 5]])))
+expect("objective", lambda: km.objective_q(line, Partition([[0, 1, 2], [3, 4, 5]])),
+       SHIFTED)
 km._scatter = real_scatter
 
-# Lloyd, on both routes: the objective grows from one step to the next
+# Lloyd, on both routes: the exact scatters grow from one call to the next.
+# The array route computes them once, for the final labels, so its stub
+# gives 1.0 per cluster, below the last table's objective but not equal
+# to it; the plain-float route computes them at every step.
 def growing(real_stats):
     steps = iter(range(1, 100))
     def stats(*args):
-        means, scatters, order = real_stats(*args)
-        return means, [float(next(steps))] * len(scatters), order
+        means, scatters, members = real_stats(*args)
+        return means, [float(next(steps))] * len(scatters), members
     return stats
 
 real_cluster_stats = km._cluster_stats
 km._cluster_stats = growing(real_cluster_stats)
-expect("lloyd", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]]), 100))
+expect("lloyd", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]]), 100), TABLE)
 km._cluster_stats = real_cluster_stats
 
 real_float_stats = km._float_stats
 km._float_stats = growing(real_float_stats)
-expect("lloyd-floats", lambda: km.lloyd(line, [[0.0], [1.0]], km.KMeansConfig(k=2)))
+expect("lloyd-floats", lambda: km.lloyd(line, [[0.0], [1.0]], km.KMeansConfig(k=2)),
+       DESCENT)
 km._float_stats = real_float_stats
+
+# Lloyd, array route: the first objective read from a distance table is
+# 1.0, so the next, true one (4.0) is a growth between steps; the last
+# table and the final scatters agree, so only the step check can see it
+real_assign_arrays = km._assign_arrays
+table_values = iter([1.0])
+def first_table_low(*args):
+    out = real_assign_arrays(*args)
+    if out[-1] is None:
+        return out
+    return out[:-1] + (next(table_values, out[-1]),)
+km._assign_arrays = first_table_low
+expect("lloyd-table", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]]), 100),
+       DESCENT)
+km._assign_arrays = real_assign_arrays
+
+# Lloyd, array route: the final block scatters are about 1e-6 below the
+# table's objective; lower never trips the descent check
+def shrunk(*args):
+    means, scatters, members = real_cluster_stats(*args)
+    return means, [s * (1.0 - 1e-6) - 1e-6 for s in scatters], members
+km._cluster_stats = shrunk
+expect("lloyd-blocks", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]]), 100),
+       TABLE)
+km._cluster_stats = real_cluster_stats
 
 # result, on both routes: the shifted form behind a Lloyd result is off by
 # about 1e-6 (a cutoff of 0 sends the line to the array route)
@@ -1026,18 +1080,20 @@ real_shifted_q = km._shifted_q
 km._shifted_q = lambda *args: real_shifted_q(*args) * (1.0 + 1e-6) + 1e-6
 real_cutoff = km._FLOAT_ROUTE_MAX
 km._FLOAT_ROUTE_MAX = 0
-expect("result", lambda: km.lloyd(line, [[0.0], [10.0]], km.KMeansConfig(k=2)))
+expect("result", lambda: km.lloyd(line, [[0.0], [10.0]], km.KMeansConfig(k=2)),
+       SHIFTED)
 km._FLOAT_ROUTE_MAX = real_cutoff
 km._shifted_q = real_shifted_q
 
 real_shifted_floats = km._shifted_floats
 km._shifted_floats = lambda *args: real_shifted_floats(*args) * (1.0 + 1e-6) + 1e-6
-expect("result-floats", lambda: km.lloyd(line, [[0.0], [10.0]], km.KMeansConfig(k=2)))
+expect("result-floats", lambda: km.lloyd(line, [[0.0], [10.0]], km.KMeansConfig(k=2)),
+       SHIFTED)
 km._shifted_floats = real_shifted_floats
 
 # move increments: a coordinate sum that does not match the mean
 expect("increment", lambda: km._increment(
-    np.array([1.0]), np.array([0.0]), np.array([5.0]), 2, +1))
+    np.array([1.0]), np.array([0.0]), np.array([5.0]), 2, +1), "addition increment")
 
 print(json.dumps({"optimize": sys.flags.optimize, "caught": caught}))
 """
@@ -1053,7 +1109,8 @@ def test_cross_checks_raise_under_python_O():
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["optimize"] == 1
-    assert result["caught"] == ["objective", "lloyd", "lloyd-floats", "result",
+    assert result["caught"] == ["objective", "lloyd", "lloyd-floats",
+                                "lloyd-table", "lloyd-blocks", "result",
                                 "result-floats", "increment"]
 
 
