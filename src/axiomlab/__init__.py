@@ -2,9 +2,9 @@
 
 The package is organised around six building blocks:
 
-- ``core``: datasets, distance matrices, partitions, the size cap on
-  exhaustive search, and signed (pseudo-Euclidean) embeddings of
-  non-metric distance tables.
+- ``core``: datasets, distance matrices, partitions, the one
+  squared-distance and enclosing-ball kernel, and the size cap on
+  exhaustive search.
 - ``kmeans``: Lloyd iteration, seeding, exhaustive global optimisation
   and local-minimum certification.
 - ``transforms``: scale, Kleinberg-style Gamma transforms, centric shrinks,

@@ -19,7 +19,7 @@ import numpy as np
 from .constructions import (
     collapse_to_two_groups,
     default_mixture_spec,
-    fixture_tables,
+    fixture_table,
     gaussian_mixture,
     krich_line,
     rotated_segments,
@@ -158,7 +158,7 @@ def _cmd_construct(args):
             m for c in spec.partition().clusters[half:] for m in c)
         partition = Partition([merged_a, merged_b])
     else:  # fixture
-        ds, _ = fixture_tables()  # a DistanceMatrix, written the same way
+        ds = fixture_table()  # a DistanceMatrix, written the same way
     with open(args.out, "w") as fh:
         fh.write("# master_seed=%d\n" % args.seed)
         ds.to_csv(fh)

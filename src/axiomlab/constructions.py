@@ -65,8 +65,7 @@ _MIXTURE_MEANS.setflags(write=False)
 _MIXTURE_POINTS_PER_COMPONENT = 200
 
 # The bundled six-point fixture: a printed distance grid (three decimals)
-# that is not a metric, and the signed coordinates that reproduce it
-# rigidly once the third axis is taken imaginary.
+# that is not a metric and has no real Euclidean embedding.
 _SIX_POINT_GRID = np.array(
     [
         [0.0, 10.0, 2.236, 20.0, 22.361, 20.125],
@@ -78,17 +77,6 @@ _SIX_POINT_GRID = np.array(
     ]
 )
 _SIX_POINT_GRID.setflags(write=False)
-_SIX_POINT_COORDS = np.array(
-    [
-        [5.0 + 0.0j, 10.0 + 0.0j, 0.0 + 1.0j],
-        [-5.0 + 0.0j, 10.0 + 0.0j, 0.0 + 1.0j],
-        [2.0 + 0.0j, 10.0 + 0.0j, 0.0 - 1.0j],
-        [5.0 + 0.0j, -10.0 + 0.0j, 0.0 + 1.0j],
-        [-5.0 + 0.0j, -10.0 + 0.0j, 0.0 + 1.0j],
-        [2.0 + 0.0j, -10.0 + 0.0j, 0.0 - 1.0j],
-    ]
-)
-_SIX_POINT_COORDS.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +399,15 @@ def collapse_to_two_groups(dataset, gamma, lam=0.1, explained=0.98):
 # ---------------------------------------------------------------------------
 
 
-def fixture_tables():
-    """The bundled six-point fixture: its printed distance grid and the
-    complex coordinates that reproduce it rigidly.
+def fixture_table():
+    """The bundled six-point fixture, a 6x6 :class:`DistanceMatrix`.
 
     The grid is not a metric (the triangle inequality fails through the
-    grid's third point) and no real Euclidean embedding exists; making the
-    third coordinate axis imaginary fixes that.  Reconstruction from the
-    coordinates matches the grid only to about 1e-3 because the grid
-    itself is printed rounded to three decimals.
-
-    Returns
-    -------
-    (DistanceMatrix, ndarray)
-        The 6x6 grid and the 6x3 complex coordinate table.
+    grid's third point) and no real Euclidean embedding exists; coordinates
+    that reproduce it need a third, imaginary axis, and then only to about
+    1e-3, because the grid itself is printed rounded to three decimals.
     """
-    return DistanceMatrix(_SIX_POINT_GRID), np.array(_SIX_POINT_COORDS)
+    return DistanceMatrix(_SIX_POINT_GRID)
 
 
 # ---------------------------------------------------------------------------

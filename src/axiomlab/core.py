@@ -1,13 +1,10 @@
-"""Data model and combinatorial / spectral primitives.
+"""Data model and geometry primitives.
 
 This module defines the three value types everything else builds on
 (:class:`Dataset`, :class:`DistanceMatrix`, :class:`Partition`), the one
 geometry kernel every distance table and enclosing ball is computed with
-(:func:`_sq_dists`, :func:`_balls`), the size cap on exhaustive search
-(:func:`_check_enumeration_size`), and the signed-embedding machinery that
-turns an arbitrary symmetric dissimilarity table into coordinates with
-per-axis signs (+1 for ordinary axes, -1 for "imaginary" ones coming from
-negative eigenvalues of the doubly centred Gram matrix).
+(:func:`_sq_dists`, :func:`_balls`), and the size cap on exhaustive search
+(:func:`_check_enumeration_size`).
 
 All types are immutable; all functions are pure.
 """
@@ -238,8 +235,7 @@ class DistanceMatrix:
 
     The diagonal must be exactly zero, off-diagonal entries strictly
     positive and finite, and the table symmetric.  Nothing metric is
-    assumed; use :func:`validate_distance` to probe the triangle
-    inequality.
+    assumed: the triangle inequality may fail.
     """
 
     values: np.ndarray
@@ -344,79 +340,6 @@ class Partition:
         return cls(json.loads(text)["clusters"])
 
 
-@dataclass(frozen=True, eq=False)
-class ValidationReport:
-    """Outcome of :func:`validate_distance`: a verdict plus every violation.
-
-    ``violations`` is a tuple of dicts with a ``kind`` key (``"symmetry"``,
-    ``"diagonal"``, ``"positivity"``, ``"finiteness"`` or ``"triangle"``)
-    and enough indices/values to reproduce the failure by hand.
-    """
-
-    ok: bool
-    violations: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "ok", bool(self.ok))
-        object.__setattr__(self, "violations", tuple(self.violations))
-
-    def __repr__(self):
-        return "ValidationReport(ok=%s, violations=%d)" % (self.ok, len(self.violations))
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingReport:
-    """Outcome of :func:`embeddability_check`.
-
-    Attributes
-    ----------
-    embeddable : bool
-        True iff no significant negative eigenvalue shows up, i.e. the
-        table embeds into ordinary Euclidean space (up to ``rel_tol``).
-    eigenvalues : (n,) ndarray
-        Full spectrum of the doubly centred Gram matrix, descending.
-    coordinates : (n, r) ndarray
-        One column per significant axis, ordered by |eigenvalue| descending.
-    signs : (r,) ndarray of int
-        +1 for real axes, -1 for imaginary ones (negative eigenvalues).
-    axis_eigenvalues : (r,) ndarray
-        The eigenvalue behind each retained axis.
-    max_reconstruction_error : float
-        max |d_reconstructed - d_original| over all pairs, using the signed
-        distance formula on the retained axes.
-    """
-
-    embeddable: bool
-    eigenvalues: np.ndarray
-    coordinates: np.ndarray
-    signs: np.ndarray
-    axis_eigenvalues: np.ndarray
-    max_reconstruction_error: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "embeddable", bool(self.embeddable))
-        object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues))
-        object.__setattr__(self, "coordinates", _frozen_array(self.coordinates))
-        object.__setattr__(self, "signs", _frozen_array(self.signs, dtype=int))
-        object.__setattr__(self, "axis_eigenvalues",
-                           _frozen_array(self.axis_eigenvalues))
-        object.__setattr__(self, "max_reconstruction_error",
-                           float(self.max_reconstruction_error))
-
-    __reduce__ = _reduce_through_init
-
-    @property
-    def significant_axes(self):
-        return self.coordinates.shape[1]
-
-    def __repr__(self):
-        return "EmbeddingReport(embeddable=%s, axes=%d, signs=%s)" % (
-            self.embeddable,
-            self.significant_axes,
-            self.signs.tolist(),
-        )
-
-
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
@@ -449,78 +372,6 @@ def distance_matrix(dataset):
     return DistanceMatrix(d)
 
 
-def validate_distance(values, require_metric=False):
-    """Check a raw square table against the distance-table contract.
-
-    Unlike the :class:`DistanceMatrix` constructor this never raises on bad
-    data: every violation is collected and returned, so the report can be
-    used as a witness.
-
-    Parameters
-    ----------
-    values : (n, n) array_like
-        Candidate table.
-    require_metric : bool
-        Also check all ordered triangle inequalities
-        d(i,k) + d(k,j) >= d(i,j).  A relative slack of 1e-12 absorbs
-        round-off on exactly-tight triples (collinear points).
-
-    Returns
-    -------
-    ValidationReport
-    """
-    arr = np.asarray(values, dtype=float)
-    violations = []
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        return ValidationReport(False, [{"kind": "shape", "shape": arr.shape}])
-    n = arr.shape[0]
-    bad = np.argwhere(~np.isfinite(arr))
-    for i, j in bad:
-        violations.append(
-            {"kind": "finiteness", "indices": (int(i), int(j)), "value": float(arr[i, j])}
-        )
-    for i in range(n):
-        if arr[i, i] != 0.0:
-            violations.append(
-                {"kind": "diagonal", "indices": (i, i), "value": float(arr[i, i])}
-            )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if arr[i, j] != arr[j, i]:
-                violations.append(
-                    {
-                        "kind": "symmetry",
-                        "indices": (i, j),
-                        "values": (float(arr[i, j]), float(arr[j, i])),
-                    }
-                )
-            elif arr[i, j] <= 0.0:
-                violations.append(
-                    {"kind": "positivity", "indices": (i, j), "value": float(arr[i, j])}
-                )
-    if require_metric and not violations:
-        # d(i,k) + d(k,j) < d(i,j) is a triangle violation witnessed by the
-        # ordered triple (i, k, j).
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    lhs = arr[i, k] + arr[k, j]
-                    if lhs < arr[i, j] * (1.0 - 1e-12):
-                        violations.append(
-                            {
-                                "kind": "triangle",
-                                "indices": (i, k, j),
-                                "lhs": float(lhs),
-                                "rhs": float(arr[i, j]),
-                            }
-                        )
-    return ValidationReport(len(violations) == 0, violations)
-
-
 # ---------------------------------------------------------------------------
 # the exhaustive-search size cap
 # ---------------------------------------------------------------------------
@@ -551,134 +402,3 @@ def _check_enumeration_size(n):
             "exhaustive search supports 1 <= n <= %d (n=%d); set %s to raise the cap"
             % (cap, n, _ENUMERATION_CAP_ENV)
         )
-
-
-# ---------------------------------------------------------------------------
-# signed embeddings
-# ---------------------------------------------------------------------------
-
-
-def embeddability_check(dist, rel_tol=1e-8):
-    """Embed a dissimilarity table, allowing imaginary axes if needed.
-
-    Double-centres the squared table, diagonalises, and keeps every axis
-    whose |eigenvalue| exceeds ``rel_tol`` times the largest |eigenvalue|.
-    Positive eigenvalues give ordinary coordinates; negative ones give
-    "imaginary" axes which enter the distance formula with a minus sign.
-    The table is Euclidean-embeddable exactly when no significant negative
-    eigenvalue occurs.
-
-    Parameters
-    ----------
-    dist : DistanceMatrix
-    rel_tol : float
-        Relative eigenvalue cut-off.  The default suits exact input; tables
-        printed with few decimals need a cut-off above their rounding noise
-        (e.g. 1e-4 for three-decimal tables).
-
-    Returns
-    -------
-    EmbeddingReport
-    """
-    d = dist.values
-    n = dist.n
-    j = np.eye(n) - np.ones((n, n)) / n
-    b = -0.5 * j @ (d * d) @ j
-    b = 0.5 * (b + b.T)  # kill asymmetric round-off before eigh
-    evals, evecs = np.linalg.eigh(b)
-
-    order = np.argsort(evals)[::-1]
-    spectrum = evals[order]
-
-    scale = np.max(np.abs(evals))
-    keep = np.abs(evals) > rel_tol * scale
-    axis_order = np.argsort(-np.abs(evals[keep]))
-    axis_evals = evals[keep][axis_order]
-    axis_vecs = evecs[:, keep][:, axis_order]
-
-    signs = np.where(axis_evals >= 0.0, 1, -1)
-    coords = axis_vecs * np.sqrt(np.abs(axis_evals))[None, :]
-
-    recon = rigid_distance_matrix(coords, signs, clamp=True)
-    err = float(np.max(np.abs(recon - d))) if coords.size else float(np.max(np.abs(d)))
-
-    return EmbeddingReport(
-        embeddable=not np.any(axis_evals < 0.0),
-        eigenvalues=spectrum,
-        coordinates=coords,
-        signs=signs,
-        axis_eigenvalues=axis_evals,
-        max_reconstruction_error=err,
-    )
-
-
-def rigid_distance_matrix(coords, signs, clamp=False):
-    """Distances induced by signed coordinates.
-
-    The squared distance is sum_d signs[d] * (x_id - x_jd)^2: real axes
-    add, imaginary axes subtract.  The signed (n, n) terms are added one
-    axis at a time, in axis order, onto a table of zeros.
-
-    Parameters
-    ----------
-    coords : (n, r) array_like
-    signs : (r,) array_like of +1 / -1
-    clamp : bool
-        With ``clamp=False`` a materially negative squared distance raises;
-        with ``clamp=True`` it is clipped to zero (useful when reconstructing
-        from a truncated axis set).
-
-    Returns
-    -------
-    (n, n) ndarray
-    """
-    coords = np.asarray(coords, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    if coords.ndim != 2 or signs.shape != (coords.shape[1],):
-        raise ValueError("coords must be (n, r) and signs (r,)")
-    sq = np.zeros((coords.shape[0],) * 2)
-    for col, sign in zip(coords.T, signs):
-        t = col[:, None] - col
-        sq += sign * (t * t)
-    if not clamp and np.any(sq < -1e-9 * max(1.0, np.max(np.abs(sq)))):
-        raise ValueError("signed geometry yields a negative squared distance")
-    return np.sqrt(np.clip(sq, 0.0, None))
-
-
-def complex_objective(coords, signs, partition, centers=None):
-    """k-means objective in a signed geometry.
-
-    Q = sum over clusters j and members i of
-    sum_d signs[d] * (x_id - c_jd)^2, with c_j the cluster mean unless
-    explicit ``centers`` are given.  Imaginary axes contribute negatively,
-    so Q may be arbitrarily small or even negative -- which is precisely
-    the pathology this function exists to exhibit.
-
-    Parameters
-    ----------
-    coords : (n, r) array_like
-    signs : (r,) array_like of +1 / -1
-    partition : Partition
-    centers : (k, r) array_like, optional
-        Explicit cluster centers, in the order of ``partition.clusters``.
-
-    Returns
-    -------
-    float
-    """
-    coords = np.asarray(coords, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    if centers is not None:
-        centers = np.asarray(centers, dtype=float)
-        if centers.shape != (partition.k, coords.shape[1]):
-            raise ValueError(
-                "centers must be (k, r) = (%d, %d), got %s"
-                % (partition.k, coords.shape[1], centers.shape)
-            )
-    total = 0.0
-    for j, block in enumerate(partition.clusters):
-        pts = coords[list(block)]
-        c = pts.mean(axis=0) if centers is None else centers[j]
-        diff = pts - c
-        total += float(np.sum((diff * diff) @ signs))
-    return total

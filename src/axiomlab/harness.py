@@ -331,7 +331,7 @@ def _suite_k_richness(config, seeds, tally):
     failures = []
     for k, k_seed in zip((2, 3, 4), hit_seq.spawn(3)):
         ds, part = krich_line((3,) * k)
-        q, _ = seeding_success(1.0 / k, k, "uniform-random")
+        q = seeding_success(1.0 / k, k, "uniform-random")
         hits = 0
         for child in k_seed.spawn(trials):
             cfg = KMeansConfig(k=k, seeding="uniform-random", restarts=1,
@@ -351,7 +351,7 @@ def _suite_k_richness(config, seeds, tally):
     for k, k_seed in zip((2, 3, 4), freq_seq.spawn(3)):
         per = 200
         labels = np.repeat(np.arange(k), per)
-        q, _ = seeding_success(1.0 / k, k, "uniform-random")
+        q = seeding_success(1.0 / k, k, "uniform-random")
         rng = np.random.default_rng(k_seed)
         hits = 0
         for _ in range(trials):

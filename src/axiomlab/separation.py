@@ -5,8 +5,7 @@ distance).  On top of those summaries this module decides which separation
 regimes a clustered dataset satisfies — nice, perfect, core, absolute —
 and provides the analytic bounds that turn separation into guarantees:
 the minimal gap that makes cluster takeover unprofitable, the gap that
-certifies global optimality, and seeding success probabilities with the
-restart count needed for a target confidence.
+certifies global optimality, and seeding success probabilities.
 """
 
 import json
@@ -295,16 +294,14 @@ def absolute_gap_bound(summaries, k, n):
     return {"bound": max(case1, case2), "case1": case1, "case2": case2}
 
 
-def seeding_success(p, k, strategy, target_confidence=None):
-    """Probability that one seed lands in every cluster, plus restarts.
+def seeding_success(p, k, strategy):
+    """Probability that one seed lands in every cluster.
 
     For the uniform-random strategy the success probability is
     q = prod_{j=1}^{k-1} (1 - (k-j) p), with p the smallest cluster's
     share of the points.  For plus-plus seeding on 4-rho-separated data
     the per-step odds improve to 9 (k-j) p : 4 (1 - (k-j) p); the ball
-    radius rho cancels out of the ratio, so it is not a parameter.  When
-    a target confidence is given, the smallest restart count m with
-    1 - (1-q)^m >= confidence is returned alongside.
+    radius rho cancels out of the ratio, so it is not a parameter.
 
     Parameters
     ----------
@@ -314,13 +311,11 @@ def seeding_success(p, k, strategy, target_confidence=None):
         Number of clusters, >= 2.
     strategy : str
         ``"uniform-random"`` or ``"plus-plus"``.
-    target_confidence : float, optional
-        In (0, 1); enables the restart count.
 
     Returns
     -------
-    (float, int or None)
-        ``(q, m)``; m is None when no target confidence was requested.
+    float
+        q.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -337,13 +332,4 @@ def seeding_success(p, k, strategy, target_confidence=None):
             q *= 9.0 * hit / (9.0 * hit + 4.0 * (1.0 - hit))
         else:
             raise ValueError("unknown seeding strategy %r" % (strategy,))
-    m = None
-    if target_confidence is not None:
-        if not 0.0 < target_confidence < 1.0:
-            raise ValueError("target_confidence must lie in (0, 1)")
-        if q >= 1.0:
-            m = 1
-        else:
-            m = math.ceil(math.log(1.0 - target_confidence) / math.log(1.0 - q))
-            m = max(m, 1)
-    return q, m
+    return q

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from axiomlab.constructions import (
-    fixture_tables,
+    fixture_table,
     krich_line,
     rotated_segments,
     threshold_clustering,
@@ -22,10 +22,7 @@ from axiomlab.constructions import (
 from axiomlab.core import (
     Dataset,
     Partition,
-    complex_objective,
     distance_matrix,
-    embeddability_check,
-    validate_distance,
 )
 from axiomlab.harness import ExperimentConfig, run_suite, variance_grid
 from axiomlab.kmeans import (
@@ -141,7 +138,7 @@ def test_04_k_richness_of_the_exhaustive_and_sampled_optimisers():
     trials = 10000
     for k in (2, 3, 4):
         ds, part = krich_line((3,) * k)
-        q, _ = seeding_success(1.0 / k, k, "uniform-random")
+        q = seeding_success(1.0 / k, k, "uniform-random")
         hits = 0
         for child in np.random.SeedSequence(2026 + k).spawn(trials):
             cfg = KMeansConfig(k=k, seeding="uniform-random", restarts=1,
@@ -248,34 +245,65 @@ def test_10_certified_absolute_instances_are_global_minima():
     assert rep.checks[0]["violations"] == 0
 
 
+# Signed coordinates of the six-point table: the third axis is imaginary,
+# so it enters every squared distance with a minus sign.
+SIX_POINT_COORDS = np.array(
+    [
+        [5.0, 10.0, 1.0],
+        [-5.0, 10.0, 1.0],
+        [2.0, 10.0, -1.0],
+        [5.0, -10.0, 1.0],
+        [-5.0, -10.0, 1.0],
+        [2.0, -10.0, -1.0],
+    ]
+)
+SIX_POINT_SIGNS = np.array([1.0, 1.0, -1.0])
+
+
 def test_11_six_point_table_is_not_euclidean_yet_has_tiny_objective():
     """The bundled six-point table violates the triangle inequality with
     first witness (0, 2, 1); its double-centered spectrum has a negative
-    eigenvalue; the signed-geometry objective gives 100 (+-1) for the
-    natural triples and 6e-6 (+-1e-4) for the printed pairing with its
-    imaginary centers."""
-    grid, coords = fixture_tables()
-    report = validate_distance(grid.values, require_metric=True)
-    assert not report.ok
-    first = report.violations[0]
-    assert first["kind"] == "triangle"
-    assert tuple(first["indices"]) == (0, 2, 1)
-    assert first["lhs"] < first["rhs"]
+    eigenvalue below -1, and above 1e-4 of the largest |eigenvalue| exactly
+    three axes remain, signed (+1, +1, -1); the signed coordinates rebuild
+    the table within 1e-3; the signed-geometry objective gives 100 (+-1)
+    for the natural triples and 6e-6 (+-1e-4) for the printed pairing with
+    its imaginary centers."""
+    d = fixture_table().values
+    n = d.shape[0]
 
-    spectrum = embeddability_check(grid)
-    assert not spectrum.embeddable
-    assert spectrum.eigenvalues[-1] < -1.0
+    # d(i,k) + d(k,j) < d(i,j), with a 1e-12 relative slack, at the first
+    # distinct (i, j, k) in i, j, k order
+    lhs = d[:, None, :] + d.T[None, :, :]  # [i, j, k] = d(i,k) + d(k,j)
+    eye = np.eye(n, dtype=bool)
+    distinct = ~(eye[:, :, None] | eye[:, None, :] | eye[None, :, :])
+    bad = distinct & (lhs < d[:, :, None] * (1.0 - 1e-12))
+    i, j, k = np.argwhere(bad)[0]
+    assert (i, k, j) == (0, 2, 1)
+    assert lhs[i, j, k] < d[i, j]
 
-    real = np.column_stack(
-        [coords[:, 0].real, coords[:, 1].real, coords[:, 2].imag])
-    signs = np.array([1, 1, -1])
-    q_triples = complex_objective(real, signs, Partition([(0, 1, 2), (3, 4, 5)]))
+    center = np.eye(n) - 1.0 / n
+    spectrum = np.linalg.eigvalsh(-0.5 * center @ (d * d) @ center)
+    assert spectrum[0] < -1.0
+    # the table is printed with three decimals: judge above rounding noise
+    kept = spectrum[np.abs(spectrum) > 1e-4 * np.abs(spectrum).max()]
+    kept = kept[np.argsort(-np.abs(kept))]
+    assert np.sign(kept).tolist() == [1.0, 1.0, -1.0]
+
+    x, signs = SIX_POINT_COORDS, SIX_POINT_SIGNS
+    diff = x[:, None, :] - x[None, :, :]
+    rebuilt = np.sqrt(np.clip((diff * diff) @ signs, 0.0, None))
+    assert np.abs(rebuilt - d).max() < 1e-3
+
+    def signed_objective(blocks, centers):
+        return sum(float(np.sum(((x[b] - c) ** 2) @ signs))
+                   for b, c in zip(blocks, centers))
+
+    triples = [[0, 1, 2], [3, 4, 5]]
+    q_triples = signed_objective(triples, [x[b].mean(axis=0) for b in triples])
     assert q_triples == pytest.approx(100.0, abs=1.0)
-    centers = np.array(
-        [[0.0, 0.0, 1.0 - math.sqrt(125.0)],
-         [0.0, 0.0, math.sqrt(104.0) - 1.0]])
-    q_pairs = complex_objective(
-        real, signs, Partition([(0, 1, 3, 4), (2, 5)]), centers=centers)
+    q_pairs = signed_objective(
+        [[0, 1, 3, 4], [2, 5]],
+        [[0.0, 0.0, 1.0 - math.sqrt(125.0)], [0.0, 0.0, math.sqrt(104.0) - 1.0]])
     assert q_pairs == pytest.approx(6e-6, abs=1e-4)
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -137,7 +138,8 @@ def test_construct_other_kinds(tmp_path):
 
     grid = tmp_path / "fixture.csv"
     assert main(["construct", "--what", "fixture", "--out", str(grid)]) == 0
-    assert grid.exists()
+    assert hashlib.sha256(grid.read_bytes()).hexdigest() == (
+        "c8c9f1ea05cddc21257cbf2ffc90d23179f8892f83cf3984900c013464d05d3b")
 
 
 def test_construct_records_master_seed(tmp_path):

@@ -9,7 +9,7 @@ from axiomlab.constructions import (
     MixtureSpec,
     collapse_to_two_groups,
     default_mixture_spec,
-    fixture_tables,
+    fixture_table,
     gaussian_mixture,
     krich_line,
     rotated_segments,
@@ -22,7 +22,6 @@ from axiomlab.core import (
     DistanceMatrix,
     Partition,
     distance_matrix,
-    embeddability_check,
 )
 from axiomlab.kmeans import KMeansConfig, explained_variance, kmeans, kmeans_ideal
 from axiomlab.transforms import (
@@ -273,7 +272,8 @@ def test_collapse_validation():
 
 
 def test_fixture_grid_values():
-    grid, coords = fixture_tables()
+    # the table's spectrum and signed embedding are acceptance test 11's
+    grid = fixture_table()
     assert isinstance(grid, DistanceMatrix)
     v = grid.values
     assert v.shape == (6, 6)
@@ -284,24 +284,6 @@ def test_fixture_grid_values():
     assert v[0, 3] == 20.0
     assert v[3, 5] == 2.236
     assert v[0, 5] == 20.125
-    # three-decimal table: judge the spectrum above rounding noise
-    report = embeddability_check(grid, rel_tol=1e-4)
-    assert not report.embeddable
-    assert report.signs.tolist() == [1, 1, -1]
-    assert report.max_reconstruction_error < 1e-2
-
-
-def test_fixture_coordinates_reconstruct_grid():
-    grid, coords = fixture_tables()
-    assert coords.shape == (6, 3)
-    assert coords[5, 0] == 2.0 and coords[5, 1] == -10.0 and coords[5, 2] == -1j
-    from axiomlab.core import rigid_distance_matrix
-
-    real = np.column_stack(
-        [coords[:, 0].real, coords[:, 1].real, coords[:, 2].imag]
-    )
-    rec = rigid_distance_matrix(real, np.array([1.0, 1.0, -1.0]))
-    assert np.abs(rec - grid.values).max() < 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the core data model, enumeration and signed embeddings.
+"""Tests for the core data model, the geometry kernel and enumeration.
 
 Numeric constants in this file were computed by independent oracle scripts
 (direct DP recursions, brute-force enumeration, hand-checked algebra) before
@@ -17,22 +17,17 @@ from axiomlab.core import (
     Dataset,
     DistanceMatrix,
     Partition,
-    ValidationReport,
     _balls,
     _pairwise_sum,
     _sq_dists,
-    complex_objective,
     distance_matrix,
-    embeddability_check,
-    rigid_distance_matrix,
-    validate_distance,
 )
 from axiomlab.harness import SuiteReport
 from axiomlab.kmeans import ClusteringResult, kmeans_ideal
 from axiomlab.separation import BallSummary, certify
 from brute_force import enumerate_partitions
 
-# Six-point dissimilarity table used throughout: two mirrored triples with a
+# Six-point dissimilarity table: two mirrored triples with a
 # triangle-inequality defect inside each triple.  Rounded to three decimals.
 GRID = np.array(
     [
@@ -44,19 +39,6 @@ GRID = np.array(
         [20.125, 21.095, 20.0, 2.236, 6.708, 0.0],
     ]
 )
-
-# Signed embedding of GRID: columns x1, x2, x3 where x3 is imaginary.
-GRID_COORDS = np.array(
-    [
-        [5.0, 10.0, 1.0],
-        [-5.0, 10.0, 1.0],
-        [2.0, 10.0, -1.0],
-        [5.0, -10.0, 1.0],
-        [-5.0, -10.0, 1.0],
-        [2.0, -10.0, -1.0],
-    ]
-)
-GRID_SIGNS = np.array([1, 1, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +132,7 @@ def _same_fields(a, b):
         Partition([[0, 3], [1], [2, 4]]),
         ClusteringResult(Partition([[0, 1], [2]]), [[0.5], [10.0]], 0.5, 2,
                          0.99, True),
-        ValidationReport(False, [{"kind": "symmetry", "i": 0, "j": 1}]),
         MixtureSpec([[0.0, 0.0], [5.0, 5.0]], [1.0, 0.5], [3, 4]),
-        embeddability_check(DistanceMatrix(GRID)),
         BallSummary([0.5, 2.0], 1.5, 3),
         certify(Dataset([[0.0], [1.0], [10.0], [11.0]]),
                 Partition([[0, 1], [2, 3]])),
@@ -163,8 +143,7 @@ def _same_fields(a, b):
                     {"python": "3.11.7"}),
     ],
     ids=["Dataset", "DistanceMatrix", "Partition", "ClusteringResult",
-         "ValidationReport", "MixtureSpec", "EmbeddingReport", "BallSummary",
-         "SeparationCertificate", "SuiteReport"],
+         "MixtureSpec", "BallSummary", "SeparationCertificate", "SuiteReport"],
 )
 def test_value_types_copy_and_pickle(value):
     for clone in (
@@ -281,49 +260,6 @@ def test_distance_matrix_from_dataset():
 
 
 # ---------------------------------------------------------------------------
-# validate_distance
-# ---------------------------------------------------------------------------
-
-
-def test_validate_distance_clean_table():
-    report = validate_distance(GRID, require_metric=False)
-    assert report.ok
-    assert report.violations == ()
-
-
-def test_validate_distance_triangle_witness():
-    # Within the first triple: d(0,2) + d(2,1) = 2.236 + 6.708 = 8.944
-    # falls short of d(0,1) = 10, witnessed by the ordered triple (0, 2, 1).
-    report = validate_distance(GRID, require_metric=True)
-    assert not report.ok
-    first = report.violations[0]
-    assert first["kind"] == "triangle"
-    assert first["indices"] == (0, 2, 1)
-    assert first["lhs"] == pytest.approx(8.944, abs=1e-12)
-    assert first["rhs"] == pytest.approx(10.0, abs=1e-12)
-
-
-def test_validate_distance_flags_each_defect():
-    bad = np.array([[0.0, 1.0, 2.0], [1.5, 0.0, 3.0], [2.0, 3.0, 0.5]])
-    report = validate_distance(bad)
-    kinds = sorted(v["kind"] for v in report.violations)
-    assert kinds == ["diagonal", "symmetry"]
-    neg = np.array([[0.0, -1.0], [-1.0, 0.0]])
-    report = validate_distance(neg)
-    assert [v["kind"] for v in report.violations] == ["positivity"]
-
-
-def test_validate_distance_metric_on_euclidean_data():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        n = int(rng.integers(3, 9))
-        m = int(rng.integers(1, 4))
-        ds = Dataset(rng.normal(size=(n, m)))
-        report = validate_distance(distance_matrix(ds).values, require_metric=True)
-        assert report.ok, report.violations[:1]
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
@@ -409,122 +345,3 @@ def test_enumeration_cap_rejects_bad_values(monkeypatch, raw):
     with pytest.raises(ValueError,
                        match="AXIOMLAB_ENUMERATION_CAP must be a positive integer"):
         kmeans_ideal(_evenly_spaced(3), 2)
-
-
-# ---------------------------------------------------------------------------
-# signed embeddings
-# ---------------------------------------------------------------------------
-
-
-def test_embeddability_spectrum_of_grid():
-    # Frozen spectrum of the doubly centred Gram matrix of GRID (descending):
-    # 600.0107, 105.0803, ~0, -8.5638e-4, -9.8140e-3, -5.071657.
-    report = embeddability_check(DistanceMatrix(GRID))
-    ev = report.eigenvalues
-    assert ev[0] == pytest.approx(600.0107, abs=1e-3)
-    assert ev[1] == pytest.approx(105.0803, abs=1e-3)
-    assert abs(ev[2]) < 1e-9
-    assert ev[-1] == pytest.approx(-5.071657, abs=1e-4)
-    assert not report.embeddable
-    # at the strict default cut-off the two rounding-noise eigenvalues
-    # (-8.6e-4 and -9.8e-3) also count as axes
-    assert report.significant_axes == 5
-
-
-def test_embeddability_grid_three_axes_at_loose_cutoff():
-    # The table is printed with three decimals, so eigenvalues below the
-    # rounding noise floor are dropped with rel_tol=1e-4: exactly three
-    # axes survive (600, 105, -5.07), one of them imaginary.
-    report = embeddability_check(DistanceMatrix(GRID), rel_tol=1e-4)
-    assert report.significant_axes == 3
-    assert list(report.signs) == [1, 1, -1]
-    assert not report.embeddable
-    assert report.max_reconstruction_error < 1e-2
-
-
-def test_embeddability_euclidean_data_is_embeddable():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(3, 10))
-        m = int(rng.integers(1, 4))
-        ds = Dataset(rng.normal(size=(n, m)))
-        dm = distance_matrix(ds)
-        report = embeddability_check(dm)
-        assert report.embeddable
-        assert np.all(report.signs == 1)
-        assert report.significant_axes <= min(n - 1, m)
-        assert report.max_reconstruction_error < 1e-8
-
-
-def test_rigid_distance_matrix_reproduces_grid():
-    # the signed coordinates reproduce the printed table to its own
-    # three-decimal resolution (max deviation 3.9e-4, frozen)
-    recon = rigid_distance_matrix(GRID_COORDS, GRID_SIGNS)
-    assert np.max(np.abs(recon - GRID)) < 1e-3
-    with pytest.raises(ValueError):
-        rigid_distance_matrix([[0.0, 0.0], [0.0, 3.0]], [1, -1])
-
-
-def _einsum_rigid_sq(coords, signs):
-    # the signed squared table as computed before the per-axis kernel
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.einsum("ijd,d->ij", diff * diff, signs)
-
-
-def test_rigid_distance_matrix_matches_the_einsum_form():
-    # the per-axis sum may differ from einsum's order in the last bits;
-    # axis 0 is real and keeps every pair 0.9 apart, and imaginary axes
-    # are short, so no entry is a near-cancellation
-    rng = np.random.default_rng(89)
-    for _ in range(200):
-        n, r = int(rng.integers(2, 10)), int(rng.integers(1, 12))
-        signs = rng.choice([1.0, -1.0], size=r)
-        signs[0] = 1.0
-        coords = rng.normal(size=(n, r)) * np.where(signs > 0, 1.0, 0.01)
-        coords[:, 0] = rng.permutation(n) + rng.uniform(0.0, 0.1, size=n)
-        want = np.sqrt(np.clip(_einsum_rigid_sq(coords, signs), 0.0, None))
-        got = rigid_distance_matrix(coords, signs, clamp=True)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    want = np.sqrt(np.clip(_einsum_rigid_sq(GRID_COORDS, GRID_SIGNS), 0.0, None))
-    np.testing.assert_allclose(rigid_distance_matrix(GRID_COORDS, GRID_SIGNS),
-                               want, rtol=1e-12, atol=0.0)
-    # no axes: every distance is zero
-    assert np.array_equal(rigid_distance_matrix(np.zeros((3, 0)), np.zeros(0)),
-                          np.zeros((3, 3)))
-
-
-def test_complex_objective_mean_centers():
-    # natural split of GRID_COORDS: each triple has signed scatter 50
-    part = Partition([[0, 1, 2], [3, 4, 5]])
-    q = complex_objective(GRID_COORDS, GRID_SIGNS, part)
-    assert q == pytest.approx(100.0, abs=1e-9)
-
-
-def test_complex_objective_collapses_with_imaginary_centers():
-    # centers on the imaginary axis at 1 - sqrt(125) and sqrt(104) - 1 put
-    # every point at signed distance exactly zero from its center
-    part = Partition([[0, 1, 3, 4], [2, 5]])
-    centers = np.array(
-        [[0.0, 0.0, 1.0 - np.sqrt(125.0)], [0.0, 0.0, np.sqrt(104.0) - 1.0]]
-    )
-    q = complex_objective(GRID_COORDS, GRID_SIGNS, part, centers=centers)
-    assert q == pytest.approx(6e-6, abs=1e-4)
-    with pytest.raises(ValueError):
-        complex_objective(GRID_COORDS, GRID_SIGNS, part, centers=centers[:1])
-
-
-def test_complex_objective_real_geometry_matches_plain_scatter():
-    rng = np.random.default_rng(23)
-    for _ in range(25):
-        n = int(rng.integers(4, 12))
-        m = int(rng.integers(1, 4))
-        pts = rng.normal(size=(n, m))
-        labels = rng.integers(0, 2, size=n)
-        labels[0], labels[1] = 0, 1  # both clusters non-empty
-        part = Partition.from_labels(labels)
-        q = complex_objective(pts, np.ones(m, dtype=int), part)
-        direct = sum(
-            float(np.sum((pts[list(b)] - pts[list(b)].mean(axis=0)) ** 2))
-            for b in part.clusters
-        )
-        assert q == pytest.approx(direct, rel=1e-12, abs=1e-12)

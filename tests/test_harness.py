@@ -125,7 +125,7 @@ def test_k_richness_rate_checks_respect_the_witness_cap(monkeypatch):
                         lambda ds, k: SimpleNamespace(partition=None))
     monkeypatch.setattr(harness, "kmeans",
                         lambda ds, cfg: SimpleNamespace(partition=None))
-    monkeypatch.setattr(harness, "seeding_success", lambda *args: (1.0, None))
+    monkeypatch.setattr(harness, "seeding_success", lambda *args: 1.0)
     rep = run_suite("k-richness", ExperimentConfig(trials=10))
     assert [c["violations"] for c in rep.checks] == [37, 3, 3]
     assert [w["check"] for w in rep.witnesses] == ["line-recovery"] * 3

@@ -244,20 +244,18 @@ def test_absolute_gap_bound_zero_radii_and_imbalance():
 
 
 def test_seeding_success_frozen_values():
-    q, m = seeding_success(0.5, 2, "uniform-random", target_confidence=0.95)
+    q = seeding_success(0.5, 2, "uniform-random")
     assert q == pytest.approx(0.5)
-    assert m == 5  # 1 - 0.5^5 = 0.969 is the first to reach 0.95
-    q, m = seeding_success(1.0 / 3.0, 3, "uniform-random")
+    q = seeding_success(1.0 / 3.0, 3, "uniform-random")
     assert q == pytest.approx(2.0 / 9.0)
-    assert m is None
-    q, _ = seeding_success(0.5, 2, "plus-plus")
+    q = seeding_success(0.5, 2, "plus-plus")
     assert q == pytest.approx(4.5 / 6.5)
 
 
 def test_seeding_success_balanced_share_equals_factorial_ratio():
     # p = 1/k collapses the product to k!/k^k
     for k in (2, 3, 4):
-        q, _ = seeding_success(1.0 / k, k, "uniform-random")
+        q = seeding_success(1.0 / k, k, "uniform-random")
         assert q == pytest.approx(math.factorial(k) / k**k, rel=1e-12)
 
 
@@ -268,8 +266,6 @@ def test_seeding_success_validation():
         seeding_success(0.0, 2, "uniform-random")
     with pytest.raises(ValueError):
         seeding_success(0.3, 2, "other")
-    with pytest.raises(ValueError):
-        seeding_success(0.3, 2, "plus-plus", target_confidence=1.0)
 
 
 # ---------------------------------------------------------------------------
