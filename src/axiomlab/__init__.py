@@ -9,10 +9,12 @@ The package is organised around six building blocks:
   and local-minimum certification.
 - ``transforms``: scale, Kleinberg-style Gamma transforms, centric shrinks,
   cluster motions and per-cluster proportional shrinks.
-- ``separation``: ball summaries, separation certificates and the gap /
-  seeding bounds that make consistency statements provable.
+- ``separation``: separation certificates over the clusters' enclosing
+  balls, and the gap / seeding bounds that make consistency statements
+  provable.
 - ``constructions``: generators for the specific families of datasets used
-  by the verification suites, plus small frozen fixtures.
+  by the verification suites (the bundled Gaussian mixture among them),
+  plus the six-point fixture table.
 - ``harness``: property suites, the clustering-quality ladder reproduction
   and report formatting; ``cli`` exposes them on the command line.
 """

@@ -18,10 +18,10 @@ import numpy as np
 
 from .constructions import (
     collapse_to_two_groups,
-    default_mixture_spec,
     fixture_table,
     gaussian_mixture,
     krich_line,
+    mixture_partition,
     rotated_segments,
     wing_partition,
 )
@@ -144,19 +144,16 @@ def _cmd_construct(args):
             rng=args.seed)
         partition = wing_partition(args.points_per_segment)
     elif args.what == "mixture":
-        spec = default_mixture_spec()
-        ds = gaussian_mixture(spec, rng=np.random.default_rng(args.seed))
-        partition = spec.partition()
+        ds = gaussian_mixture(rng=args.seed)
+        partition = mixture_partition()
     elif args.what == "collapse":
-        spec = default_mixture_spec()
-        data = gaussian_mixture(spec, rng=np.random.default_rng(args.seed))
-        ds = collapse_to_two_groups(data, spec.partition())
-        half = spec.partition().k // 2
-        merged_a = tuple(
-            m for c in spec.partition().clusters[:half] for m in c)
-        merged_b = tuple(
-            m for c in spec.partition().clusters[half:] for m in c)
-        partition = Partition([merged_a, merged_b])
+        gamma = mixture_partition()
+        ds = collapse_to_two_groups(gaussian_mixture(rng=args.seed), gamma)
+        half = gamma.k // 2
+        partition = Partition([
+            [m for c in gamma.clusters[:half] for m in c],
+            [m for c in gamma.clusters[half:] for m in c],
+        ])
     else:  # fixture
         ds = fixture_table()  # a DistanceMatrix, written the same way
     with open(args.out, "w") as fh:
@@ -174,9 +171,7 @@ def _cmd_construct(args):
 
 def _cmd_suite(args):
     names = SUITE_NAMES if args.name == "all" else (args.name,)
-    config = ExperimentConfig(
-        master_seed=args.seed, trials=args.trials, restarts=args.restarts
-    )
+    config = ExperimentConfig(master_seed=args.seed, trials=args.trials)
     reports = [run_suite(name, config) for name in names]
     if args.format == "json":
         text = json.dumps([r.as_dict() for r in reports], indent=2,
@@ -258,7 +253,6 @@ def build_parser():
     p.add_argument("--name", required=True, choices=SUITE_NAMES + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=40)
     p.add_argument("--format", default="json",
                    choices=("json", "csv", "markdown"))
     p.add_argument("--out", default=None)

@@ -10,7 +10,6 @@ drive these generators; none of them keeps state.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +17,6 @@ from .core import (
     Dataset,
     DistanceMatrix,
     Partition,
-    _frozen_array,
-    _reduce_through_init,
     _scatter,
     distance_matrix,
 )
@@ -219,105 +216,24 @@ def wing_partition(points_per_segment):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class MixtureSpec:
-    """Sampling specification for a finite Gaussian mixture.
-
-    Attributes
-    ----------
-    means : ndarray, shape (k, m)
-    covariances : ndarray, shape (k, m, m)
-        Symmetric positive semi-definite per component.  The constructor
-        also accepts a length-k vector of variances as an isotropic
-        shorthand.
-    counts : ndarray of int, shape (k,)
-        Points to draw per component, each >= 1.
-    """
-
-    means: np.ndarray
-    covariances: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        if means.ndim != 2 or means.shape[0] < 1:
-            raise ValueError("means must have shape (k, m), got %s" % (means.shape,))
-        k, m = means.shape
-        covariances = np.asarray(self.covariances, dtype=float)
-        if covariances.shape == (k,):
-            covariances = covariances[:, None, None] * np.eye(m)[None, :, :]
-        if covariances.shape != (k, m, m):
-            raise ValueError(
-                "covariances must have shape (k, m, m) or (k,), got %s"
-                % (covariances.shape,)
-            )
-        for c in covariances:
-            if not np.allclose(c, c.T, rtol=0.0, atol=1e-12):
-                raise ValueError("covariance is not symmetric")
-            eigs = np.linalg.eigvalsh((c + c.T) / 2.0)
-            if eigs[0] < -1e-12 * max(1.0, eigs[-1]):
-                raise ValueError("covariance is not positive semi-definite")
-        counts = np.asarray(self.counts, dtype=int)
-        if counts.shape != (k,) or (counts < 1).any():
-            raise ValueError("counts must be k positive integers")
-        object.__setattr__(self, "means", _frozen_array(means))
-        object.__setattr__(self, "covariances", _frozen_array(covariances))
-        object.__setattr__(self, "counts", _frozen_array(counts, dtype=int))
-
-    __reduce__ = _reduce_through_init
-
-    @property
-    def k(self):
-        return self.means.shape[0]
-
-    @property
-    def n(self):
-        return int(self.counts.sum())
-
-    def __repr__(self):
-        return "MixtureSpec(k=%d, m=%d, n=%d)" % (
-            self.k,
-            self.means.shape[1],
-            self.n,
-        )
-
-    def partition(self):
-        """Intended grouping of a sample drawn from this spec.
-
-        Points are emitted component by component, so component i owns the
-        i-th contiguous index block.
-        """
-        edges = np.concatenate([[0], np.cumsum(self.counts)])
-        return Partition(
-            [range(int(edges[i]), int(edges[i + 1])) for i in range(self.k)]
-        )
-
-
-def default_mixture_spec():
-    """The bundled five-component spec: isotropic unit variance in the
-    plane, 200 points per component, means frozen by calibration (see the
-    module constants)."""
-    return MixtureSpec(
-        _MIXTURE_MEANS,
-        np.ones(len(_MIXTURE_MEANS)),
-        np.full(len(_MIXTURE_MEANS), _MIXTURE_POINTS_PER_COMPONENT),
-    )
-
-
-def gaussian_mixture(spec, rng=None):
-    """Draw a Dataset from a :class:`MixtureSpec`, component by component.
-
-    A zero covariance is legal and puts every point of that component
-    exactly at its mean.
-    """
-    if not isinstance(spec, MixtureSpec):
-        raise TypeError("spec must be a MixtureSpec, got %r" % type(spec).__name__)
+def gaussian_mixture(rng=None):
+    """Draw the bundled five-component mixture, component by component:
+    200 points from the unit-covariance normal around each of the means
+    frozen by calibration (see the module constants), in order."""
     rng = np.random.default_rng(rng)
     blocks = [
-        rng.multivariate_normal(mean, cov, size=int(count))
-        for mean, cov, count in zip(spec.means, spec.covariances, spec.counts)
+        rng.multivariate_normal(mean, np.eye(2), size=_MIXTURE_POINTS_PER_COMPONENT)
+        for mean in _MIXTURE_MEANS
     ]
     return Dataset(np.vstack(blocks))
+
+
+def mixture_partition():
+    """The intended grouping of :func:`gaussian_mixture` output: component
+    i owns the i-th contiguous block of 200 indices."""
+    size = _MIXTURE_POINTS_PER_COMPONENT
+    return Partition([range(i * size, (i + 1) * size)
+                      for i in range(len(_MIXTURE_MEANS))])
 
 
 def collapse_to_two_groups(dataset, gamma, lam=0.1, explained=0.98):

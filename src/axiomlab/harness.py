@@ -28,9 +28,9 @@ import numpy as np
 
 from .constructions import (
     collapse_to_two_groups,
-    default_mixture_spec,
     gaussian_mixture,
     krich_line,
+    mixture_partition,
     threshold_clustering,
 )
 from .core import Dataset, Partition, _sq_dists, distance_matrix
@@ -79,6 +79,9 @@ GRID_BANDS = {"original": 3.0, "kleinberg": 1.0, "centric": 3.0}
 # that column lands on its reference values
 _GRID_CENTRIC_LAMBDA = 0.8224
 
+# relative tolerance of every objective comparison in the suites
+_REL_TOL = 1e-9
+
 # witnesses kept per suite, shared by all its checks; one is enough to
 # replay, a few help triage
 _WITNESS_CAP = 3
@@ -96,16 +99,13 @@ class ExperimentConfig:
         Trial count for the sampled checks of a suite; None picks each
         check's default.  Exhaustive checks ignore it.
     restarts : int
-        k-means restarts wherever a suite or the grid runs the sampled
-        optimiser.
-    rel_tol : float
-        Relative tolerance for objective comparisons.
+        k-means restarts per cell of the variance grid; the suites fix
+        their own restart counts.
     """
 
     master_seed: int = 0
     trials: int | None = None
     restarts: int = 40
-    rel_tol: float = 1e-9
 
     def __post_init__(self):
         if self.master_seed < 0:
@@ -114,8 +114,6 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1 when given")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("rel_tol must be in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,15 +279,15 @@ def _suite_scale_invariance(config, seeds, tally):
         n = int(rng.integers(4, 9))
         k = int(rng.integers(2, 4))
         ds = Dataset(rng.normal(size=(n, int(rng.integers(1, 4)))))
-        base = kmeans_ideal_minima(ds, k, rel_tol=config.rel_tol)
+        base = kmeans_ideal_minima(ds, k, rel_tol=_REL_TOL)
         base_q = kmeans_ideal(ds, k).q
         failures = []
         for alpha in alphas:
             scaled = scale(ds, alpha)
-            minima = kmeans_ideal_minima(scaled, k, rel_tol=config.rel_tol)
+            minima = kmeans_ideal_minima(scaled, k, rel_tol=_REL_TOL)
             q = kmeans_ideal(scaled, k).q
             if minima != base or not math.isclose(
-                    q, alpha * alpha * base_q, rel_tol=config.rel_tol):
+                    q, alpha * alpha * base_q, rel_tol=_REL_TOL):
                 failures.append((ds.points, base[0], {"k": k, "alpha": alpha}))
         return failures
 
@@ -331,7 +329,7 @@ def _suite_k_richness(config, seeds, tally):
     failures = []
     for k, k_seed in zip((2, 3, 4), hit_seq.spawn(3)):
         ds, part = krich_line((3,) * k)
-        q = seeding_success(1.0 / k, k, "uniform-random")
+        q = seeding_success(1.0 / k, k)
         hits = 0
         for child in k_seed.spawn(trials):
             cfg = KMeansConfig(k=k, seeding="uniform-random", restarts=1,
@@ -351,7 +349,7 @@ def _suite_k_richness(config, seeds, tally):
     for k, k_seed in zip((2, 3, 4), freq_seq.spawn(3)):
         per = 200
         labels = np.repeat(np.arange(k), per)
-        q = seeding_success(1.0 / k, k, "uniform-random")
+        q = seeding_success(1.0 / k, k)
         rng = np.random.default_rng(k_seed)
         hits = 0
         for _ in range(trials):
@@ -377,13 +375,13 @@ def _suite_centric_local(config, seeds, tally):
         part = kmeans(ds, cfg).partition
         # Lloyd fixed points need not be single-point-move stable; the
         # statement under test is about genuine local minima only
-        if not is_local_min(ds, part, rel_tol=config.rel_tol):
+        if not is_local_min(ds, part, rel_tol=_REL_TOL):
             return None
         cluster = int(rng.integers(part.k))
         failures = []
         for lam in lams:
             shrunk = centric_transform(ds, part, cluster, lam)
-            if not is_local_min(shrunk, part, rel_tol=config.rel_tol):
+            if not is_local_min(shrunk, part, rel_tol=_REL_TOL):
                 failures.append((ds.points, part, {"cluster": cluster, "lam": lam}))
         return failures
 
@@ -403,7 +401,7 @@ def _suite_centric_global(config, seeds, tally):
         failures = []
         for lam in lams:
             shrunk = centric_transform(ds, best, cluster, lam)
-            if best not in kmeans_ideal_minima(shrunk, k, rel_tol=config.rel_tol):
+            if best not in kmeans_ideal_minima(shrunk, k, rel_tol=_REL_TOL):
                 failures.append((ds.points, best, {"cluster": cluster, "lam": lam}))
         return failures
 
@@ -633,9 +631,8 @@ def variance_grid(config=None):
         config = ExperimentConfig()
     root = np.random.SeedSequence(config.master_seed)
     sample_seed, km_seed = root.spawn(2)
-    spec = default_mixture_spec()
-    data = gaussian_mixture(spec, rng=np.random.default_rng(sample_seed))
-    gamma = spec.partition()
+    data = gaussian_mixture(rng=np.random.default_rng(sample_seed))
+    gamma = mixture_partition()
     regimes = (
         ("original", data),
         ("kleinberg", collapse_to_two_groups(data, gamma)),

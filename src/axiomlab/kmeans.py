@@ -91,7 +91,7 @@ from .core import (
     _sq_dists,
 )
 
-SEEDING_STRATEGIES = ("uniform-random", "plus-plus", "explicit-centers")
+SEEDING_STRATEGIES = ("uniform-random", "plus-plus")
 
 # relative tolerance (floored at 1) between the two routes of a cross-check
 _CROSS_CHECK_RTOL = 1e-9
@@ -111,8 +111,7 @@ class KMeansConfig:
     k : int
         Number of clusters, >= 2.
     seeding : str
-        One of ``"uniform-random"``, ``"plus-plus"``,
-        ``"explicit-centers"``.
+        ``"uniform-random"`` or ``"plus-plus"``.
     restarts : int
         Independent seedings to try; the best final objective wins.
     max_iterations : int
@@ -318,7 +317,7 @@ def seed(dataset, k, strategy, rng):
     n = dataset.n
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n, got k=%d, n=%d" % (k, n))
-    if strategy not in ("uniform-random", "plus-plus"):
+    if strategy not in SEEDING_STRATEGIES:
         raise ValueError("unknown seeding strategy %r" % (strategy,))
     if k == n:
         return pts.copy()
@@ -367,7 +366,8 @@ def _assign(cols, centers):
     for j in range(1, len(d2)):
         closer = d2[j] < best
         labels[closer] = j
-        best = np.minimum(best, d2[j])
+        if j < len(d2) - 1:  # the last row's minimum would go unread
+            best = np.minimum(best, d2[j])
     return labels, d2
 
 
@@ -746,14 +746,12 @@ def _shifted_floats(rows, clusters):
     return q
 
 
-def kmeans(dataset, config, initial_centers=None):
+def kmeans(dataset, config):
     """Full k-means driver: seed, run Lloyd, repeat, keep the best.
 
-    With ``seeding="explicit-centers"`` the given ``initial_centers`` are
-    used for a single run.  Otherwise ``config.restarts`` independent
-    seedings are drawn from child generators spawned off
-    ``config.rng_seed`` and the result with the smallest objective wins
-    (first winner kept on exact ties).  Each restart's Lloyd run returns
+    ``config.restarts`` independent seedings are drawn from child
+    generators spawned off ``config.rng_seed`` and the result with the
+    smallest objective wins (first winner kept on exact ties).  Each restart's Lloyd run returns
     its final clusters' means, scatters and members; restarts are
     compared on the scatters summed in canonical cluster order, which is
     the winner's reported ``q`` bit for bit.  Only the winner is turned
@@ -764,18 +762,11 @@ def kmeans(dataset, config, initial_centers=None):
     ----------
     dataset : Dataset
     config : KMeansConfig
-    initial_centers : (k, m) array_like, required iff explicit-centers
 
     Returns
     -------
     ClusteringResult
     """
-    if config.seeding == "explicit-centers":
-        if initial_centers is None:
-            raise ValueError("explicit-centers seeding requires initial_centers")
-        return lloyd(dataset, initial_centers, config)
-    if initial_centers is not None:
-        raise ValueError("initial_centers only allowed with explicit-centers")
     children = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
     starts = (seed(dataset, config.k, config.seeding, np.random.default_rng(child))
               for child in children)

@@ -1,11 +1,12 @@
 """Ball-separation certificates and closed-form gap / seeding bounds.
 
 Clusters are summarised as enclosing balls (centroid, max member
-distance).  On top of those summaries this module decides which separation
-regimes a clustered dataset satisfies — nice, perfect, core, absolute —
-and provides the analytic bounds that turn separation into guarantees:
-the minimal gap that makes cluster takeover unprofitable, the gap that
-certifies global optimality, and seeding success probabilities.
+distance, from :func:`~axiomlab.core._balls`).  On top of those balls
+this module decides which separation regimes a clustered dataset
+satisfies — nice, perfect, core, absolute — and provides the analytic
+bounds that turn separation into guarantees: the minimal gap that makes
+cluster takeover unprofitable, the gap that certifies global optimality,
+and the uniform seeding success probability.
 """
 
 import json
@@ -15,33 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _balls, _frozen_array, _reduce_through_init, _sq_dists
-
-
-@dataclass(frozen=True, eq=False)
-class BallSummary:
-    """Enclosing ball of one cluster: centroid, max radius, cardinality."""
-
-    center: np.ndarray
-    radius: float
-    size: int
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-        object.__setattr__(self, "center", _frozen_array(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "size", int(self.size))
-
-    __reduce__ = _reduce_through_init
-
-    def __repr__(self):
-        return "BallSummary(center=%s, radius=%.6g, size=%d)" % (
-            self.center.tolist(),
-            self.radius,
-            self.size,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,27 +97,8 @@ class SeparationCertificate:
 
 
 # ---------------------------------------------------------------------------
-# summaries and certificates
+# certificates
 # ---------------------------------------------------------------------------
-
-
-def ball_summaries(dataset, gamma):
-    """Enclosing-ball summary (centroid, max radius, size) per cluster.
-
-    Parameters
-    ----------
-    dataset : Dataset
-    gamma : Partition
-
-    Returns
-    -------
-    tuple of BallSummary
-    """
-    if gamma.n != dataset.n:
-        raise ValueError("partition does not match dataset")
-    centers, radii = _balls(dataset.points, gamma.clusters)
-    return tuple(BallSummary(c, r, len(b))
-                 for c, r, b in zip(centers, radii, gamma.clusters))
 
 
 def certify(dataset, gamma):
@@ -162,11 +117,13 @@ def certify(dataset, gamma):
     -------
     SeparationCertificate
     """
-    summaries = ball_summaries(dataset, gamma)
-    k = len(summaries)
+    if gamma.n != dataset.n:
+        raise ValueError("partition does not match dataset")
+    k = gamma.k
     if k < 2:
         raise ValueError("certification needs at least 2 clusters")
-    centers = np.stack([s.center for s in summaries])
+    centers, radii = _balls(dataset.points, gamma.clusters)
+    radii = radii.tolist()
     # entry [j, i] is the broadcast form's [i, j], and (x - y) ** 2 equals
     # (y - x) ** 2 exactly, so the table is symmetric and the same
     dist = np.sqrt(_sq_dists(centers.T, centers))
@@ -177,7 +134,7 @@ def certify(dataset, gamma):
     min_ball_gap = np.inf
     for i in range(k):
         for j in range(i + 1, k):
-            rho_pair = max(summaries[i].radius, summaries[j].radius)
+            rho_pair = max(radii[i], radii[j])
             if dist[i, j] < 4.0 * rho_pair:
                 nice = False
             gap = dist[i, j] - 2.0 * rho_pair
@@ -186,14 +143,14 @@ def certify(dataset, gamma):
             )
             if gap <= 0.0:
                 core = False
-            ball_gap = dist[i, j] - summaries[i].radius - summaries[j].radius
+            ball_gap = dist[i, j] - radii[i] - radii[j]
             min_ball_gap = min(min_ball_gap, ball_gap)
 
-    rho = max(s.radius for s in summaries)
+    rho = max(radii)
     off_diag = dist[~np.eye(k, dtype=bool)]
     perfect = bool(np.min(off_diag) >= 4.0 * rho)
 
-    bound = absolute_gap_bound(summaries, k, dataset.n)
+    bound = absolute_gap_bound([len(b) for b in gamma.clusters], radii)
     absolute = min_ball_gap >= bound["bound"]
 
     return SeparationCertificate(
@@ -242,7 +199,7 @@ def motion_gap_bound(n1, r1, n2, r2):
     return max(bound, 0.0)
 
 
-def absolute_gap_bound(summaries, k, n):
+def absolute_gap_bound(sizes, radii):
     """Sufficient inter-ball gap for certified global optimality.
 
     Two independent sufficient conditions are evaluated and the stricter
@@ -253,28 +210,29 @@ def absolute_gap_bound(summaries, k, n):
     - case 2: for every cluster i, r_i * sqrt(k (M + n) / m), with M and m
       the largest and smallest cluster size.
 
+    Here k is the number of clusters and n = sum(sizes) the number of
+    points.
+
     Parameters
     ----------
-    summaries : sequence of BallSummary
-    k : int
-        Number of clusters (must match the summaries).
-    n : int
-        Total number of points.
+    sizes : sequence of int
+        Cluster sizes, each >= 1.
+    radii : sequence of float
+        The clusters' ball radii, in the same order.
 
     Returns
     -------
     dict
         ``{"bound", "case1", "case2"}``.
     """
-    summaries = list(summaries)
-    if k < 2 or len(summaries) != k:
-        raise ValueError("need k >= 2 summaries, got %d for k=%d" % (len(summaries), k))
-    sizes = [s.size for s in summaries]
-    if any(sz == 0 for sz in sizes):
-        raise ValueError("degenerate summary with zero size")
-    if sum(sizes) != n:
-        raise ValueError("summary sizes add to %d, not n=%d" % (sum(sizes), n))
-    weighted = sum(s.size * s.radius ** 2 for s in summaries)
+    k = len(sizes)
+    if k < 2 or len(radii) != k:
+        raise ValueError("need k >= 2 sizes and one radius each, got %d and %d"
+                         % (k, len(radii)))
+    if min(sizes) < 1:
+        raise ValueError("cluster sizes must be >= 1")
+    n = sum(sizes)
+    weighted = sum(size * r ** 2 for size, r in zip(sizes, radii))
     case1 = 0.0
     for p in range(k):
         for q in range(k):
@@ -287,21 +245,14 @@ def absolute_gap_bound(summaries, k, n):
                 * math.sqrt(weighted / (sizes[p] * sizes[q])),
             )
     big, small = max(sizes), min(sizes)
-    case2 = max(
-        (s.radius * math.sqrt(k * (big + n) / small) for s in summaries),
-        default=0.0,
-    )
+    case2 = max(r * math.sqrt(k * (big + n) / small) for r in radii)
     return {"bound": max(case1, case2), "case1": case1, "case2": case2}
 
 
-def seeding_success(p, k, strategy):
-    """Probability that one seed lands in every cluster.
-
-    For the uniform-random strategy the success probability is
-    q = prod_{j=1}^{k-1} (1 - (k-j) p), with p the smallest cluster's
-    share of the points.  For plus-plus seeding on 4-rho-separated data
-    the per-step odds improve to 9 (k-j) p : 4 (1 - (k-j) p); the ball
-    radius rho cancels out of the ratio, so it is not a parameter.
+def seeding_success(p, k):
+    """Probability that uniform-random seeding lands one seed in every
+    cluster: q = prod_{j=1}^{k-1} (1 - (k-j) p), with p the smallest
+    cluster's share of the points.
 
     Parameters
     ----------
@@ -309,8 +260,6 @@ def seeding_success(p, k, strategy):
         Smallest cluster share, 0 < p <= 1/k.
     k : int
         Number of clusters, >= 2.
-    strategy : str
-        ``"uniform-random"`` or ``"plus-plus"``.
 
     Returns
     -------
@@ -325,11 +274,5 @@ def seeding_success(p, k, strategy):
         raise ValueError("p=%r exceeds 1/k; no cluster share can" % (p,))
     q = 1.0
     for j in range(1, k):
-        hit = (k - j) * p
-        if strategy == "uniform-random":
-            q *= 1.0 - hit
-        elif strategy == "plus-plus":
-            q *= 9.0 * hit / (9.0 * hit + 4.0 * (1.0 - hit))
-        else:
-            raise ValueError("unknown seeding strategy %r" % (strategy,))
+        q *= 1.0 - (k - j) * p
     return q

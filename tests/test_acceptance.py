@@ -138,7 +138,7 @@ def test_04_k_richness_of_the_exhaustive_and_sampled_optimisers():
     trials = 10000
     for k in (2, 3, 4):
         ds, part = krich_line((3,) * k)
-        q = seeding_success(1.0 / k, k, "uniform-random")
+        q = seeding_success(1.0 / k, k)
         hits = 0
         for child in np.random.SeedSequence(2026 + k).spawn(trials):
             cfg = KMeansConfig(k=k, seeding="uniform-random", restarts=1,

@@ -73,6 +73,8 @@ def test_construct_cluster_certify_roundtrip(tmp_path):
                  "--partition", str(part_path), "--out", str(cert_path)]) == 0
     cert = json.loads(cert_path.read_text())
     assert cert["nice_ball"] is True
+    assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == (
+        "e07220b3144b4a1f9cef91953814559dc5c5673900d837ef1ac0b8d030c59ba5")
 
 
 def test_transform_kinds(tmp_path):
@@ -136,6 +138,20 @@ def test_construct_other_kinds(tmp_path):
         (tmp_path / "collapse.partition.json").read_text())
     assert two.k == 2 and two.n == 1000
 
+    pinned = {
+        "mixture.csv":
+            "c7bdac60af2a1f86adfb999edeacadd3d0f23f23dabdf3539ec99088e30da9e2",
+        "mixture.partition.json":
+            "74dcc0341eea4fe4bae298b77735040a599eed1d0425a7330632d8170b296942",
+        "collapse.csv":
+            "ad78f494af8112ef995dad707c2c02e4555b13e6a7b7ff91543c6ab0fc64c962",
+        "collapse.partition.json":
+            "40336bda4430c00f9175e04efe2481fd96219cf638b0f2b4b0c803f3d7ca02fc",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256(
+            (tmp_path / name).read_bytes()).hexdigest() == digest, name
+
     grid = tmp_path / "fixture.csv"
     assert main(["construct", "--what", "fixture", "--out", str(grid)]) == 0
     assert hashlib.sha256(grid.read_bytes()).hexdigest() == (
@@ -185,6 +201,8 @@ def test_suite_command(tmp_path):
 
     with pytest.raises(SystemExit):  # not a suite name
         main(["suite", "--name", "bogus"])
+    with pytest.raises(SystemExit):  # no suite reads a restart count
+        main(["suite", "--name", "interference", "--restarts", "3"])
 
 
 def test_report_command(tmp_path):

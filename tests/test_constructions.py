@@ -6,12 +6,12 @@ from scipy.sparse.csgraph import connected_components
 
 import axiomlab.constructions as constructions
 from axiomlab.constructions import (
-    MixtureSpec,
+    _MIXTURE_MEANS,
     collapse_to_two_groups,
-    default_mixture_spec,
     fixture_table,
     gaussian_mixture,
     krich_line,
+    mixture_partition,
     rotated_segments,
     threshold_clustering,
     wing_partition,
@@ -174,55 +174,32 @@ def test_wing_rotation_shifts_the_optimum():
 # ---------------------------------------------------------------------------
 
 
-def test_mixture_spec_validation():
-    means = np.array([[0.0, 0.0], [4.0, 0.0]])
-    with pytest.raises(ValueError):  # asymmetric covariance
-        MixtureSpec(means, np.array([[[1.0, 0.5], [0.0, 1.0]]] * 2), [2, 2])
-    with pytest.raises(ValueError):  # not positive semi-definite
-        MixtureSpec(means, np.array([[[1.0, 2.0], [2.0, 1.0]]] * 2), [2, 2])
-    with pytest.raises(ValueError):
-        MixtureSpec(means, np.ones(2), [0, 2])
-    with pytest.raises(ValueError):
-        MixtureSpec(means, np.ones(3), [2, 2])
-    spec = MixtureSpec(means, np.array([2.0, 3.0]), [1, 2])
-    assert np.allclose(spec.covariances[0], 2.0 * np.eye(2))
-    assert np.allclose(spec.covariances[1], 3.0 * np.eye(2))
-    with pytest.raises(AttributeError):
-        spec.counts = np.array([5, 5])
-
-
-def test_default_mixture_spec_shape():
-    spec = default_mixture_spec()
-    assert spec.k == 5
-    assert spec.n == 1000
-    assert (spec.counts == 200).all()
-    assert np.allclose(spec.covariances, np.eye(2)[None, :, :].repeat(5, axis=0))
-    part = spec.partition()
+def test_mixture_partition_shape():
+    part = mixture_partition()
     assert [len(c) for c in part.clusters] == [200] * 5
     assert part.clusters[1][0] == 200
+    assert gaussian_mixture(rng=0).points.shape == (1000, 2)
 
 
-def test_gaussian_mixture_degenerate_and_seeded():
-    spec = MixtureSpec([[1.0, 2.0], [5.0, 5.0]], np.zeros(2), [3, 4])
-    ds = gaussian_mixture(spec, rng=np.random.default_rng(0))
-    assert np.array_equal(ds.points[:3], np.tile([1.0, 2.0], (3, 1)))
-    assert np.array_equal(ds.points[3:], np.tile([5.0, 5.0], (4, 1)))
-
-    spec = default_mixture_spec()
-    a = gaussian_mixture(spec, rng=np.random.default_rng(7))
-    b = gaussian_mixture(spec, rng=np.random.default_rng(7))
-    c = gaussian_mixture(spec, rng=np.random.default_rng(8))
+def test_gaussian_mixture_seeded():
+    a = gaussian_mixture(rng=np.random.default_rng(7))
+    b = gaussian_mixture(rng=np.random.default_rng(7))
+    c = gaussian_mixture(rng=np.random.default_rng(8))
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
-    with pytest.raises(TypeError):
-        gaussian_mixture(np.zeros((2, 2)))
 
 
 def test_gaussian_mixture_moments():
-    spec = MixtureSpec([[2.0, -1.0]], np.array([4.0]), [20000])
-    ds = gaussian_mixture(spec, rng=np.random.default_rng(123))
-    assert np.allclose(ds.points.mean(axis=0), [2.0, -1.0], atol=0.06)
-    assert np.allclose(np.cov(ds.points.T), 4.0 * np.eye(2), atol=0.15)
+    # each component's 200 points sit around its calibrated mean (standard
+    # error 0.07 per axis) with unit covariance
+    ds = gaussian_mixture(rng=np.random.default_rng(123))
+    offsets = []
+    for mean, block in zip(_MIXTURE_MEANS, mixture_partition().clusters):
+        pts = ds.points[list(block)]
+        assert np.allclose(pts.mean(axis=0), mean, atol=0.3)
+        offsets.append(pts - mean)
+    offsets = np.vstack(offsets)
+    assert np.allclose(offsets.T @ offsets / len(offsets), np.eye(2), atol=0.15)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +208,8 @@ def test_gaussian_mixture_moments():
 
 
 def test_collapse_hits_requested_explained_variance():
-    spec = default_mixture_spec()
-    data = gaussian_mixture(spec, rng=np.random.default_rng(42))
-    out = collapse_to_two_groups(data, spec.partition())
+    data = gaussian_mixture(rng=np.random.default_rng(42))
+    out = collapse_to_two_groups(data, mixture_partition())
     two_groups = Partition([tuple(range(400)), tuple(range(400, 1000))])
     # the group layout is calibrated so the two-group split explains
     # exactly the requested fraction
@@ -243,19 +219,18 @@ def test_collapse_hits_requested_explained_variance():
 
     # a lower target still calibrates exactly, as long as it stays
     # realisable without compressing cross-cluster distances
-    lower = collapse_to_two_groups(data, spec.partition(), explained=0.9)
+    lower = collapse_to_two_groups(data, mixture_partition(), explained=0.9)
     assert explained_variance(lower, two_groups) == pytest.approx(0.9, rel=1e-12)
     # a target this small would need the groups closer than the original
     # data allows; the generator refuses instead of emitting an
     # inadmissible transform
     with pytest.raises(ValueError):
-        collapse_to_two_groups(data, spec.partition(), explained=0.5)
+        collapse_to_two_groups(data, mixture_partition(), explained=0.5)
 
 
 def test_collapse_validation():
-    spec = default_mixture_spec()
-    data = gaussian_mixture(spec, rng=np.random.default_rng(1))
-    gamma = spec.partition()
+    data = gaussian_mixture(rng=np.random.default_rng(1))
+    gamma = mixture_partition()
     with pytest.raises(ValueError):
         collapse_to_two_groups(data, Partition([tuple(range(1000))]))
     with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ import pickle
 import numpy as np
 import pytest
 
-from axiomlab.constructions import MixtureSpec
 from axiomlab.core import (
     Dataset,
     DistanceMatrix,
@@ -24,7 +23,7 @@ from axiomlab.core import (
 )
 from axiomlab.harness import SuiteReport
 from axiomlab.kmeans import ClusteringResult, kmeans_ideal
-from axiomlab.separation import BallSummary, certify
+from axiomlab.separation import certify
 from brute_force import enumerate_partitions
 
 # Six-point dissimilarity table: two mirrored triples with a
@@ -132,8 +131,6 @@ def _same_fields(a, b):
         Partition([[0, 3], [1], [2, 4]]),
         ClusteringResult(Partition([[0, 1], [2]]), [[0.5], [10.0]], 0.5, 2,
                          0.99, True),
-        MixtureSpec([[0.0, 0.0], [5.0, 5.0]], [1.0, 0.5], [3, 4]),
-        BallSummary([0.5, 2.0], 1.5, 3),
         certify(Dataset([[0.0], [1.0], [10.0], [11.0]]),
                 Partition([[0, 1], [2, 3]])),
         SuiteReport("interference", 7,
@@ -143,7 +140,7 @@ def _same_fields(a, b):
                     {"python": "3.11.7"}),
     ],
     ids=["Dataset", "DistanceMatrix", "Partition", "ClusteringResult",
-         "MixtureSpec", "BallSummary", "SeparationCertificate", "SuiteReport"],
+         "SeparationCertificate", "SuiteReport"],
 )
 def test_value_types_copy_and_pickle(value):
     for clone in (

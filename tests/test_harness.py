@@ -38,8 +38,6 @@ def test_experiment_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(restarts=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(rel_tol=2.0)
 
 
 def test_suite_report_is_immutable_and_serializable():

@@ -179,7 +179,7 @@ def test_seed_validation():
     with pytest.raises(ValueError):
         seed(ds, 4, "plus-plus", np.random.default_rng(0))
     with pytest.raises(ValueError):
-        seed(ds, 2, "explicit-centers", np.random.default_rng(0))
+        seed(ds, 2, "fancy", np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +262,6 @@ def test_kmeans_restarts_reproducible():
     assert a.partition == b.partition
     assert np.array_equal(a.centers, b.centers)
     assert a.q == b.q
-    with pytest.raises(ValueError):
-        kmeans(ds, cfg, initial_centers=ds.points[:3])
-    with pytest.raises(ValueError):
-        kmeans(ds, KMeansConfig(k=3, seeding="explicit-centers"))
 
 
 def per_restart_results(ds, cfg):

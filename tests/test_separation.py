@@ -1,4 +1,5 @@
-"""Tests for ball summaries, separation certificates and analytic bounds."""
+"""Tests for ball summaries (``core._balls`` as ``certify`` reads it),
+separation certificates and analytic bounds."""
 
 import json
 import math
@@ -6,13 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from axiomlab.core import Dataset, Partition
+from axiomlab.core import Dataset, Partition, _balls
 from axiomlab.kmeans import kmeans_ideal
 from axiomlab.separation import (
-    BallSummary,
     SeparationCertificate,
     absolute_gap_bound,
-    ball_summaries,
     certify,
     motion_gap_bound,
     seeding_success,
@@ -39,28 +38,27 @@ def _ball_1d(center, radius, size, rng):
 
 
 # ---------------------------------------------------------------------------
-# summaries
+# ball summaries
 # ---------------------------------------------------------------------------
 
 
 def test_ball_summaries_basics():
     ds = Dataset([[0.0, 0.0], [2.0, 0.0], [-2.0, 0.0], [10.0, 10.0]])
     gamma = Partition([[0, 1, 2], [3]])
-    summaries = ball_summaries(ds, gamma)
-    assert np.allclose(summaries[0].center, [0.0, 0.0])  # symmetric cluster
-    assert summaries[0].radius == pytest.approx(2.0)
-    assert summaries[0].size == 3
-    assert summaries[1].radius == 0.0  # singleton
-    assert summaries[1].size == 1
+    cert = certify(ds, gamma)
+    # the symmetric cluster's center is the origin and its radius 2; the
+    # singleton's radius is 0, so the ball gap is the center distance less 2
+    dist = math.hypot(10.0, 10.0)
+    assert cert.pairwise_center_distances[0, 1] == pytest.approx(dist)
+    assert cert.rho == pytest.approx(2.0)
+    assert cert.absolute_actual == pytest.approx(dist - 2.0)
+    # the bound weighs the radii by the sizes 3 and 1
+    assert cert.absolute_required == absolute_gap_bound([3, 1], [2.0, 0.0])["bound"]
 
 
 def test_value_types_copy_the_callers_arrays():
-    # each keeps a read-only copy; the caller's array stays writable and
-    # writing to it changes nothing held
-    center = np.zeros(2)
-    ball = BallSummary(center, 1.0, 1)
-    center[0] = 1.0
-    assert ball.center.tolist() == [0.0, 0.0] and not ball.center.flags.writeable
+    # the certificate keeps a read-only copy; the caller's array stays
+    # writable and writing to it changes nothing held
     table = np.array([[0.0, 4.0], [4.0, 0.0]])
     cert = SeparationCertificate(
         nice_ball=True, perfect_ball=True, rho=1.0, core=True, core_pairs=(),
@@ -78,17 +76,15 @@ def test_ball_summaries_radius_matches_brute_force():
         n = int(rng.integers(4, 12))
         ds = Dataset(rng.normal(size=(n, 3)))
         gamma = Partition([list(range(n - 2)), [n - 2, n - 1]])
-        for summary, block in zip(ball_summaries(ds, gamma), gamma.clusters):
+        centers, radii = _balls(ds.points, gamma.clusters)
+        for center, radius, block in zip(centers, radii, gamma.clusters):
             sub = ds.points[list(block)]
             mu = sub.mean(axis=0)
             brute = max(float(np.linalg.norm(x - mu)) for x in sub)
-            assert summary.radius == pytest.approx(brute, rel=1e-12)
+            assert radius == pytest.approx(brute, rel=1e-12)
             assert all(
-                float(np.linalg.norm(x - summary.center)) <= summary.radius + 1e-12
-                for x in sub
+                float(np.linalg.norm(x - center)) <= radius + 1e-12 for x in sub
             )
-    with pytest.raises(ValueError):
-        BallSummary([0.0], -1.0, 2)
 
 
 def _reference_balls(points, gamma):
@@ -120,11 +116,10 @@ def _ball_cases():
 
 def test_ball_summaries_match_the_broadcast_form():
     for ds, gamma in _ball_cases():
-        got = ball_summaries(ds, gamma)
-        for s, (center, radius), block in zip(
-                got, _reference_balls(ds.points, gamma), gamma.clusters):
-            assert np.array_equal(s.center, center)
-            assert s.radius == radius and s.size == len(block)
+        centers, radii = _balls(ds.points, gamma.clusters)
+        for got, r, (center, radius) in zip(
+                centers, radii, _reference_balls(ds.points, gamma)):
+            assert np.array_equal(got, center) and r == radius
 
 
 def test_certify_center_table_matches_the_broadcast_form():
@@ -182,6 +177,8 @@ def test_certify_validation():
     ds = _line(0.0, 1.0)
     with pytest.raises(ValueError):
         certify(ds, Partition([[0, 1]]))
+    with pytest.raises(ValueError):  # the partition covers three points
+        certify(ds, Partition([[0, 1], [2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +213,24 @@ def test_motion_gap_bound_floor_and_validation():
 
 
 def test_absolute_gap_bound_frozen_example():
-    summaries = [BallSummary([0.0], 1.0, 50), BallSummary([8.0], 1.0, 50)]
-    out = absolute_gap_bound(summaries, 2, 100)
+    out = absolute_gap_bound([50, 50], [1.0, 1.0])
     assert out["case1"] == pytest.approx(5.656854249492381, abs=1e-12)
     assert out["case2"] == pytest.approx(2.449489742783178, abs=1e-12)
     assert out["bound"] == out["case1"]
 
 
 def test_absolute_gap_bound_zero_radii_and_imbalance():
-    summaries = [BallSummary([0.0], 0.0, 3), BallSummary([5.0], 0.0, 7)]
-    assert absolute_gap_bound(summaries, 2, 10)["bound"] == 0.0
-    balanced = [BallSummary([0.0], 1.0, 10), BallSummary([9.0], 1.0, 10)]
-    lopsided = [BallSummary([0.0], 1.0, 18), BallSummary([9.0], 1.0, 2)]
+    assert absolute_gap_bound([3, 7], [0.0, 0.0])["bound"] == 0.0
     assert (
-        absolute_gap_bound(lopsided, 2, 20)["case2"]
-        > absolute_gap_bound(balanced, 2, 20)["case2"]
+        absolute_gap_bound([18, 2], [1.0, 1.0])["case2"]
+        > absolute_gap_bound([10, 10], [1.0, 1.0])["case2"]
     )
     with pytest.raises(ValueError):
-        absolute_gap_bound(balanced, 2, 21)  # size mismatch
+        absolute_gap_bound([10, 10], [1.0])  # one radius short
     with pytest.raises(ValueError):
-        absolute_gap_bound(balanced[:1], 1, 10)
+        absolute_gap_bound([10, 0], [1.0, 1.0])  # an empty cluster
+    with pytest.raises(ValueError):
+        absolute_gap_bound([10], [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -244,28 +239,26 @@ def test_absolute_gap_bound_zero_radii_and_imbalance():
 
 
 def test_seeding_success_frozen_values():
-    q = seeding_success(0.5, 2, "uniform-random")
+    q = seeding_success(0.5, 2)
     assert q == pytest.approx(0.5)
-    q = seeding_success(1.0 / 3.0, 3, "uniform-random")
+    q = seeding_success(1.0 / 3.0, 3)
     assert q == pytest.approx(2.0 / 9.0)
-    q = seeding_success(0.5, 2, "plus-plus")
-    assert q == pytest.approx(4.5 / 6.5)
 
 
 def test_seeding_success_balanced_share_equals_factorial_ratio():
     # p = 1/k collapses the product to k!/k^k
     for k in (2, 3, 4):
-        q = seeding_success(1.0 / k, k, "uniform-random")
+        q = seeding_success(1.0 / k, k)
         assert q == pytest.approx(math.factorial(k) / k**k, rel=1e-12)
 
 
 def test_seeding_success_validation():
     with pytest.raises(ValueError):
-        seeding_success(0.6, 2, "uniform-random")  # p > 1/k
+        seeding_success(0.6, 2)  # p > 1/k
     with pytest.raises(ValueError):
-        seeding_success(0.0, 2, "uniform-random")
+        seeding_success(0.0, 2)
     with pytest.raises(ValueError):
-        seeding_success(0.3, 2, "other")
+        seeding_success(0.5, 1)
 
 
 # ---------------------------------------------------------------------------
