@@ -35,6 +35,7 @@ from .constructions import (
 )
 from .core import Dataset, Partition, _sq_dists, distance_matrix
 from .kmeans import (
+    REL_TOL,
     KMeansConfig,
     _assign,
     is_local_min,
@@ -78,9 +79,6 @@ GRID_BANDS = {"original": 3.0, "kleinberg": 1.0, "centric": 3.0}
 # per-cluster shrink factor of the grid's centric regime, calibrated so
 # that column lands on its reference values
 _GRID_CENTRIC_LAMBDA = 0.8224
-
-# relative tolerance of every objective comparison in the suites
-_REL_TOL = 1e-9
 
 # witnesses kept per suite, shared by all its checks; one is enough to
 # replay, a few help triage
@@ -279,15 +277,15 @@ def _suite_scale_invariance(config, seeds, tally):
         n = int(rng.integers(4, 9))
         k = int(rng.integers(2, 4))
         ds = Dataset(rng.normal(size=(n, int(rng.integers(1, 4)))))
-        base = kmeans_ideal_minima(ds, k, rel_tol=_REL_TOL)
+        base = kmeans_ideal_minima(ds, k)
         base_q = kmeans_ideal(ds, k).q
         failures = []
         for alpha in alphas:
             scaled = scale(ds, alpha)
-            minima = kmeans_ideal_minima(scaled, k, rel_tol=_REL_TOL)
+            minima = kmeans_ideal_minima(scaled, k)
             q = kmeans_ideal(scaled, k).q
             if minima != base or not math.isclose(
-                    q, alpha * alpha * base_q, rel_tol=_REL_TOL):
+                    q, alpha * alpha * base_q, rel_tol=REL_TOL):
                 failures.append((ds.points, base[0], {"k": k, "alpha": alpha}))
         return failures
 
@@ -375,13 +373,13 @@ def _suite_centric_local(config, seeds, tally):
         part = kmeans(ds, cfg).partition
         # Lloyd fixed points need not be single-point-move stable; the
         # statement under test is about genuine local minima only
-        if not is_local_min(ds, part, rel_tol=_REL_TOL):
+        if not is_local_min(ds, part):
             return None
         cluster = int(rng.integers(part.k))
         failures = []
         for lam in lams:
             shrunk = centric_transform(ds, part, cluster, lam)
-            if not is_local_min(shrunk, part, rel_tol=_REL_TOL):
+            if not is_local_min(shrunk, part):
                 failures.append((ds.points, part, {"cluster": cluster, "lam": lam}))
         return failures
 
@@ -401,7 +399,7 @@ def _suite_centric_global(config, seeds, tally):
         failures = []
         for lam in lams:
             shrunk = centric_transform(ds, best, cluster, lam)
-            if best not in kmeans_ideal_minima(shrunk, k, rel_tol=_REL_TOL):
+            if best not in kmeans_ideal_minima(shrunk, k):
                 failures.append((ds.points, best, {"cluster": cluster, "lam": lam}))
         return failures
 

@@ -96,6 +96,10 @@ SEEDING_STRATEGIES = ("uniform-random", "plus-plus")
 # relative tolerance (floored at 1) between the two routes of a cross-check
 _CROSS_CHECK_RTOL = 1e-9
 
+# relative tolerance of every objective comparison: kmeans_ideal_minima's
+# cut, is_local_min's move test (both floored at 1) and the suites' checks
+REL_TOL = 1e-9
+
 # Lloyd runs on plain Python floats while the dataset holds at most this
 # many coordinates (n * m), on numpy's whole-array kernels above; see the
 # module docstring for the measurement.
@@ -371,7 +375,7 @@ def _assign(cols, centers):
     return labels, d2
 
 
-def _cluster_stats(dataset, labels, counts):
+def _cluster_stats(dataset, labels, counts, means=None):
     """Each cluster's mean, scatter and members, the means and scatters
     bit for bit those of ``sub = points[labels == j]``,
     ``sub.mean(axis=0)`` and ``np.sum((sub - mean) ** 2)``, without a mask
@@ -380,10 +384,10 @@ def _cluster_stats(dataset, labels, counts):
     ``counts`` is ``np.bincount(labels, minlength=k)``; every one of the
     k clusters must be non-empty.  One stable argsort of the labels lays
     every cluster's rows out as a contiguous block, in increasing point
-    index as the mask would.  The means are :func:`_means` on that sort.
-    Each scatter is ``np.sum`` over the cluster's block of the (n, m)
-    squared differences in sorted row order: the same flattened sequence,
-    summed pairwise, that the mask route reduces.
+    index as the mask would.  The means are ``means``, else :func:`_means`
+    on that sort.  Each scatter is ``np.sum`` over the cluster's block of
+    the (n, m) squared differences in sorted row order: the same flattened
+    sequence, summed pairwise, that the mask route reduces.
 
     Returns a (k, m) array of means, a list of k scatters and a list of k
     index arrays, each cluster's members in increasing point index (its
@@ -391,7 +395,8 @@ def _cluster_stats(dataset, labels, counts):
     """
     sort = _sorted_blocks(labels, counts)
     order, blocks = sort
-    means = _means(dataset.columns, labels, counts, sort)
+    if means is None:
+        means = _means(dataset.columns, labels, counts, sort)
     diff = dataset.points.take(order, axis=0)
     diff -= np.repeat(means, counts, axis=0)
     diff *= diff
@@ -492,12 +497,12 @@ def _lloyd_core(dataset, centers, max_iterations, rows=None):
     The exact block scatters are computed once, for the final labels, and
     are checked against the last step's objective too; when the run
     converged, the last table's centers are the final labels' own means,
-    so the two must also agree to the cross-check tolerance.  On the
+    bit for bit, so the scatters are taken about them, and the two
+    objectives must also agree to the cross-check tolerance.  On the
     plain-float route, where numpy's fixed cost per call is most of the
     time, each step computes the exact scatters with the means and takes
-    its objective from them, and the final ones are the last step's.  The
-    empty-cluster repair runs only when an assignment leaves a cluster
-    empty.
+    its objective from them; the final ones are the last step's.  An
+    empty cluster is repaired only when an assignment leaves one.
 
     Returns
     -------
@@ -538,7 +543,10 @@ def _lloyd_core(dataset, centers, max_iterations, rows=None):
         prev = key
         owners = labels
     if scatters is None or not converged:
-        means, scatters, members = stats(labels, counts)
+        if converged:  # array route: centers are the final labels' means
+            means, scatters, members = _cluster_stats(dataset, labels, counts, centers)
+        else:
+            means, scatters, members = stats(labels, counts)
         q_here = _checked(q_prev, scatters)
         if converged and q_table is not None:
             _cross_check("Lloyd objective: block scatters vs distance table",
@@ -834,8 +842,8 @@ def _ideal_search(dataset, k, collect_tol=None):
     c >= 1 points with sums s raises the objective by
     c / (c + 1) * d2, where d2 accumulates t * t with t = x[a] - s[a] / c
     left to right over the axes, starting from 0.0 (exact, as t * t is
-    never -0.0); the sums move by ``s[a] += x[a]`` on the way down and
-    ``s[a] -= x[a]`` on the way back.  For m <= 7 these are the IEEE
+    never -0.0); the weights c / (c + 1), and each node's range of
+    children, are tabled once per search.  For m <= 7 these are the IEEE
     operations, in the same order, of the same walk on numpy rows (the
     oracle in the tests), so leaves, prunes and results match it bit for
     bit.  From m = 8 on ``np.sum`` adds the axes pairwise, so a partial
@@ -846,13 +854,12 @@ def _ideal_search(dataset, k, collect_tol=None):
     points to open the missing clusters.  The bound is the incumbent,
     widened by collect_tol * max(1, incumbent) when collecting, kept in
     one local that starts at inf and changes only with the incumbent.  A
-    leaf (the last point placed) is scored in the loop as well, so only
-    inner nodes cost a call; it replaces the incumbent only when strictly
-    better.  A child that is cut or scored still makes its cluster's round
-    trip ``s[a] = s[a] + x[a] - x[a]``: in floats (s + x) - x need not be
-    s, every later increment reads those sums, and the oracle walk, which
-    enters every child, makes that trip, so dropping it would move the
-    partial sums' last bits.
+    leaf (the last point placed) is scored in the loop as well; it
+    replaces the incumbent only when strictly better.  Only an inner
+    child that survives its test is entered: its cluster's sums move by
+    ``s[a] += x[a]`` on the way down and ``s[a] -= x[a]`` on the way back.
+    A child that is cut or scored as a leaf is never entered, and its
+    cluster's sums are left alone.
     """
     pts = dataset.points
     n, m = pts.shape
@@ -864,6 +871,8 @@ def _ideal_search(dataset, k, collect_tol=None):
     counts = [0] * k
     sums = [[0.0] * m for _ in range(k)]
     axes = range(m)
+    tops = [range(min(used + 1, k)) for used in range(k + 1)]
+    weight = [c / (c + 1) for c in range(n)]
     rgs = [0] * n
     last = n - 1
     best_q = bound = math.inf
@@ -876,23 +885,21 @@ def _ideal_search(dataset, k, collect_tol=None):
         x = points[i]
         # every point from i on must open a cluster of its own
         forced = used + (n - i) == k
-        for j in range(min(used + 1, k)):
+        for j in tops[used]:
             c = counts[j]
             s = sums[j]
-            if c == 0:
-                delta = 0.0
-            else:
+            p = partial  # partial + 0.0, as partial is never -0.0
+            if c:
                 d2 = 0.0
                 for a in axes:
                     t = x[a] - s[a] / c
                     d2 += t * t
-                delta = c / (c + 1) * d2
-            p = partial + delta
+                p += weight[c] * d2
             if p > bound or (forced and j < used):
-                pass  # cut: too costly, or k clusters are out of reach
-            elif i == last:
+                continue  # cut: too costly, or k clusters are out of reach
+            rgs[i] = j
+            if i == last:
                 leaves += 1
-                rgs[i] = j
                 if p < best_q:
                     best_q = p
                     best_rgs = rgs.copy()
@@ -901,19 +908,14 @@ def _ideal_search(dataset, k, collect_tol=None):
                         bound += collect_tol * max(1.0, p)
                 if collect_tol is not None:
                     near.append((p, rgs.copy()))
-            else:
-                counts[j] = c + 1
-                for a in axes:
-                    s[a] += x[a]
-                rgs[i] = j
-                rec(i + 1, used + 1 if j == used else used, p)
-                counts[j] = c
-                for a in axes:
-                    s[a] -= x[a]
                 continue
-            # a child cut here or a leaf still takes its sums round trip
+            counts[j] = c + 1
             for a in axes:
-                s[a] = s[a] + x[a] - x[a]
+                s[a] += x[a]
+            rec(i + 1, used + 1 if j == used else used, p)
+            counts[j] = c
+            for a in axes:
+                s[a] -= x[a]
 
     rec(0, 0, 0.0)
     if best_rgs is None:
@@ -921,11 +923,11 @@ def _ideal_search(dataset, k, collect_tol=None):
     return best_rgs, best_q, leaves, near
 
 
-def kmeans_ideal_minima(dataset, k, rel_tol=1e-9):
-    """All partitions whose objective is within rel_tol of the optimum.
+def kmeans_ideal_minima(dataset, k):
+    """All partitions whose objective is within ``REL_TOL`` of the optimum.
 
     The walk keeps every partition with
-    Q <= Q* + rel_tol * max(1, Q*), in canonical order.  It is the walk
+    Q <= Q* + REL_TOL * max(1, Q*), in canonical order.  It is the walk
     of :func:`kmeans_ideal`, on plain Python floats at O(m) scalar
     operations per node, with the prune widened by that tolerance; Q here
     is the walk's partial sum (see :func:`_ideal_search` for its
@@ -935,8 +937,8 @@ def kmeans_ideal_minima(dataset, k, rel_tol=1e-9):
     -------
     list of Partition
     """
-    _, best_q, _, near = _ideal_search(dataset, k, collect_tol=rel_tol)
-    cut = best_q + rel_tol * max(1.0, best_q)
+    _, best_q, _, near = _ideal_search(dataset, k, collect_tol=REL_TOL)
+    cut = best_q + REL_TOL * max(1.0, best_q)
     return [
         Partition.from_labels(np.asarray(r)) for q, r in near if q <= cut
     ]
@@ -970,7 +972,7 @@ def _increment(x, mean, total, size, step):
     return closed
 
 
-def is_local_min(dataset, partition, rel_tol=1e-9):
+def is_local_min(dataset, partition):
     """Is the partition stable against every single-point move?
 
     A move takes one point from its cluster to another; it improves the
@@ -980,15 +982,13 @@ def is_local_min(dataset, partition, rel_tol=1e-9):
     along two O(m) routes that are cross-checked (see :func:`_increment`),
     so the test costs O(nkm).  The witness is the first improving move in
     a fixed scan order: clusters canonically, members ascending, targets
-    canonically.
+    canonically.  A move counts as improving only if gain - cost exceeds
+    REL_TOL * max(1, gain, cost), which keeps degenerate ties stable.
 
     Parameters
     ----------
     dataset : Dataset
     partition : Partition
-    rel_tol : float
-        A move counts as improving only if gain - cost exceeds
-        rel_tol * max(1, gain, cost); keeps degenerate ties stable.
 
     Returns
     -------
@@ -1012,7 +1012,7 @@ def is_local_min(dataset, partition, rel_tol=1e-9):
     x = pts[movers]
     gain = _increment(x, means[source], totals[source], sizes[source], -1)[:, None]
     cost = _increment(x[:, None, :], means, totals, sizes, +1)
-    improving = gain - cost > rel_tol * np.maximum(1.0, np.maximum(gain, cost))
+    improving = gain - cost > REL_TOL * np.maximum(1.0, np.maximum(gain, cost))
     improving[np.arange(len(movers)), source] = False
     hits = np.flatnonzero(improving)
     if len(hits) == 0:

@@ -350,7 +350,9 @@ def test_kmeans_ideal_matches_brute_force():
 
 def _reference_ideal_search(dataset, k, collect_tol=None):
     """The branch-and-bound walk on numpy rows that ``_ideal_search``
-    replaced, kept verbatim (minus the size-cap call) as its oracle."""
+    replaced, as its oracle, under the same rule: each child is tested,
+    and each leaf scored, in its parent's loop before anything is entered,
+    so a child that is cut or scored never touches its cluster's sums."""
     pts = dataset.points
     n = pts.shape[0]
     if not 1 <= k <= n:
@@ -361,38 +363,41 @@ def _reference_ideal_search(dataset, k, collect_tol=None):
     rgs = [0] * n
     state = {"best_q": np.inf, "best_rgs": None, "leaves": 0, "near": []}
 
+    def bound():
+        if state["best_rgs"] is None:
+            return np.inf
+        incumbent = state["best_q"]
+        if collect_tol is None:
+            return incumbent
+        return incumbent + collect_tol * max(1.0, incumbent)
+
     def rec(i, used, partial):
-        if state["best_rgs"] is not None:
-            bound = state["best_q"]
-            if collect_tol is not None:
-                bound += collect_tol * max(1.0, state["best_q"])
-            if partial > bound:
-                return
-        if i == n:
-            if used != k:
-                return
-            state["leaves"] += 1
-            if partial < state["best_q"]:
-                state["best_q"] = partial
-                state["best_rgs"] = rgs.copy()
-            if collect_tol is not None:
-                state["near"].append((partial, rgs.copy()))
-            return
-        if used + (n - i) < k:
-            return  # not enough points left to open the missing clusters
         top = min(used + 1, k)
         for j in range(top):
-            opens = j == used
             x = pts[i]
             if counts[j] == 0:
                 delta = 0.0
             else:
                 mu = sums[j] / counts[j]
                 delta = counts[j] / (counts[j] + 1) * float(np.sum((x - mu) ** 2))
+            child_used = used + 1 if j == used else used
+            child_partial = partial + delta
+            if child_partial > bound():
+                continue
+            if child_used + (n - i - 1) < k:
+                continue  # not enough points left to open the missing clusters
+            rgs[i] = j
+            if i == n - 1:
+                state["leaves"] += 1
+                if child_partial < state["best_q"]:
+                    state["best_q"] = child_partial
+                    state["best_rgs"] = rgs.copy()
+                if collect_tol is not None:
+                    state["near"].append((child_partial, rgs.copy()))
+                continue
             counts[j] += 1
             sums[j] += x
-            rgs[i] = j
-            rec(i + 1, used + 1 if opens else used, partial + delta)
+            rec(i + 1, child_used, child_partial)
             counts[j] -= 1
             sums[j] -= x
 
@@ -427,18 +432,22 @@ _TIED_12 = Dataset([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5],
                     [2.0, 0.5], [2.5, 0.5], [2.0, 0.0], [2.5, 0.5]])
 
 
-def _at_the_cap(test):
-    """Add explicit examples at n = 12, the default cap, where the suites
-    and the exact benchmark search (the strategy draws n <= 9), with and
-    without collect_tol: for k = 2..4 and m = 1..3, normal points with
-    axes scaled over 1e-3 .. 1e3, whose sums round (so (s + x) - x is not
-    always s), and ``_TIED_12``."""
+def _cap_cases():
+    """Twelve searches at n = 12, the default cap, where the suites and the
+    exact benchmark search (the strategy draws n <= 9): for k = 2..4 and
+    m = 1..3, normal points with axes scaled over 1e-3 .. 1e3, whose sums
+    round (so (s + x) - x is not always s), then ``_TIED_12`` at k = 2..4."""
     rng = np.random.default_rng(12)
     cases = [(Dataset(rng.normal(size=(12, m))
                       * 10.0 ** rng.uniform(-3, 3, size=m)), k)
              for k in (2, 3, 4) for m in (1, 2, 3)]
-    cases += [(_TIED_12, k) for k in (2, 3, 4)]
-    for ds, k in cases:
+    return cases + [(_TIED_12, k) for k in (2, 3, 4)]
+
+
+def _at_the_cap(test):
+    """Add :func:`_cap_cases` as explicit examples, with and without
+    collect_tol."""
+    for ds, k in _cap_cases():
         for collect_tol in (None, 1e-9):
             test = example((ds, k, collect_tol))(test)
     return test
@@ -469,6 +478,41 @@ def test_ideal_search_wide_points_match_numpy_walk(instance):
     assert [r for _, r in near] == [r for _, r in ref_near]
     for (p, _), (ref_p, _) in zip(near, ref_near):
         assert p == pytest.approx(ref_p, rel=1e-12)
+
+
+# per _cap_cases() search: kmeans_ideal's partition and leaf count
+# (``iterations``) and kmeans_ideal_minima's partitions, as canonical labels;
+# a change to the walk's prune, its tie rule or the partial sums it compares
+# can move them
+_CAP_PINS = [
+    ("011110000101", 9, ["011110000101"]),
+    ("011100000000", 14, ["011100000000"]),
+    ("000100001010", 4, ["000100001010"]),
+    ("011111120112", 20, ["011111120112"]),
+    ("011020000102", 16, ["011020000102"]),
+    ("000110222112", 22, ["000110222112"]),
+    ("012302233320", 43, ["012302233320"]),
+    ("001121133030", 54, ["001121133030"]),
+    ("012203310121", 34, ["012203310121"]),
+    ("000000111111", 13, ["000000111111"]),
+    ("000000112212", 24, ["000000112212", "000000121212",
+                          "001101222222", "010101222222"]),
+    ("001101223323", 36, ["001101223323", "001101232323",
+                          "010101223323", "010101232323"]),
+]
+
+
+@pytest.mark.parametrize("case, pin", zip(_cap_cases(), _CAP_PINS))
+def test_exhaustive_search_at_the_cap_is_pinned(case, pin):
+    ds, k = case
+    res = kmeans_ideal(ds, k)
+    minima = kmeans_ideal_minima(ds, k)
+
+    def text(partition):
+        return "".join(map(str, partition.labels()))
+
+    assert (text(res.partition), res.iterations,
+            [text(p) for p in minima]) == pin
 
 
 def test_kmeans_ideal_tie_goes_to_canonical_order():
