@@ -14,11 +14,12 @@ import math
 import numpy as np
 
 from .core import (
+    _BLOCK_ROWS,
     Dataset,
     DistanceMatrix,
     Partition,
+    _distance_rows,
     _scatter,
-    distance_matrix,
 )
 from .transforms import is_gamma_transform
 
@@ -107,7 +108,8 @@ def krich_line(cluster_sizes):
     -------
     (Dataset, Partition)
         One-dimensional points and the intended grouping, indexed left to
-        right.
+        right.  Raises ValueError when the gaps outgrow float64 and the
+        positions are not strictly increasing (fifteen clusters of two).
     """
     sizes = sorted((int(s) for s in cluster_sizes), reverse=True)
     if not sizes:
@@ -131,8 +133,10 @@ def krich_line(cluster_sizes):
         else:
             positions.extend(start + j / (size - 1) for j in range(size))
         clusters.append(list(range(first, first + size)))
-    data = Dataset(np.asarray(positions)[:, None])
-    return data, Partition(clusters)
+    positions = np.asarray(positions)
+    if np.any(np.diff(positions) <= 0.0):
+        raise ValueError("cluster sizes %s outgrow float64: points coincide" % (sizes,))
+    return Dataset(positions[:, None]), Partition(clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +254,10 @@ def collapse_to_two_groups(dataset, gamma, lam=0.1, explained=0.98):
     relocation only stretches cross-cluster ones, so the result is an
     admissible transform of the input for gamma.  A target small enough
     to need a cross-group gap below the original spread cannot be
-    realised that way and raises ValueError.
+    realised that way and raises ValueError.  ``s`` and the check
+    (:func:`is_gamma_transform` on the two datasets) read the distances
+    in blocks of rows, so no n x n table is built; coincident input
+    points raise ValueError, as in ``distance_matrix``.
 
     Parameters
     ----------
@@ -277,9 +284,9 @@ def collapse_to_two_groups(dataset, gamma, lam=0.1, explained=0.98):
         raise ValueError("explained must be in (0, 1), got %s" % (explained,))
 
     pts = dataset.points
-    n, m = pts.shape
-    d_before = distance_matrix(dataset)
-    s = 2.0 * float(d_before.values.max())
+    n = dataset.n
+    s = 2.0 * max(float(_distance_rows(dataset, r0, r0 + _BLOCK_ROWS).max())
+                  for r0 in range(0, n, _BLOCK_ROWS))
 
     half = gamma.k // 2
     groups = (gamma.clusters[:half], gamma.clusters[half:])
@@ -300,7 +307,7 @@ def collapse_to_two_groups(dataset, gamma, lam=0.1, explained=0.98):
     out[b_idx, 0] += gap - (out[b_idx, 0].mean() - out[a_idx, 0].mean())
 
     result = Dataset(out)
-    ok, violations = is_gamma_transform(d_before, distance_matrix(result), gamma)
+    ok, violations = is_gamma_transform(dataset, result, gamma)
     if not ok:
         raise ValueError(
             "explained=%g is too small to realise without pulling the groups "

@@ -24,6 +24,9 @@ DEFAULT_ENUMERATION_CAP = 12
 
 _ENUMERATION_CAP_ENV = "AXIOMLAB_ENUMERATION_CAP"
 
+# rows per block where distances are walked in blocks (256 KB at n = 1 000)
+_BLOCK_ROWS = 32
+
 
 class CrossCheckError(ArithmeticError):
     """Two independent routes to the same number disagree.
@@ -345,6 +348,21 @@ class Partition:
 # ---------------------------------------------------------------------------
 
 
+def _distance_rows(dataset, r0, r1):
+    """Rows r0..r1 of a dataset's distance table from column r0 on, the
+    floats of :func:`distance_matrix` (entry [a, b] is points r0 + a and
+    r0 + b).  Raises ValueError naming the first coincident pair i < j in
+    row-major order, the whole table's first off-diagonal zero."""
+    # entry [j, i] is the broadcast form's [i, j], and (x - y) ** 2 equals
+    # (y - x) ** 2 exactly, so the two tables are equal
+    d = np.sqrt(_sq_dists(dataset.columns[:, r0:], dataset.points[r0:r1]))
+    zero = d == 0.0
+    if np.count_nonzero(zero) > len(d):  # more zeros than the diagonal's
+        i, j = np.argwhere(np.triu(zero, 1))[0] + r0
+        raise ValueError("points %d and %d coincide" % (i, j))
+    return d
+
+
 def distance_matrix(dataset):
     """Pairwise Euclidean distances of a dataset.
 
@@ -362,14 +380,7 @@ def distance_matrix(dataset):
         If two points coincide (a distance table requires strictly
         positive off-diagonal entries).
     """
-    # entry [j, i] is the broadcast form's [i, j], and (x - y) ** 2 equals
-    # (y - x) ** 2 exactly, so the two tables are equal
-    d = np.sqrt(_sq_dists(dataset.columns, dataset.points))
-    dup = np.argwhere((d == 0.0) & ~np.eye(dataset.n, dtype=bool))
-    if dup.size:
-        i, j = dup[0]
-        raise ValueError("points %d and %d coincide" % (i, j))
-    return DistanceMatrix(d)
+    return DistanceMatrix(_distance_rows(dataset, 0, dataset.n))
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,10 @@ Lloyd's kernels and k-means++ seeding read the points as contiguous
 per-axis columns (:attr:`~axiomlab.core.Dataset.columns`, one transpose
 per dataset, shared by every restart) and build no (n, k, m) temporary.
 Squared distances come from one kernel,
-:func:`~axiomlab.core._sq_dists`, as a (k, n) table whose entries add
-the axes in ``np.sum``'s order: left to right for m < 8, numpy's eight
-accumulators for 8 <= m <= 128, recursive halving above.  The
-assignment is the table's first minimum per point (``argmin``'s
-answer).  The cluster statistics group the rows with one stable argsort;
-means are sequential per-column sums for m >= 2 and pairwise per-cluster
-sums for m = 1, the orders of ``mean(axis=0)``, and scatters are
-``np.sum`` over each cluster's contiguous block.  Labels, centers,
-scatters and ``q`` are therefore the floats of the broadcast and
+:func:`~axiomlab.core._sq_dists`; the assignment is its table's first
+minimum per point (``argmin``'s answer), and the cluster statistics
+group the rows with one stable argsort (:func:`_cluster_stats`).
+Labels, centers, scatters and ``q`` are the floats of the broadcast and
 per-cluster-mask forms, bit for bit, for every m.
 
 Lloyd has two routes, chosen in one place (:func:`_float_rows`) from the
@@ -47,13 +42,10 @@ test, means, scatters, the monotonicity check, the partition, the
 centers, ``q`` and the shifted-form cross-check are lists and floats.
 Both routes give the same floats, bit for bit, because both follow
 numpy's summation order, which is written once, in
-:func:`~axiomlab.core._pairwise_sum` (left to right below 8 terms, eight
-accumulators folded ((0+1)+(2+3))+((4+5)+(6+7)) plus the leftovers from
-8 to 128, halving at a multiple of 8 above): the axes of each squared
-distance, each cluster's scatter over its row-major block of squared
-differences, and the m = 1 means (added onto numpy's +0.0 identity)
-follow it, and the m >= 2 means add the points in order from 0.0 as
-``np.bincount(weights=)`` does.  The cutoff, 64, is a measured
+:func:`~axiomlab.core._pairwise_sum`: the axes of each squared distance,
+each cluster's scatter and the m = 1 means follow it, and the m >= 2
+means add the points in order from 0.0 as ``np.bincount(weights=)``
+does.  The cutoff, 64, is a measured
 crossover: single-restart ``kmeans`` on both routes, m in {1, 2, 3, 5,
 8} and k in {2, 3, 4} (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6), took
 0.63-0.97 of the array route's time at n * m <= 64; the routes break
@@ -355,14 +347,13 @@ def seed(dataset, k, strategy, rng):
 def _assign(cols, centers):
     """Nearest-center labels and the (k, n) squared-distance table.
 
-    ``cols`` is :attr:`~axiomlab.core.Dataset.columns`.  The table is
-    :func:`~axiomlab.core._sq_dists`, so each entry is the float
-    ``np.sum((x - c) ** 2)`` gives: axes added left to right for m < 8,
-    pairwise with eight accumulators for 8 <= m <= 128 and by halving
-    above.  The labels are a running minimum over the table's k rows that
-    moves to row j only where row j is strictly smaller: the first
-    minimum, which is ``argmin``'s answer (exact ties go to the lowest
-    center index; the coordinates are finite, so no entry is NaN).
+    ``cols`` is :attr:`~axiomlab.core.Dataset.columns`; the table is
+    :func:`~axiomlab.core._sq_dists`, each entry the float
+    ``np.sum((x - c) ** 2)`` gives.  The labels are a running minimum over
+    the table's k rows that moves to row j only where row j is strictly
+    smaller: the first minimum, which is ``argmin``'s answer (exact ties
+    go to the lowest center index; the coordinates are finite, so no
+    entry is NaN).
     """
     d2 = _sq_dists(cols, centers)
     labels = np.zeros(d2.shape[1], dtype=np.intp)
@@ -489,20 +480,14 @@ def _lloyd_core(dataset, centers, max_iterations, rows=None):
     order of :func:`~axiomlab.core._pairwise_sum`.
 
     Each step turns an assignment into the next centers, its clusters'
-    means.  Lloyd never increases the objective, and each step's
-    objective is checked against the previous one.  On the array route a
-    step computes only the means, and its objective is read from the next
-    assignment's (k, n) table, whose centers are exactly those means: the
-    sum of each point's entry for the center of the cluster it came from.
-    The exact block scatters are computed once, for the final labels, and
-    are checked against the last step's objective too; when the run
-    converged, the last table's centers are the final labels' own means,
-    bit for bit, so the scatters are taken about them, and the two
-    objectives must also agree to the cross-check tolerance.  On the
-    plain-float route, where numpy's fixed cost per call is most of the
-    time, each step computes the exact scatters with the means and takes
-    its objective from them; the final ones are the last step's.  An
-    empty cluster is repaired only when an assignment leaves one.
+    means, and its objective is checked not to exceed the previous one.
+    On the array route that objective is read from the next assignment's
+    table (:func:`_assign_arrays`), and the exact block scatters are
+    computed once, for the final labels; when the run converged they are
+    taken about the last table's centers, the final labels' own means,
+    and must agree with that table's objective.  On the plain-float route
+    each step computes the exact scatters with the means.  An empty
+    cluster is repaired only when an assignment leaves one.
 
     Returns
     -------
@@ -563,9 +548,8 @@ def _checked(q_prev, scatters):
 
 
 def _center_step(cols, labels, counts):
-    """The array route's step: the next centers (:func:`_means`), with no
-    scatters or members (the loop reads the step's objective from the
-    next table)."""
+    """The array route's step: the next centers (:func:`_means`) alone; the
+    loop reads the step's objective from the next table."""
     return _means(cols, labels, counts), None, None
 
 
@@ -687,10 +671,8 @@ def _first_best(dataset, starts, max_iterations):
 
     Runs are compared on their scatters summed in canonical cluster order,
     which is the winner's ``q`` bit for bit, and only the winner becomes a
-    result.  The runs and the result are on plain Python floats while
-    n * m is at most ``_FLOAT_ROUTE_MAX``, on arrays above (the ``rows``
-    argument of :func:`_lloyd_core` and :func:`_build_result`, from
-    :func:`_float_rows`).  Both give the same floats.
+    result.  The runs and the result take the route :func:`_float_rows`
+    picks; both give the same floats.
     """
     rows = _float_rows(dataset)
     best = None
@@ -759,12 +741,10 @@ def kmeans(dataset, config):
 
     ``config.restarts`` independent seedings are drawn from child
     generators spawned off ``config.rng_seed`` and the result with the
-    smallest objective wins (first winner kept on exact ties).  Each restart's Lloyd run returns
-    its final clusters' means, scatters and members; restarts are
-    compared on the scatters summed in canonical cluster order, which is
-    the winner's reported ``q`` bit for bit.  Only the winner is turned
-    into a :class:`ClusteringResult`, from those same means, scatters and
-    members, with ``q`` cross-checked against the O(nm) shifted form.
+    smallest objective wins (first winner kept on exact ties).  Restarts
+    are compared on their scatters summed in canonical cluster order, the
+    winner's ``q`` bit for bit, and only the winner becomes a
+    :class:`ClusteringResult` (:func:`_first_best`).
 
     Parameters
     ----------

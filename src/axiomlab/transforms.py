@@ -13,7 +13,7 @@ suites measure.
 
 import numpy as np
 
-from .core import Dataset, DistanceMatrix, _balls, _sq_dists
+from .core import _BLOCK_ROWS, Dataset, DistanceMatrix, _balls, _distance_rows, _sq_dists
 
 # relative slack when comparing distances before/after a transform, so that
 # coordinate round-off is not mistaken for an axiom violation
@@ -61,6 +61,14 @@ def scale(data, alpha):
     raise TypeError("data must be Dataset or DistanceMatrix")
 
 
+def _row_source(d):
+    """(shape, rows): ``rows(r0, r1)`` is rows r0..r1 of d's table from column r0 on."""
+    if isinstance(d, Dataset):
+        return (d.n, d.n), lambda r0, r1: _distance_rows(d, r0, r1)
+    values = _as_matrix(d)
+    return values.shape, lambda r0, r1: values[r0:r1, r0:]
+
+
 def is_gamma_transform(d_before, d_after, gamma):
     """Pairwise consistency check between two distance tables.
 
@@ -71,13 +79,14 @@ def is_gamma_transform(d_before, d_after, gamma):
     by its upper triangle; a comparison with a NaN entry is never a
     violation.
 
-    The check is O(n^2) array work: a same-cluster mask and one
-    elementwise comparison of the two tables, with no Python loop over
-    pairs.
+    Both sides are compared 32 rows at a time, so no n x n array is built.
+    Either may be a :class:`Dataset`, read as its ``distance_matrix``
+    floats; coincident points raise that function's ValueError for the
+    first pair in row-major order, ``d_before``'s first within a block.
 
     Parameters
     ----------
-    d_before, d_after : DistanceMatrix or (n, n) array_like
+    d_before, d_after : Dataset, DistanceMatrix or (n, n) array_like
     gamma : Partition
 
     Returns
@@ -88,37 +97,30 @@ def is_gamma_transform(d_before, d_after, gamma):
         a tuple of ints, kind ``"within"`` or ``"between"`` and the two
         distances as floats.
     """
-    before = _as_matrix(d_before)
-    after = _as_matrix(d_after)
-    if before.shape != after.shape:
+    shape, before = _row_source(d_before)
+    shape_after, after = _row_source(d_after)
+    if shape != shape_after:
         raise ValueError("distance tables differ in shape")
-    n = before.shape[0]
+    n = shape[0]
     if gamma.n != n:
         raise ValueError("partition covers %d points, tables have %d" % (gamma.n, n))
     labels = gamma.labels()
-    same = labels[:, None] == labels[None, :]
-    bad = np.where(
-        same,
-        after > before * (1.0 + _PAIR_RTOL),
-        after < before * (1.0 - _PAIR_RTOL),
-    )
-    rows, cols = np.nonzero(np.triu(bad, 1))
-    violations = tuple(
-        {
-            "pair": (i, j),
-            "kind": "within" if within else "between",
-            "before": b,
-            "after": a,
-        }
-        for i, j, within, b, a in zip(
-            rows.tolist(),
-            cols.tolist(),
-            same[rows, cols].tolist(),
-            before[rows, cols].tolist(),
-            after[rows, cols].tolist(),
-        )
-    )
-    return len(violations) == 0, violations
+    upper = np.arange(n) > np.arange(_BLOCK_ROWS)[:, None]
+    violations = []
+    for r0 in range(0, n, _BLOCK_ROWS):
+        b, a = before(r0, r0 + _BLOCK_ROWS), after(r0, r0 + _BLOCK_ROWS)
+        same = labels[r0:r0 + _BLOCK_ROWS, None] == labels[None, r0:]
+        bad = np.where(same, a > b * (1.0 + _PAIR_RTOL), a < b * (1.0 - _PAIR_RTOL))
+        bad &= upper[:len(b), :n - r0]  # only the pairs i < j
+        if not bad.any():
+            continue
+        rows, cols = np.nonzero(bad)
+        violations.extend(
+            {"pair": (r0 + i, r0 + j), "kind": "within" if w else "between",
+             "before": x, "after": y}
+            for i, j, w, x, y in zip(rows.tolist(), cols.tolist(), same[rows, cols].tolist(),
+                                     b[rows, cols].tolist(), a[rows, cols].tolist()))
+    return len(violations) == 0, tuple(violations)
 
 
 def centric_transform(dataset, gamma, cluster_id, lam):

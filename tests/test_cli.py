@@ -158,6 +158,20 @@ def test_construct_other_kinds(tmp_path):
         "c8c9f1ea05cddc21257cbf2ffc90d23179f8892f83cf3984900c013464d05d3b")
 
 
+def test_construct_line_refuses_sizes_beyond_float64(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(axiomlab.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-m", "axiomlab.cli", "construct", "--what", "line",
+         "--sizes", ",".join(["2"] * 15), "--out", str(tmp_path / "line.csv")],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode != 0
+    assert "float64" in out.stderr
+    assert not (tmp_path / "line.csv").exists()
+
+
 def test_construct_records_master_seed(tmp_path):
     seg = tmp_path / "segments.csv"
     assert main(["construct", "--what", "segments", "--points-per-segment",

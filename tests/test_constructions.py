@@ -1,5 +1,7 @@
 """Tests for dataset generators, fixtures, and the threshold method."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
@@ -65,6 +67,16 @@ def test_krich_line_sorts_sizes_and_validates():
         krich_line([])
     with pytest.raises(ValueError):
         krich_line([3, 0])
+
+
+def test_krich_line_refuses_layouts_beyond_float64():
+    # the gaps grow super-exponentially: fourteen clusters of two still
+    # resolve, fifteen lose a point to rounding
+    ds, part = krich_line((2,) * 14)
+    assert np.all(np.diff(ds.points[:, 0]) > 0.0)
+    assert part.k == 14
+    with pytest.raises(ValueError, match="float64"):
+        krich_line((2,) * 15)
 
 
 def test_krich_line_recovery_frozen_objectives():
@@ -228,6 +240,19 @@ def test_collapse_hits_requested_explained_variance():
         collapse_to_two_groups(data, mixture_partition(), explained=0.5)
 
 
+def test_collapse_builds_no_distance_table():
+    # one 1 000 x 1 000 float64 table is 8 MB; the blocked distances and
+    # check stay far below it (numpy reports its buffers to tracemalloc)
+    data, gamma = gaussian_mixture(rng=0), mixture_partition()
+    tracemalloc.start()
+    try:
+        collapse_to_two_groups(data, gamma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
 def test_collapse_validation():
     data = gaussian_mixture(rng=np.random.default_rng(1))
     gamma = mixture_partition()
@@ -239,6 +264,9 @@ def test_collapse_validation():
         collapse_to_two_groups(data, gamma, lam=0.0)
     with pytest.raises(ValueError):
         collapse_to_two_groups(data, gamma, explained=1.0)
+    twin = Dataset(np.vstack([data.points[:999], data.points[:1]]))
+    with pytest.raises(ValueError, match="points 0 and 999 coincide"):
+        collapse_to_two_groups(twin, gamma)
 
 
 # ---------------------------------------------------------------------------

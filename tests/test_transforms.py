@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from axiomlab.core import Dataset, DistanceMatrix, Partition, distance_matrix
+from axiomlab.core import (
+    _BLOCK_ROWS,
+    Dataset,
+    DistanceMatrix,
+    Partition,
+    distance_matrix,
+)
 from axiomlab.transforms import (
     _PAIR_RTOL,
     centric_matrix_transform,
@@ -174,6 +180,53 @@ def test_is_gamma_transform_matches_the_pairwise_loop(case):
     for v in got[1]:
         assert all(type(i) is int for i in v["pair"])
         assert type(v["before"]) is float and type(v["after"]) is float
+
+
+# n below, at and just above one and two block heights of the check
+_BLOCK_SIZES = sorted({2, 5} | {h * _BLOCK_ROWS + e for h in (1, 2) for e in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+def test_is_gamma_transform_on_datasets_matches_the_tables(n):
+    # even trials keep every distance or shrink one cluster's; odd trials
+    # jitter the points, which grows some within and shrinks some between
+    # distances
+    rng = np.random.default_rng(n)
+    kinds = set()
+    for trial in range(6):
+        a = Dataset(rng.normal(size=(n, 1 + trial % 3)))
+        gamma = Partition.from_labels(rng.integers(0, 1 + trial % 4, size=n))
+        if trial % 2:
+            b = Dataset(a.points + rng.normal(scale=0.05, size=a.points.shape))
+        else:
+            b = Dataset(a.points * 0.5 if gamma.k == 1 else a.points.copy())
+        da, db = distance_matrix(a), distance_matrix(b)
+        got = is_gamma_transform(a, b, gamma)
+        assert got == is_gamma_transform(da, db, gamma)
+        assert got == is_gamma_transform(a, db, gamma)
+        assert got == _reference_is_gamma_transform(da, db, gamma)
+        assert got[0] or trial % 2
+        kinds.update(v["kind"] for v in got[1])
+    if n > 2:
+        assert kinds == {"within", "between"}
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+def test_is_gamma_transform_names_the_first_coincident_pair(n):
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(n, 2))
+    pairs = sorted({(0, n - 1), (n // 2 - 1, min(n // 2 + 1, n - 1)), (n - 2, n - 1)})
+    gamma = Partition([range(n)])
+    for i, j in pairs:
+        twin = pts.copy()
+        twin[j] = twin[i]
+        clean, dup = Dataset(pts), Dataset(twin)
+        with pytest.raises(ValueError) as table:
+            distance_matrix(dup)
+        assert str(table.value) == "points %d and %d coincide" % (i, j)
+        for args in ((dup, clean), (clean, dup), (dup, dup)):
+            with pytest.raises(ValueError, match="^points %d and %d coincide$" % (i, j)):
+                is_gamma_transform(*args, gamma)
 
 
 # ---------------------------------------------------------------------------
