@@ -18,6 +18,7 @@ from .core import (
     Dataset,
     DistanceMatrix,
     Partition,
+    _check_partition_size,
     _distance_rows,
     _scatter,
 )
@@ -276,8 +277,7 @@ def collapse_to_two_groups(dataset, gamma, lam=0.1, explained=0.98):
     """
     if gamma.k < 2:
         raise ValueError("need at least two clusters to form two groups")
-    if gamma.n != dataset.n:
-        raise ValueError("partition covers %d points, dataset has %d" % (gamma.n, dataset.n))
+    _check_partition_size(gamma, dataset.n)
     if not 0.0 < lam <= 1.0:
         raise ValueError("lam must be in (0, 1], got %s" % (lam,))
     if not 0.0 < explained < 1.0:
@@ -342,28 +342,21 @@ def _components(linked):
     """Connected components of a graph given as a symmetric (n, n) boolean
     adjacency matrix, as a :class:`Partition`.
 
-    Hook and shortcut (Shiloach and Vishkin): every node carries the label
-    of its component's root.  Each round hooks every root onto the
-    smallest label across its edges, then shortcuts (replaces each label
-    by its label's label) until every label is a root again.  A round that
-    changes nothing leaves both ends of every edge with one label, so the
-    labels are the components.  Every component that can still merge
-    merges in each round, so there are O(log n) rounds, each one O(edges)
-    hook and O(log n) O(n) shortcut steps, all array work.
+    Union-find (Tarjan 1975): each edge i < j unites the roots of its two
+    ends, and each point is labelled by its final root.
     """
-    rows, cols = np.nonzero(linked)
-    labels = np.arange(linked.shape[0])
-    while True:
-        hooked = labels.copy()
-        np.minimum.at(hooked, labels[rows], labels[cols])
-        while True:
-            jumped = hooked[hooked]
-            if np.array_equal(jumped, hooked):
-                break
-            hooked = jumped
-        if np.array_equal(hooked, labels):
-            return Partition.from_labels(labels)
-        labels = hooked
+    parent = list(range(len(linked)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]  # path halving
+            i = parent[i]
+        return i
+
+    rows, cols = np.nonzero(np.triu(linked, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        parent[root(i)] = root(j)
+    return Partition.from_labels([root(i) for i in range(len(parent))])
 
 
 def threshold_clustering(data):

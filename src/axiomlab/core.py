@@ -3,8 +3,9 @@
 This module defines the three value types everything else builds on
 (:class:`Dataset`, :class:`DistanceMatrix`, :class:`Partition`), the one
 geometry kernel every distance table and enclosing ball is computed with
-(:func:`_sq_dists`, :func:`_balls`), and the size cap on exhaustive search
-(:func:`_check_enumeration_size`).
+(:func:`_sq_dists`, :func:`_balls`), and two size guards: a partition
+covers its data (:func:`_check_partition_size`), and exhaustive search
+keeps under its cap (:func:`_check_enumeration_size`).
 
 All types are immutable; all functions are pure.
 """
@@ -255,8 +256,7 @@ class DistanceMatrix:
             raise ValueError("distance matrix diagonal must be zero")
         if not np.array_equal(arr, arr.T):
             raise ValueError("distance matrix must be symmetric")
-        off = arr[~np.eye(arr.shape[0], dtype=bool)]
-        if np.any(off <= 0.0):
+        if np.count_nonzero(arr <= 0.0) > len(arr):  # more than the zero diagonal
             raise ValueError("off-diagonal distances must be strictly positive")
         object.__setattr__(self, "values", arr)
 
@@ -294,11 +294,9 @@ class Partition:
     clusters: tuple
 
     def __post_init__(self):
-        canon = sorted(
-            (tuple(sorted(map(int, cluster))) for cluster in self.clusters),
-            key=lambda block: block[0] if block else -1,
-        )
-        if any(len(block) == 0 for block in canon):
+        # disjoint blocks sort by their first member, an empty one first
+        canon = sorted(tuple(sorted(map(int, cluster))) for cluster in self.clusters)
+        if canon and not canon[0]:
             raise ValueError("clusters must be non-empty")
         flat = sorted(itertools.chain.from_iterable(canon))
         n = len(flat)
@@ -326,9 +324,8 @@ class Partition:
     @classmethod
     def from_labels(cls, labels):
         """Build a partition from an array of per-point cluster labels."""
-        labels = np.asarray(labels)
         blocks = {}
-        for i, lab in enumerate(labels):
+        for i, lab in enumerate(np.asarray(labels).tolist()):
             blocks.setdefault(int(lab), []).append(i)
         return cls(blocks.values())
 
@@ -384,8 +381,15 @@ def distance_matrix(dataset):
 
 
 # ---------------------------------------------------------------------------
-# the exhaustive-search size cap
+# size guards
 # ---------------------------------------------------------------------------
+
+
+def _check_partition_size(partition, n):
+    """Refuse a partition that does not cover exactly the n points it is
+    applied to."""
+    if partition.n != n:
+        raise ValueError("partition covers %d points, the data has %d" % (partition.n, n))
 
 
 def _check_enumeration_size(n):

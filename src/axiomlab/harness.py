@@ -43,6 +43,7 @@ from .kmeans import (
     kmeans_ideal,
     kmeans_ideal_minima,
     lloyd,
+    objective_q,
 )
 from .separation import certify, motion_gap_bound, seeding_success
 from .transforms import (
@@ -278,12 +279,12 @@ def _suite_scale_invariance(config, seeds, tally):
         k = int(rng.integers(2, 4))
         ds = Dataset(rng.normal(size=(n, int(rng.integers(1, 4)))))
         base = kmeans_ideal_minima(ds, k)
-        base_q = kmeans_ideal(ds, k).q
+        base_q = objective_q(ds, base[0])
         failures = []
         for alpha in alphas:
             scaled = scale(ds, alpha)
             minima = kmeans_ideal_minima(scaled, k)
-            q = kmeans_ideal(scaled, k).q
+            q = objective_q(scaled, minima[0])
             if minima != base or not math.isclose(
                     q, alpha * alpha * base_q, rel_tol=REL_TOL):
                 failures.append((ds.points, base[0], {"k": k, "alpha": alpha}))

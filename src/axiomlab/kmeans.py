@@ -76,6 +76,7 @@ from .core import (
     CrossCheckError,
     Partition,
     _check_enumeration_size,
+    _check_partition_size,
     _frozen_array,
     _pairwise_sum,
     _reduce_through_init,
@@ -214,10 +215,7 @@ def objective_q(dataset, partition):
         The centroid-form value.
     """
     pts = dataset.points
-    if partition.n != dataset.n:
-        raise ValueError(
-            "partition covers %d points, dataset has %d" % (partition.n, dataset.n)
-        )
+    _check_partition_size(partition, dataset.n)
     centroid_form = 0.0
     for block in partition.clusters:
         centroid_form += _scatter(pts[list(block)])
@@ -978,8 +976,7 @@ def is_local_min(dataset, partition):
         ``{"point", "source", "target", "delta_q"}``.
     """
     pts = dataset.points
-    if partition.n != dataset.n:
-        raise ValueError("partition does not match dataset")
+    _check_partition_size(partition, dataset.n)
     labels = partition.labels()
     k = partition.k
     sizes = np.bincount(labels, minlength=k)

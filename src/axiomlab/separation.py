@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _balls, _frozen_array, _reduce_through_init, _sq_dists
+from .core import (_balls, _check_partition_size, _frozen_array, _reduce_through_init,
+                   _sq_dists)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +118,7 @@ def certify(dataset, gamma):
     -------
     SeparationCertificate
     """
-    if gamma.n != dataset.n:
-        raise ValueError("partition does not match dataset")
+    _check_partition_size(gamma, dataset.n)
     k = gamma.k
     if k < 2:
         raise ValueError("certification needs at least 2 clusters")

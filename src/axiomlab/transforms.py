@@ -13,7 +13,8 @@ suites measure.
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, Dataset, DistanceMatrix, _balls, _distance_rows, _sq_dists
+from .core import (_BLOCK_ROWS, Dataset, DistanceMatrix, _balls, _check_partition_size,
+                   _distance_rows, _sq_dists)
 
 # relative slack when comparing distances before/after a transform, so that
 # coordinate round-off is not mistaken for an axiom violation
@@ -102,8 +103,7 @@ def is_gamma_transform(d_before, d_after, gamma):
     if shape != shape_after:
         raise ValueError("distance tables differ in shape")
     n = shape[0]
-    if gamma.n != n:
-        raise ValueError("partition covers %d points, tables have %d" % (gamma.n, n))
+    _check_partition_size(gamma, n)
     labels = gamma.labels()
     upper = np.arange(n) > np.arange(_BLOCK_ROWS)[:, None]
     violations = []
@@ -145,8 +145,7 @@ def centric_transform(dataset, gamma, cluster_id, lam):
     """
     _check_cluster_id(gamma, cluster_id)
     _check_lambda(lam)
-    if gamma.n != dataset.n:
-        raise ValueError("partition does not match dataset")
+    _check_partition_size(gamma, dataset.n)
     pts = dataset.points.copy()
     idx = list(gamma.clusters[cluster_id])
     mu = pts[idx].mean(axis=0)
@@ -175,8 +174,7 @@ def centric_matrix_transform(d, gamma, cluster_id, lam):
     _check_cluster_id(gamma, cluster_id)
     _check_lambda(lam)
     values = _as_matrix(d).copy()
-    if gamma.n != values.shape[0]:
-        raise ValueError("partition does not match table")
+    _check_partition_size(gamma, len(values))
     idx = np.array(gamma.clusters[cluster_id], dtype=int)
     block = np.ix_(idx, idx)
     values[block] = values[block] * lam
@@ -206,8 +204,7 @@ def motion_transform(dataset, gamma, cluster_id, vector):
         The moved dataset and the legality verdict.
     """
     _check_cluster_id(gamma, cluster_id)
-    if gamma.n != dataset.n:
-        raise ValueError("partition does not match dataset")
+    _check_partition_size(gamma, dataset.n)
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (dataset.m,):
         raise ValueError("vector must have shape (%d,)" % dataset.m)
@@ -242,8 +239,7 @@ def inner_proportional_transform(dataset, gamma, lams):
     -------
     Dataset
     """
-    if gamma.n != dataset.n:
-        raise ValueError("partition does not match dataset")
+    _check_partition_size(gamma, dataset.n)
     lams = [float(l) for l in lams]
     if len(lams) != gamma.k:
         raise ValueError("need one lambda per cluster (%d), got %d" % (gamma.k, len(lams)))

@@ -21,9 +21,17 @@ from axiomlab.core import (
     _sq_dists,
     distance_matrix,
 )
+from axiomlab.constructions import collapse_to_two_groups
 from axiomlab.harness import SuiteReport
-from axiomlab.kmeans import ClusteringResult, kmeans_ideal
+from axiomlab.kmeans import ClusteringResult, is_local_min, kmeans_ideal, objective_q
 from axiomlab.separation import certify
+from axiomlab.transforms import (
+    centric_matrix_transform,
+    centric_transform,
+    inner_proportional_transform,
+    is_gamma_transform,
+    motion_transform,
+)
 from brute_force import enumerate_partitions
 
 # Six-point dissimilarity table: two mirrored triples with a
@@ -73,16 +81,44 @@ def test_dataset_csv_roundtrip(tmp_path):
 
 
 def test_distance_matrix_validation():
-    with pytest.raises(ValueError):
-        DistanceMatrix([[0.0, 1.0], [2.0, 0.0]])  # asymmetric
-    with pytest.raises(ValueError):
-        DistanceMatrix([[1.0, 1.0], [1.0, 0.0]])  # diagonal
-    with pytest.raises(ValueError):
-        DistanceMatrix([[0.0, 0.0], [0.0, 0.0]])  # zero off-diagonal
+    with pytest.raises(ValueError, match="must be symmetric"):
+        DistanceMatrix([[0.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="diagonal must be zero"):
+        DistanceMatrix([[1.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="strictly positive"):
+        DistanceMatrix([[0.0, 0.0], [0.0, 0.0]])
+    assert DistanceMatrix([[-0.0, 1.0], [1.0, 0.0]]).n == 2  # -0.0 == 0.0
     dm = DistanceMatrix(GRID)
     assert dm.n == 6
     with pytest.raises(AttributeError):
         dm.values = GRID
+
+
+# The checks run in a fixed order and the first that fails is reported.
+# The positivity check counts entries <= 0 against the diagonal's n, which
+# is sound only once the diagonal is zero and the table finite, so the
+# tables that fail two checks pin the order.
+@pytest.mark.parametrize("values, message", [
+    ([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0]], "distance matrix must be square, got shape (2, 3)"),
+    ([0.0, 1.0], "distance matrix must be square, got shape (2,)"),
+    ([[0.0]], "distance matrix needs at least 2 points"),
+    ([[0.0, np.inf], [np.inf, 0.0]], "distances must be finite"),
+    ([[0.0, 1.0], [1.0, 2.0]], "distance matrix diagonal must be zero"),
+    ([[0.0, 1.0], [2.0, 0.0]], "distance matrix must be symmetric"),
+    ([[0.0, -1.0], [-1.0, 0.0]], "off-diagonal distances must be strictly positive"),
+    # two checks fail: the earlier one is reported
+    ([[0.0, np.nan], [1.0, 0.0]], "distances must be finite"),
+    ([[0.0, -np.inf], [-np.inf, 0.0]], "distances must be finite"),
+    ([[0.0, np.inf, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]], "distances must be finite"),
+    ([[1.0, 0.0], [0.0, 0.0]], "distance matrix diagonal must be zero"),
+    ([[-1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+     "distance matrix diagonal must be zero"),
+    ([[0.0, 0.0], [-1.0, 0.0]], "distance matrix must be symmetric"),
+])
+def test_distance_matrix_reports_the_first_failed_check(values, message):
+    with pytest.raises(ValueError) as err:
+        DistanceMatrix(values)
+    assert str(err.value) == message
 
 
 def test_distance_matrix_csv_roundtrip(tmp_path):
@@ -99,12 +135,16 @@ def test_partition_canonicalisation():
     assert p == Partition([[2, 0], [1, 3]])
     assert list(p.labels()) == [0, 1, 0, 1]
     assert Partition.from_labels([5, 7, 5, 7]) == p
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cover 0\.\.n-1 exactly once, got \[0, 1, 1, 2\]"):
         Partition([[0, 1], [1, 2]])  # duplicate index
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cover 0\.\.n-1 exactly once, got \[0, 2\]"):
         Partition([[0, 2]])  # gap
-    with pytest.raises(ValueError):
-        Partition([[0], []])  # empty block
+    for blocks in ([[0], []], [[1], [], [0]], [[]], [[0, 0], []]):
+        with pytest.raises(ValueError, match="clusters must be non-empty"):
+            Partition(blocks)
+    # from_labels walks the labels as Python values, the partition the same
+    assert Partition.from_labels(np.array([2, 2, 0], dtype=np.int8)) == Partition([[0, 1], [2]])
+    assert Partition.from_labels(np.array([1.0, 0.0, 1.0])) == Partition([[0, 2], [1]])
 
 
 def test_partition_json_roundtrip():
@@ -342,3 +382,31 @@ def test_enumeration_cap_rejects_bad_values(monkeypatch, raw):
     with pytest.raises(ValueError,
                        match="AXIOMLAB_ENUMERATION_CAP must be a positive integer"):
         kmeans_ideal(_evenly_spaced(3), 2)
+
+
+# Every entry point that takes a partition with its data refuses one of the
+# wrong size through the one guard, with the one message.
+_GUARDED = {
+    "is_gamma_transform": lambda ds, p: is_gamma_transform(ds, ds, p),
+    "centric_transform": lambda ds, p: centric_transform(ds, p, 0, 0.5),
+    "centric_matrix_transform":
+        lambda ds, p: centric_matrix_transform(distance_matrix(ds), p, 0, 0.5),
+    "motion_transform": lambda ds, p: motion_transform(ds, p, 0, np.zeros(ds.m)),
+    "inner_proportional_transform":
+        lambda ds, p: inner_proportional_transform(ds, p, [0.5] * p.k),
+    "certify": certify,
+    "objective_q": objective_q,
+    "is_local_min": is_local_min,
+    "collapse_to_two_groups": lambda ds, p: collapse_to_two_groups(ds, p, lam=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDED))
+@pytest.mark.parametrize("blocks", [[[0, 1], [2]], [[0, 1], [2, 3], [4]]])
+def test_partition_size_guard(name, blocks):
+    ds = Dataset([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 1.0]])
+    p = Partition(blocks)
+    with pytest.raises(ValueError) as err:
+        _GUARDED[name](ds, p)
+    assert str(err.value) == "partition covers %d points, the data has 4" % p.n
+    _GUARDED[name](ds, Partition([[0, 1], [2, 3]]))  # the right size passes

@@ -11,6 +11,7 @@ faster routes the package uses.
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from axiomlab.core import (
     Partition,
 )
 from axiomlab.kmeans import (
+    REL_TOL,
     ClusteringResult,
     KMeansConfig,
     explained_variance,
@@ -49,6 +51,7 @@ from axiomlab.kmeans import (
     _lloyd_core,
 )
 from brute_force import enumerate_partitions
+from dp_1d import kmeans_1d
 
 
 def _line(*xs):
@@ -532,6 +535,30 @@ def test_kmeans_ideal_minima_collects_all_optima():
     assert Partition([[0, 3], [1, 2]]) not in minima
     assert len(minima) == 2
     assert len(kmeans_ideal_minima(_TIED_12, 3)) == 4
+
+
+def test_kmeans_1d_oracle_is_exact_far_from_the_origin():
+    # runs near 1e9: the prefix-sum cost s2 - s1^2 / c has nothing left
+    q, runner_up, part = kmeans_1d([1e9, 1e9 + 1.0, 1e9 + 10.0, 1e9 + 11.0], 2)
+    assert (q, part) == (1.0, Partition([[0, 1], [2, 3]]))
+    assert runner_up == pytest.approx(182.0 / 3.0)  # {0}, {1, 10, 11}
+    assert kmeans_1d([3.0, 1.0], 2) == (0.0, math.inf, Partition([[0], [1]]))
+
+
+def test_kmeans_ideal_matches_the_1d_dynamic_programme():
+    rng = np.random.default_rng(20111)
+    unique = 0
+    for _ in range(300):
+        n = int(rng.integers(4, 13))
+        k = int(rng.integers(2, 5))
+        xs = rng.uniform(-100.0, 100.0) + rng.lognormal(0.0, 2.0) * rng.normal(size=n)
+        res = kmeans_ideal(Dataset(xs[:, None]), k)
+        q, runner_up, part = kmeans_1d(xs.tolist(), k)
+        assert math.isclose(res.q, q, rel_tol=1e-9, abs_tol=0.0)
+        if runner_up - q > REL_TOL * max(1.0, q):
+            unique += 1
+            assert res.partition == part
+    assert unique >= 250  # the partition check is not vacuous
 
 
 def test_kmeans_ideal_respects_cap(monkeypatch):
