@@ -5,7 +5,8 @@ Verbs: ``cluster`` runs restarted k-means on a CSV of points;
 prints a separation certificate; ``construct`` writes one of the bundled
 dataset generators to disk; ``suite`` runs named property suites (exit
 status 1 if any check fails); ``report`` renders the explained-variance
-grid or re-renders a saved report.
+grid or re-renders a saved report.  A value the package refuses exits
+with status 2 and one error line, as argparse reports a bad option.
 
 Every randomized verb takes ``--seed`` and records it in its output.
 """
@@ -274,8 +275,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as err:  # a refused value: usage error, status 2
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

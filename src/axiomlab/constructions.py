@@ -63,6 +63,11 @@ _MIXTURE_MEANS = np.array(
 _MIXTURE_MEANS.setflags(write=False)
 _MIXTURE_POINTS_PER_COMPONENT = 200
 
+# collapse_to_two_groups' per-cluster shrink factor, and the fraction of
+# the variance its two-group split explains (the grid's kleinberg regime)
+_COLLAPSE_LAMBDA = 0.1
+_COLLAPSE_EXPLAINED = 0.98
+
 # The bundled six-point fixture: a printed distance grid (three decimals)
 # that is not a metric and has no real Euclidean embedding.
 _SIX_POINT_GRID = np.array(
@@ -241,21 +246,22 @@ def mixture_partition():
                       for i in range(len(_MIXTURE_MEANS))])
 
 
-def collapse_to_two_groups(dataset, gamma, lam=0.1, explained=0.98):
+def collapse_to_two_groups(dataset, gamma):
     """Shrink every cluster and relocate the shrunken clusters into two far
     groups along the first axis.
 
+    Each cluster shrinks about its mean by ``_COLLAPSE_LAMBDA`` (0.1).
     The first half of gamma's clusters (canonical order) forms the left
     group, the rest the right group; within a group the cluster centers
     sit ``s`` apart, with ``s`` twice the largest original pairwise
     distance, and the gap between the group means is solved so that the
-    two-group split explains exactly ``explained`` of the variance
-    (between-SS = explained / (1 - explained) times the layout's
-    within-SS).  Shrinking only tightens within-cluster distances and the
-    relocation only stretches cross-cluster ones, so the result is an
-    admissible transform of the input for gamma.  A target small enough
-    to need a cross-group gap below the original spread cannot be
-    realised that way and raises ValueError.  ``s`` and the check
+    two-group split explains exactly ``_COLLAPSE_EXPLAINED`` (0.98) of
+    the variance (between-SS = 0.98 / 0.02 times the layout's within-SS).
+    Shrinking only tightens within-cluster distances and the relocation
+    only stretches cross-cluster ones, so the result is an admissible
+    transform of the input for gamma; a layout whose solved gap would
+    pull the groups closer than the input's cross-cluster distances
+    raises ValueError instead.  ``s`` and the check
     (:func:`is_gamma_transform` on the two datasets) read the distances
     in blocks of rows, so no n x n table is built; coincident input
     points raise ValueError, as in ``distance_matrix``.
@@ -265,11 +271,6 @@ def collapse_to_two_groups(dataset, gamma, lam=0.1, explained=0.98):
     dataset : Dataset
     gamma : Partition
         At least two clusters, covering the dataset.
-    lam : float
-        Per-cluster shrink factor in (0, 1].
-    explained : float
-        Target explained-variance fraction of the two-group split,
-        in (0, 1).
 
     Returns
     -------
@@ -278,10 +279,6 @@ def collapse_to_two_groups(dataset, gamma, lam=0.1, explained=0.98):
     if gamma.k < 2:
         raise ValueError("need at least two clusters to form two groups")
     _check_partition_size(gamma, dataset.n)
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lam must be in (0, 1], got %s" % (lam,))
-    if not 0.0 < explained < 1.0:
-        raise ValueError("explained must be in (0, 1), got %s" % (explained,))
 
     pts = dataset.points
     n = dataset.n
@@ -295,13 +292,13 @@ def collapse_to_two_groups(dataset, gamma, lam=0.1, explained=0.98):
         for j, members in enumerate(clusters):
             idx = np.fromiter(members, dtype=int)
             mu = pts[idx].mean(axis=0)
-            out[idx] = lam * (pts[idx] - mu)
+            out[idx] = _COLLAPSE_LAMBDA * (pts[idx] - mu)
             out[idx, 0] += s * (j - (len(clusters) - 1) / 2.0)
 
     a_idx = np.concatenate([np.fromiter(c, dtype=int) for c in groups[0]])
     b_idx = np.concatenate([np.fromiter(c, dtype=int) for c in groups[1]])
     layout_ss = _scatter(out[a_idx]) + _scatter(out[b_idx])
-    ratio = explained / (1.0 - explained)
+    ratio = _COLLAPSE_EXPLAINED / (1.0 - _COLLAPSE_EXPLAINED)
     # between-SS of a 2-group split is (na * nb / n) * gap^2; solve the gap
     gap = math.sqrt(ratio * layout_ss * n / (len(a_idx) * len(b_idx)))
     out[b_idx, 0] += gap - (out[b_idx, 0].mean() - out[a_idx, 0].mean())
@@ -310,9 +307,9 @@ def collapse_to_two_groups(dataset, gamma, lam=0.1, explained=0.98):
     ok, violations = is_gamma_transform(dataset, result, gamma)
     if not ok:
         raise ValueError(
-            "explained=%g is too small to realise without pulling the groups "
-            "closer than the original data (%d cross-cluster violations)"
-            % (explained, len(violations))
+            "a two-group split explaining %g of the variance would pull the "
+            "groups closer than the original data (%d cross-cluster violations)"
+            % (_COLLAPSE_EXPLAINED, len(violations))
         )
     return result
 

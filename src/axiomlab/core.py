@@ -10,10 +10,11 @@ keeps under its cap (:func:`_check_enumeration_size`).
 All types are immutable; all functions are pure.
 """
 
+import functools
 import itertools
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -160,10 +161,6 @@ class Dataset:
     """
 
     points: np.ndarray
-    _total_scatter: float | None = field(default=None, init=False, repr=False,
-                                         compare=False)
-    _columns: np.ndarray | None = field(default=None, init=False, repr=False,
-                                        compare=False)
 
     def __post_init__(self):
         arr = _frozen_array(self.points)
@@ -184,24 +181,20 @@ class Dataset:
     def n(self):
         return self.points.shape[0]
 
-    @property
+    @functools.cached_property
     def total_scatter(self):
         """Sum of squared distances of the points to their mean (TSS),
         computed on first use and kept."""
-        if self._total_scatter is None:
-            object.__setattr__(self, "_total_scatter", _scatter(self.points))
-        return self._total_scatter
+        return _scatter(self.points)
 
-    @property
+    @functools.cached_property
     def columns(self):
         """The points as contiguous per-axis columns, a read-only (m, n)
         array, made on first use and kept (the layout :func:`_sq_dists`
         reads)."""
-        if self._columns is None:
-            cols = np.ascontiguousarray(self.points.T)
-            cols.setflags(write=False)
-            object.__setattr__(self, "_columns", cols)
-        return self._columns
+        cols = np.ascontiguousarray(self.points.T)
+        cols.setflags(write=False)
+        return cols
 
     @property
     def m(self):
@@ -214,7 +207,8 @@ class Dataset:
         return isinstance(other, Dataset) and np.array_equal(self.points, other.points)
 
     def __hash__(self):
-        return hash(self.points.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.points + 0.0).tobytes())
 
     @classmethod
     def from_csv(cls, path):
@@ -275,7 +269,7 @@ class DistanceMatrix:
         )
 
     def __hash__(self):
-        return hash(self.values.tobytes())
+        return hash((self.values + 0.0).tobytes())
 
     def to_csv(self, path):
         np.savetxt(path, self.values, delimiter=",")

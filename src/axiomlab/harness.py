@@ -55,18 +55,6 @@ from .transforms import (
     scale,
 )
 
-SUITE_NAMES = (
-    "scale-invariance",
-    "k-richness",
-    "centric-consistency-local",
-    "centric-consistency-global",
-    "motion-consistency",
-    "separation-4rho",
-    "core-preservation",
-    "absolute-global",
-    "interference",
-)
-
 GRID_KS = (2, 3, 4, 5, 6)
 # explained-variance percentages (per k and regime) that the bundled
 # mixture and its two derived regimes are calibrated to reproduce, with
@@ -270,7 +258,7 @@ def _two_balls(rng, far, ra, na, rb, nb):
 # ---------------------------------------------------------------------------
 
 
-def _suite_scale_invariance(config, seeds, tally):
+def _suite_scale_invariance(seeds, tally):
     alphas = (0.1, 3.0, 10.0)
     argmin_seq, thr_seq = seeds.spawn(2)
 
@@ -301,7 +289,7 @@ def _suite_scale_invariance(config, seeds, tally):
     tally.sampled("threshold-partition", thr_seq, 100, threshold)
 
 
-def _suite_k_richness(config, seeds, tally):
+def _suite_k_richness(seeds, tally):
     hit_seq, freq_seq = seeds.spawn(2)
 
     # every composition of cluster sizes is reachable, exhaustively
@@ -324,7 +312,7 @@ def _suite_k_richness(config, seeds, tally):
 
     # a single uniformly seeded restart succeeds at least as often as the
     # closed-form all-clusters-hit probability, within 3 sigma
-    trials = config.trials or 2000
+    trials = tally.trials or 2000
     failures = []
     for k, k_seed in zip((2, 3, 4), hit_seq.spawn(3)):
         ds, part = krich_line((3,) * k)
@@ -343,7 +331,7 @@ def _suite_k_richness(config, seeds, tally):
 
     # on balanced data the all-clusters-hit frequency of the seed draw
     # itself matches the closed form within 3 sigma (two-sided)
-    trials = config.trials or 3000
+    trials = tally.trials or 3000
     failures = []
     for k, k_seed in zip((2, 3, 4), freq_seq.spawn(3)):
         per = 200
@@ -362,7 +350,7 @@ def _suite_k_richness(config, seeds, tally):
     tally.check("seed-hit-frequency", 3 * trials, failures)
 
 
-def _suite_centric_local(config, seeds, tally):
+def _suite_centric_local(seeds, tally):
     lams = (0.9, 0.5, 0.1)
 
     def trial(rng):
@@ -387,7 +375,7 @@ def _suite_centric_local(config, seeds, tally):
     tally.sampled("local-minimum-preserved", seeds, 100, trial)
 
 
-def _suite_centric_global(config, seeds, tally):
+def _suite_centric_global(seeds, tally):
     lams = (0.9, 0.5, 0.1)
     ideal_seq, thr_seq = seeds.spawn(2)
 
@@ -426,7 +414,7 @@ def _suite_centric_global(config, seeds, tally):
     tally.sampled("threshold-partition-preserved", thr_seq, 100, threshold)
 
 
-def _suite_motion_consistency(config, seeds, tally):
+def _suite_motion_consistency(seeds, tally):
     def trial(rng):
         m = int(rng.integers(1, 4))
         n1, n2 = int(rng.integers(3, 6)), int(rng.integers(3, 6))
@@ -446,7 +434,7 @@ def _suite_motion_consistency(config, seeds, tally):
     tally.sampled("moved-cluster-stays-optimal", seeds, 50, trial)
 
 
-def _suite_separation_4rho(config, seeds, tally):
+def _suite_separation_4rho(seeds, tally):
     count = itertools.count()
 
     def trial(rng):
@@ -464,7 +452,7 @@ def _suite_separation_4rho(config, seeds, tally):
         first, _ = _assign(ds.columns, seeds_ab)
         crossed = (first[:na] != 0).sum() + (first[na:] != 1).sum()
         # and iterating to convergence keeps the ball partition
-        res = lloyd(ds, seeds_ab, KMeansConfig(k=2))
+        res = lloyd(ds, seeds_ab)
         if crossed or res.partition != gamma:
             return [(pts, gamma, {"seeds": seeds_ab, "crossed": int(crossed)})]
         return []
@@ -472,7 +460,7 @@ def _suite_separation_4rho(config, seeds, tally):
     tally.sampled("one-seed-per-ball-stability", seeds, 200, trial)
 
 
-def _suite_core_preservation(config, seeds, tally):
+def _suite_core_preservation(seeds, tally):
     def trial(rng):
         m = int(rng.integers(1, 4))
         rho = float(rng.uniform(0.3, 1.0))
@@ -495,7 +483,7 @@ def _suite_core_preservation(config, seeds, tally):
     tally.sampled("core-points-stay-home", seeds, 200, trial)
 
 
-def _suite_absolute_global(config, seeds, tally):
+def _suite_absolute_global(seeds, tally):
     def trial(rng):
         m = int(rng.integers(1, 3))
         k = int(rng.integers(2, 4))
@@ -526,7 +514,7 @@ def _suite_absolute_global(config, seeds, tally):
     tally.sampled("certified-absolute-is-global", seeds, 30, trial)
 
 
-def _suite_interference(config, seeds, tally):
+def _suite_interference(seeds, tally):
     # fixed four-point construction: a legal shrink-and-stretch followed
     # by a global rescale makes one cross-cluster distance smaller than
     # it ever was
@@ -566,6 +554,7 @@ _SUITES = {
     "absolute-global": _suite_absolute_global,
     "interference": _suite_interference,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name, config=None):
@@ -589,7 +578,7 @@ def run_suite(name, config=None):
         config = ExperimentConfig()
     start = time.perf_counter()
     tally = _Tally(config.trials)
-    _SUITES[name](config, np.random.SeedSequence(config.master_seed), tally)
+    _SUITES[name](np.random.SeedSequence(config.master_seed), tally)
     return SuiteReport(
         name,
         config.master_seed,

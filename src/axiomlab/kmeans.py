@@ -27,10 +27,10 @@ group the rows with one stable argsort (:func:`_cluster_stats`).
 Labels, centers, scatters and ``q`` are the floats of the broadcast and
 per-cluster-mask forms, bit for bit, for every m.
 
-Lloyd has two routes, chosen in one place (:func:`_float_rows`) from the
+Lloyd has two routes, chosen in one place (:func:`_first_best`) from the
 dataset's size; both run the same loop (:func:`_lloyd_core`) and result
 builder (:func:`_build_result`), and :func:`kmeans_ideal` builds its
-result on the same route.  Above ``_FLOAT_ROUTE_MAX`` coordinates
+result on the plain-float one.  Above ``_FLOAT_ROUTE_MAX`` coordinates
 (n * m) their steps are the array kernels above (:func:`_assign_arrays`,
 :func:`_means`, :func:`_cluster_stats`, :func:`_shifted_q`).  At or
 below it, where numpy's fixed cost per call on a few dozen floats is
@@ -98,6 +98,9 @@ REL_TOL = 1e-9
 # module docstring for the measurement.
 _FLOAT_ROUTE_MAX = 64
 
+# cap on Lloyd center updates per run
+_MAX_ITERATIONS = 100
+
 
 @dataclass(frozen=True)
 class KMeansConfig:
@@ -111,8 +114,6 @@ class KMeansConfig:
         ``"uniform-random"`` or ``"plus-plus"``.
     restarts : int
         Independent seedings to try; the best final objective wins.
-    max_iterations : int
-        Cap on Lloyd center updates per restart.
     rng_seed : int or None
         Master seed; restarts use spawned child generators, so the whole
         run is reproducible.
@@ -121,7 +122,6 @@ class KMeansConfig:
     k: int
     seeding: str = "plus-plus"
     restarts: int = 1
-    max_iterations: int = 100
     rng_seed: int | None = None
 
     def __post_init__(self):
@@ -133,8 +133,6 @@ class KMeansConfig:
             )
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,8 +464,9 @@ def _check_descent(q_prev, q_here):
         )
 
 
-def _lloyd_core(dataset, centers, max_iterations, rows=None):
-    """Run Lloyd until membership stabilises; returns raw state.
+def _lloyd_core(dataset, centers, rows=None):
+    """Run Lloyd until membership stabilises, for at most
+    ``_MAX_ITERATIONS`` center updates; returns raw state.
 
     Both routes (see the module docstring) run this one loop and differ
     only in its steps: on arrays when ``rows`` is None
@@ -516,7 +515,7 @@ def _lloyd_core(dataset, centers, max_iterations, rows=None):
         if key == prev:
             converged = True  # labels are prev's
             break
-        if updates >= max_iterations:
+        if updates >= _MAX_ITERATIONS:
             break
         means, scatters, members = step(labels, counts)
         if scatters is not None:
@@ -632,21 +631,19 @@ def _float_stats(rows, labels, counts):
     return means, scatters, members
 
 
-def lloyd(dataset, initial_centers, config):
-    """Lloyd iteration from explicit initial centers.
+def lloyd(dataset, initial_centers):
+    """Lloyd iteration from explicit initial centers, one per cluster.
 
     Points are assigned to the nearest center (ties: lowest center index);
     an empty cluster is repopulated with the point farthest from its own
     center; convergence means an assignment pass changed no membership.
-    ``iterations`` counts center updates, so a start that is already a
-    fixed point reports 1.
+    ``iterations`` counts center updates, at most ``_MAX_ITERATIONS``
+    (100), so a start that is already a fixed point reports 1.
 
     Parameters
     ----------
     dataset : Dataset
     initial_centers : (k, m) array_like
-    config : KMeansConfig
-        Only ``max_iterations`` (and the consistency of ``k``) matter here.
 
     Returns
     -------
@@ -655,27 +652,28 @@ def lloyd(dataset, initial_centers, config):
     centers = np.asarray(initial_centers, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != dataset.m:
         raise ValueError("initial_centers must be (k, %d)" % dataset.m)
-    k = centers.shape[0]
-    if k != config.k:
-        raise ValueError("config.k=%d but %d centers given" % (config.k, k))
-    if k > dataset.n:
-        raise ValueError("more centers than points")
-    return _first_best(dataset, [centers], config.max_iterations)
+    if not 2 <= len(centers) <= dataset.n:
+        raise ValueError("need 2 <= k <= n, got k=%d, n=%d" % (len(centers), dataset.n))
+    return _first_best(dataset, [centers])
 
 
-def _first_best(dataset, starts, max_iterations):
+def _first_best(dataset, starts):
     """Lloyd from each (k, m) start in turn; the ClusteringResult of the
     first run with the smallest objective.
 
     Runs are compared on their scatters summed in canonical cluster order,
     which is the winner's ``q`` bit for bit, and only the winner becomes a
-    result.  The runs and the result take the route :func:`_float_rows`
-    picks; both give the same floats.
+    result.  This is where the route is chosen: the runs and the result
+    take the plain-float route, with ``rows`` the points as lists, while
+    n * m is at most ``_FLOAT_ROUTE_MAX``, and the array route (``rows``
+    None) above; both give the same floats.
     """
-    rows = _float_rows(dataset)
+    rows = None
+    if dataset.n * dataset.m <= _FLOAT_ROUTE_MAX:
+        rows = dataset.points.tolist()
     best = None
     for centers in starts:
-        run = _lloyd_core(dataset, centers, max_iterations, rows)
+        run = _lloyd_core(dataset, centers, rows)
         q = _summed(run[2], _canonical(run[3]))  # scatters in canonical order
         if best is None or q < best[0]:
             best = (q, run)
@@ -684,17 +682,7 @@ def _first_best(dataset, starts, max_iterations):
                          converged, rows)
 
 
-def _float_rows(dataset):
-    """The route rule: ``dataset.points.tolist()``, for the plain-float
-    route, while n * m is at most ``_FLOAT_ROUTE_MAX``; None, for the
-    array route, above."""
-    if dataset.n * dataset.m <= _FLOAT_ROUTE_MAX:
-        return dataset.points.tolist()
-    return None
-
-
-def _build_result(dataset, means, scatters, members, iterations,
-                  converged, rows=None):
+def _build_result(dataset, means, scatters, members, iterations, converged, rows):
     """The ClusteringResult of a labelling with k non-empty clusters, from
     its per-label means, scatters and members (:func:`_cluster_stats` or
     :func:`_float_stats`).
@@ -756,7 +744,7 @@ def kmeans(dataset, config):
     children = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
     starts = (seed(dataset, config.k, config.seeding, np.random.default_rng(child))
               for child in children)
-    return _first_best(dataset, starts, config.max_iterations)
+    return _first_best(dataset, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +766,8 @@ def kmeans_ideal(dataset, k):
     and the m >= 8 caveat); the returned ``q`` is the winning labels'
     cluster scatters summed in canonical order (the float value of
     :func:`objective_q`'s centroid form), cross-checked against the
-    shifted form.  The result is built on the route Lloyd would take for
-    this dataset (:func:`_float_rows`); both give the same floats.
+    shifted form.  The result is built on the plain-float route, whose
+    floats the array route gives too.
 
     n may not exceed ``DEFAULT_ENUMERATION_CAP`` (12), or the
     ``AXIOMLAB_ENUMERATION_CAP`` environment variable when it is set.
@@ -796,12 +784,8 @@ def kmeans_ideal(dataset, k):
         ``iterations`` is the number of complete partitions evaluated.
     """
     best_rgs, _, leaves, _ = _ideal_search(dataset, k)
-    rows = _float_rows(dataset)
-    if rows is None:
-        labels = np.asarray(best_rgs)
-        stats = _cluster_stats(dataset, labels, np.bincount(labels, minlength=k))
-    else:
-        stats = _float_stats(rows, best_rgs, list(map(best_rgs.count, range(k))))
+    rows = dataset.points.tolist()
+    stats = _float_stats(rows, best_rgs, list(map(best_rgs.count, range(k))))
     return _build_result(dataset, *stats, leaves, True, rows)
 
 

@@ -26,12 +26,6 @@ _PAIR_RTOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
-def _as_matrix(d):
-    if isinstance(d, DistanceMatrix):
-        return d.values
-    return np.asarray(d, dtype=float)
-
-
 def _check_cluster_id(gamma, cluster_id):
     if not 0 <= cluster_id < gamma.k:
         raise ValueError("cluster_id %d out of range for k=%d" % (cluster_id, gamma.k))
@@ -63,11 +57,13 @@ def scale(data, alpha):
 
 
 def _row_source(d):
-    """(shape, rows): ``rows(r0, r1)`` is rows r0..r1 of d's table from column r0 on."""
+    """(n, rows): ``rows(r0, r1)`` is rows r0..r1 of d's table from column r0 on."""
     if isinstance(d, Dataset):
-        return (d.n, d.n), lambda r0, r1: _distance_rows(d, r0, r1)
-    values = _as_matrix(d)
-    return values.shape, lambda r0, r1: values[r0:r1, r0:]
+        return d.n, lambda r0, r1: _distance_rows(d, r0, r1)
+    if isinstance(d, DistanceMatrix):
+        return d.n, lambda r0, r1: d.values[r0:r1, r0:]
+    raise TypeError("distances must be a Dataset or DistanceMatrix, got %r"
+                    % type(d).__name__)
 
 
 def is_gamma_transform(d_before, d_after, gamma):
@@ -75,19 +71,17 @@ def is_gamma_transform(d_before, d_after, gamma):
 
     The transform is admissible when every within-cluster distance is <=
     its original value and every between-cluster distance is >= its
-    original value (relative slack 1e-12 to forgive round-off).  Only the
-    entries (i, j) with i < j are read, so an asymmetric table is judged
-    by its upper triangle; a comparison with a NaN entry is never a
-    violation.
+    original value (relative slack 1e-12 to forgive round-off).
 
     Both sides are compared 32 rows at a time, so no n x n array is built.
     Either may be a :class:`Dataset`, read as its ``distance_matrix``
     floats; coincident points raise that function's ValueError for the
     first pair in row-major order, ``d_before``'s first within a block.
+    Any other input raises TypeError.
 
     Parameters
     ----------
-    d_before, d_after : Dataset, DistanceMatrix or (n, n) array_like
+    d_before, d_after : Dataset or DistanceMatrix
     gamma : Partition
 
     Returns
@@ -98,11 +92,10 @@ def is_gamma_transform(d_before, d_after, gamma):
         a tuple of ints, kind ``"within"`` or ``"between"`` and the two
         distances as floats.
     """
-    shape, before = _row_source(d_before)
-    shape_after, after = _row_source(d_after)
-    if shape != shape_after:
+    n, before = _row_source(d_before)
+    n_after, after = _row_source(d_after)
+    if n != n_after:
         raise ValueError("distance tables differ in shape")
-    n = shape[0]
     _check_partition_size(gamma, n)
     labels = gamma.labels()
     upper = np.arange(n) > np.arange(_BLOCK_ROWS)[:, None]
@@ -111,7 +104,7 @@ def is_gamma_transform(d_before, d_after, gamma):
         b, a = before(r0, r0 + _BLOCK_ROWS), after(r0, r0 + _BLOCK_ROWS)
         same = labels[r0:r0 + _BLOCK_ROWS, None] == labels[None, r0:]
         bad = np.where(same, a > b * (1.0 + _PAIR_RTOL), a < b * (1.0 - _PAIR_RTOL))
-        bad &= upper[:len(b), :n - r0]  # only the pairs i < j
+        bad &= upper[:len(b), :n - r0]  # each pair once, as i < j
         if not bad.any():
             continue
         rows, cols = np.nonzero(bad)
@@ -171,10 +164,12 @@ def centric_matrix_transform(d, gamma, cluster_id, lam):
     -------
     DistanceMatrix
     """
+    if not isinstance(d, DistanceMatrix):
+        raise TypeError("d must be a DistanceMatrix, got %r" % type(d).__name__)
     _check_cluster_id(gamma, cluster_id)
     _check_lambda(lam)
-    values = _as_matrix(d).copy()
-    _check_partition_size(gamma, len(values))
+    values = d.values.copy()
+    _check_partition_size(gamma, d.n)
     idx = np.array(gamma.clusters[cluster_id], dtype=int)
     block = np.ix_(idx, idx)
     values[block] = values[block] * lam

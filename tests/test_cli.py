@@ -172,6 +172,31 @@ def test_construct_line_refuses_sizes_beyond_float64(tmp_path):
     assert not (tmp_path / "line.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["suite", "--name", "interference", "--seed", "-1"], "master_seed must be >= 0"),
+    (["suite", "--name", "interference", "--trials", "0"],
+     "trials must be >= 1 when given"),
+    (["report", "--grid", "--restarts", "0"], "restarts must be >= 1"),
+    (["construct", "--what", "line", "--sizes", "3,0"],
+     "cluster sizes must all be >= 1, got [3, 0]"),
+])
+def test_refused_values_are_usage_errors(tmp_path, argv, message):
+    # status 1 means "a check failed"; a refused value is a usage error,
+    # reported in one line with status 2, as argparse reports a bad option
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(axiomlab.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-m", "axiomlab.cli", *argv, "--out",
+         str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 2
+    assert out.stderr.splitlines()[-1] == "axiomlab: error: " + message
+    assert "Traceback" not in out.stderr
+    assert out.stdout == "" and not (tmp_path / "out.csv").exists()
+
+
 def test_construct_records_master_seed(tmp_path):
     seg = tmp_path / "segments.csv"
     assert main(["construct", "--what", "segments", "--points-per-segment",

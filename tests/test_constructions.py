@@ -229,15 +229,15 @@ def test_collapse_hits_requested_explained_variance():
     res = kmeans(out, KMeansConfig(k=2, restarts=8, rng_seed=1))
     assert res.partition == two_groups
 
-    # a lower target still calibrates exactly, as long as it stays
-    # realisable without compressing cross-cluster distances
-    lower = collapse_to_two_groups(data, mixture_partition(), explained=0.9)
-    assert explained_variance(lower, two_groups) == pytest.approx(0.9, rel=1e-12)
-    # a target this small would need the groups closer than the original
-    # data allows; the generator refuses instead of emitting an
+
+def test_collapse_refuses_an_inadmissible_layout():
+    # two far pairs: the solved gap between the groups (0.7) is far below
+    # the pairs' distance (99 and more), so the layout would shrink every
+    # cross-cluster distance; the generator refuses instead of emitting an
     # inadmissible transform
-    with pytest.raises(ValueError):
-        collapse_to_two_groups(data, mixture_partition(), explained=0.5)
+    pairs = Dataset([[0.0], [1.0], [100.0], [101.0]])
+    with pytest.raises(ValueError, match="4 cross-cluster violations"):
+        collapse_to_two_groups(pairs, Partition([(0, 1), (2, 3)]))
 
 
 def test_collapse_builds_no_distance_table():
@@ -260,10 +260,6 @@ def test_collapse_validation():
         collapse_to_two_groups(data, Partition([tuple(range(1000))]))
     with pytest.raises(ValueError):
         collapse_to_two_groups(data, Partition([(0, 1), (2, 3)]))
-    with pytest.raises(ValueError):
-        collapse_to_two_groups(data, gamma, lam=0.0)
-    with pytest.raises(ValueError):
-        collapse_to_two_groups(data, gamma, explained=1.0)
     twin = Dataset(np.vstack([data.points[:999], data.points[:1]]))
     with pytest.raises(ValueError, match="points 0 and 999 coincide"):
         collapse_to_two_groups(twin, gamma)

@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,8 +71,6 @@ def test_config_validation():
         KMeansConfig(k=2, seeding="fancy")
     with pytest.raises(ValueError):
         KMeansConfig(k=2, restarts=0)
-    with pytest.raises(ValueError):
-        KMeansConfig(k=2, max_iterations=0)
     cfg = KMeansConfig(k=3, restarts=5, rng_seed=42)
     assert cfg.seeding == "plus-plus"
 
@@ -192,12 +191,16 @@ def test_seed_validation():
 
 def test_lloyd_two_pairs():
     ds = _line(0.0, 1.0, 10.0, 11.0)
-    res = lloyd(ds, [[0.0], [10.0]], KMeansConfig(k=2))
+    res = lloyd(ds, [[0.0], [10.0]])
     assert res.partition == Partition([[0, 1], [2, 3]])
     assert res.q == pytest.approx(1.0, abs=1e-12)
     assert res.converged
     assert res.iterations == 1  # membership never changes after the start
     assert np.allclose(res.centers, [[0.5], [10.5]])
+    # k is the number of centers, 2 <= k <= n
+    for centers in ([[0.0]], [[0.0]] * 5):
+        with pytest.raises(ValueError, match="need 2 <= k <= n"):
+            lloyd(ds, centers)
 
 
 def test_lloyd_centers_are_cluster_means_in_canonical_order():
@@ -214,7 +217,7 @@ def test_lloyd_handles_empty_cluster_by_reseeding_farthest():
     # up empty and gets the farthest point (index 0) re-homed into it
     pts = np.array([[0.0], [1.0], [10.0]])
     labels, means, scatters, members, updates, converged, events = _lloyd_core(
-        Dataset(pts), np.array([[100.0], [200.0]]), 100
+        Dataset(pts), np.array([[100.0], [200.0]])
     )
     assert events >= 1
     assert converged
@@ -225,7 +228,7 @@ def test_lloyd_handles_empty_cluster_by_reseeding_farthest():
         assert np.array_equal(means[j], mine.mean(axis=0))
         assert scatters[j] == float(np.sum((mine - mine.mean(axis=0)) ** 2))
         assert members[j].tolist() == np.flatnonzero(labels == j).tolist()
-    res = lloyd(Dataset(pts), [[100.0], [200.0]], KMeansConfig(k=2))
+    res = lloyd(Dataset(pts), [[100.0], [200.0]])
     assert res.partition == Partition([[0, 1], [2]])
 
 
@@ -245,10 +248,11 @@ def test_empty_cluster_repair_moves_the_farthest_eligible_point():
     assert labels.tolist() == [0, 3, 2, 1]
 
 
-def test_lloyd_iteration_cap():
+def test_lloyd_iteration_cap(monkeypatch):
+    monkeypatch.setattr(kmeans_module, "_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(9)
     ds = Dataset(rng.normal(size=(40, 2)))
-    res = lloyd(ds, ds.points[:4], KMeansConfig(k=4, max_iterations=1))
+    res = lloyd(ds, ds.points[:4])
     assert res.iterations == 1
     # capped runs may or may not have converged, but the result is still
     # internally consistent
@@ -272,7 +276,7 @@ def per_restart_results(ds, cfg):
     out = []
     for child in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.restarts):
         centers = seed(ds, cfg.k, cfg.seeding, np.random.default_rng(child))
-        out.append(lloyd(ds, centers, cfg))
+        out.append(lloyd(ds, centers))
     return out
 
 
@@ -705,21 +709,20 @@ def _reference_result_from_labels(dataset, labels, k, iterations, converged):
                             converged)
 
 
-def _reference_lloyd(ds, initial_centers, config):
-    labels, updates, converged, _ = _reference_lloyd_core(
-        ds.points, np.asarray(initial_centers, dtype=float),
-        config.max_iterations)
-    return _reference_result_from_labels(ds, labels, config.k, updates,
+def _reference_lloyd(ds, initial_centers, cap):
+    centers = np.asarray(initial_centers, dtype=float)
+    labels, updates, converged, _ = _reference_lloyd_core(ds.points, centers, cap)
+    return _reference_result_from_labels(ds, labels, len(centers), updates,
                                          converged)
 
 
-def _reference_kmeans(ds, config):
+def _reference_kmeans(ds, config, cap=100):
     best = None
     for child in np.random.SeedSequence(config.rng_seed).spawn(config.restarts):
         centers = _reference_seed(ds, config.k, config.seeding,
                                   np.random.default_rng(child))
         labels, updates, converged, _ = _reference_lloyd_core(
-            ds.points, centers, config.max_iterations)
+            ds.points, centers, cap)
         q = _reference_canonical_q(ds.points, labels)
         if best is None or q < best[0]:
             best = (q, labels, updates, converged)
@@ -761,17 +764,16 @@ def _lloyd_instance(draw):
     coord = draw(st.sampled_from([_SIGNED_GRID_COORD, _WIDE_COORD]))
     rows = draw(st.lists(st.lists(coord, min_size=m, max_size=m),
                          min_size=n, max_size=n))
-    config = KMeansConfig(
-        k=k,
-        seeding=draw(st.sampled_from(["uniform-random", "plus-plus"])),
-        restarts=draw(st.sampled_from([1, 3, 7])),
-        max_iterations=draw(st.sampled_from([1, 100])),
-        rng_seed=draw(st.integers(0, 2 ** 31)),
-    )
+    seeding = draw(st.sampled_from(["uniform-random", "plus-plus"]))
+    restarts = draw(st.sampled_from([1, 3, 7]))
+    # the cap on center updates the run is made under (_MAX_ITERATIONS)
+    cap = draw(st.sampled_from([1, 100]))
+    config = KMeansConfig(k=k, seeding=seeding, restarts=restarts,
+                          rng_seed=draw(st.integers(0, 2 ** 31)))
     # centers beyond every point put all points in cluster 0, so every
     # other cluster starts empty and must be repaired
     far = draw(st.booleans())
-    return Dataset(rows), config, far
+    return Dataset(rows), config, cap, far
 
 
 # two tight groups of ten on a line: m = 1 clusters of 9 or more points,
@@ -793,31 +795,34 @@ def _clumps(n, m, rng_seed, grid=False):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@example((_TEN_AND_TEN, KMeansConfig(k=2, restarts=3, rng_seed=1), True))
-@example((_TEN_AND_TEN, KMeansConfig(k=3, seeding="uniform-random",
-                                     max_iterations=1, rng_seed=2), False))
-@example((_clumps(200, 1, 1), KMeansConfig(k=3, restarts=3, rng_seed=3), False))
+@example((_TEN_AND_TEN, KMeansConfig(k=2, restarts=3, rng_seed=1), 100, True))
+@example((_TEN_AND_TEN, KMeansConfig(k=3, seeding="uniform-random", rng_seed=2),
+          1, False))
+@example((_clumps(200, 1, 1), KMeansConfig(k=3, restarts=3, rng_seed=3), 100,
+          False))
 @example((_clumps(200, 1, 2, grid=True),
           KMeansConfig(k=5, seeding="uniform-random", restarts=3, rng_seed=4),
-          True))
-@example((_clumps(200, 2, 5), KMeansConfig(k=3, restarts=3, rng_seed=6), False))
+          100, True))
+@example((_clumps(200, 2, 5), KMeansConfig(k=3, restarts=3, rng_seed=6), 100,
+          False))
 @example((_clumps(200, 3, 7, grid=True),
-          KMeansConfig(k=4, restarts=3, rng_seed=8), True))
-@example((_clumps(120, 9, 9), KMeansConfig(k=3, restarts=3, rng_seed=10), False))
+          KMeansConfig(k=4, restarts=3, rng_seed=8), 100, True))
+@example((_clumps(120, 9, 9), KMeansConfig(k=3, restarts=3, rng_seed=10), 100,
+          False))
 @example((_clumps(120, 11, 11, grid=True),
           KMeansConfig(k=4, seeding="uniform-random", restarts=3, rng_seed=12),
-          False))
+          100, False))
 @given(_lloyd_instance())
 def test_lloyd_results_match_the_recompute_everything_oracle(instance):
-    ds, config, far = instance
+    ds, config, cap, far = instance
     k, m = config.k, ds.m
-    assert_same_result(kmeans(ds, config), _reference_kmeans(ds, config))
     if far:
         start = [[1e4 * (j + 1)] * m for j in range(k)]
     else:
         start = ds.points[:k]  # repeated points make ties and repairs too
-    assert_same_result(lloyd(ds, start, config),
-                       _reference_lloyd(ds, start, config))
+    with mock.patch.object(kmeans_module, "_MAX_ITERATIONS", cap):
+        assert_same_result(kmeans(ds, config), _reference_kmeans(ds, config, cap))
+        assert_same_result(lloyd(ds, start), _reference_lloyd(ds, start, cap))
     if ds.n <= 8:
         assert_same_result(kmeans_ideal(ds, k), _reference_kmeans_ideal(ds, k))
 
@@ -886,15 +891,15 @@ def test_float_and_array_routes_agree_at_the_cutoff(monkeypatch):
     for ds, k in _route_cases():
         rows = ds.points.tolist()
         for start in _route_starts(ds, k):
-            for cap in (1, 100):
-                floats = _lloyd_core(ds, start, cap, rows)
-                _same_state(floats, _lloyd_core(ds, start, cap))
+            for cap in (1, 100):  # 100 last: the default cap for the runs below
+                monkeypatch.setattr(kmeans_module, "_MAX_ITERATIONS", cap)
+                floats = _lloyd_core(ds, start, rows)
+                _same_state(floats, _lloyd_core(ds, start))
                 repairs += floats[-1]
         results = []
         for cutoff in (10 ** 9, 0):  # everything on floats, then on arrays
             monkeypatch.setattr(kmeans_module, "_FLOAT_ROUTE_MAX", cutoff)
-            got = [lloyd(ds, start, KMeansConfig(k=k))
-                   for start in _route_starts(ds, k)]
+            got = [lloyd(ds, start) for start in _route_starts(ds, k)]
             got += [kmeans(ds, KMeansConfig(k=k, seeding=seeding, restarts=3,
                                             rng_seed=k))
                     for seeding in ("uniform-random", "plus-plus")]
@@ -970,7 +975,7 @@ def test_membership_fixed_point_needs_no_move_stability():
     # own center) yet moving 1.9 rightwards pays: the two notions differ.
     ds = _line(0.0, 1.9, 2.1, 4.0)
     part = Partition([[0, 1], [2, 3]])
-    res = lloyd(ds, [[0.95], [3.05]], KMeansConfig(k=2))
+    res = lloyd(ds, [[0.95], [3.05]])
     assert res.partition == part  # fixed point of the membership iteration
     assert res.iterations == 1
     ok, witness = is_local_min(ds, part)
@@ -1107,12 +1112,12 @@ def growing(real_stats):
 
 real_cluster_stats = km._cluster_stats
 km._cluster_stats = growing(real_cluster_stats)
-expect("lloyd", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]]), 100), TABLE)
+expect("lloyd", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]])), TABLE)
 km._cluster_stats = real_cluster_stats
 
 real_float_stats = km._float_stats
 km._float_stats = growing(real_float_stats)
-expect("lloyd-floats", lambda: km.lloyd(line, [[0.0], [1.0]], km.KMeansConfig(k=2)),
+expect("lloyd-floats", lambda: km.lloyd(line, [[0.0], [1.0]]),
        DESCENT)
 km._float_stats = real_float_stats
 
@@ -1127,7 +1132,7 @@ def first_table_low(*args):
         return out
     return out[:-1] + (next(table_values, out[-1]),)
 km._assign_arrays = first_table_low
-expect("lloyd-table", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]]), 100),
+expect("lloyd-table", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]])),
        DESCENT)
 km._assign_arrays = real_assign_arrays
 
@@ -1137,7 +1142,7 @@ def shrunk(*args):
     means, scatters, members = real_cluster_stats(*args)
     return means, [s * (1.0 - 1e-6) - 1e-6 for s in scatters], members
 km._cluster_stats = shrunk
-expect("lloyd-blocks", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]]), 100),
+expect("lloyd-blocks", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]])),
        TABLE)
 km._cluster_stats = real_cluster_stats
 
@@ -1147,14 +1152,14 @@ real_shifted_q = km._shifted_q
 km._shifted_q = lambda *args: real_shifted_q(*args) * (1.0 + 1e-6) + 1e-6
 real_cutoff = km._FLOAT_ROUTE_MAX
 km._FLOAT_ROUTE_MAX = 0
-expect("result", lambda: km.lloyd(line, [[0.0], [10.0]], km.KMeansConfig(k=2)),
+expect("result", lambda: km.lloyd(line, [[0.0], [10.0]]),
        SHIFTED)
 km._FLOAT_ROUTE_MAX = real_cutoff
 km._shifted_q = real_shifted_q
 
 real_shifted_floats = km._shifted_floats
 km._shifted_floats = lambda *args: real_shifted_floats(*args) * (1.0 + 1e-6) + 1e-6
-expect("result-floats", lambda: km.lloyd(line, [[0.0], [10.0]], km.KMeansConfig(k=2)),
+expect("result-floats", lambda: km.lloyd(line, [[0.0], [10.0]]),
        SHIFTED)
 km._shifted_floats = real_shifted_floats
 

@@ -87,22 +87,27 @@ def test_is_gamma_transform_reports_violations():
 
 
 def test_is_gamma_transform_shape_checks():
-    with pytest.raises(ValueError):
-        is_gamma_transform(np.zeros((3, 3)), np.zeros((4, 4)), GAMMA)
-    with pytest.raises(ValueError):
-        is_gamma_transform(np.zeros((5, 5)), np.zeros((5, 5)), GAMMA)
+    with pytest.raises(ValueError, match="differ in shape"):
+        is_gamma_transform(BEFORE, _line(0.0, 1.0, 2.0), GAMMA)
+    five = _line(0.0, 1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(ValueError, match="partition covers 4 points, the data has 5"):
+        is_gamma_transform(five, distance_matrix(five), GAMMA)
+
+
+def test_table_inputs_are_datasets_or_distance_matrices():
+    table = distance_matrix(BEFORE)
+    for bad in (table.values, table.values.tolist()):
+        with pytest.raises(TypeError, match="Dataset or DistanceMatrix"):
+            is_gamma_transform(bad, table, GAMMA)
+        with pytest.raises(TypeError, match="Dataset or DistanceMatrix"):
+            is_gamma_transform(table, bad, GAMMA)
+        with pytest.raises(TypeError, match="DistanceMatrix"):
+            centric_matrix_transform(bad, GAMMA, 1, 0.5)
 
 
 def _reference_is_gamma_transform(d_before, d_after, gamma):
     """The pair-by-pair loop is_gamma_transform replaced, kept as its oracle."""
-    before = np.asarray(
-        d_before.values if isinstance(d_before, DistanceMatrix) else d_before,
-        dtype=float,
-    )
-    after = np.asarray(
-        d_after.values if isinstance(d_after, DistanceMatrix) else d_after,
-        dtype=float,
-    )
+    before, after = d_before.values, d_after.values
     n = before.shape[0]
     labels = gamma.labels()
     violations = []
@@ -132,7 +137,7 @@ def _reference_is_gamma_transform(d_before, d_after, gamma):
 
 # How an "after" entry is made from its "before" entry b: unchanged,
 # exactly on either edge of the relative slack, one ulp past either edge,
-# rescaled freely, or NaN.
+# or rescaled freely.
 def _after_entries(b, modes, factor):
     up = b * (1.0 + _PAIR_RTOL)
     down = b * (1.0 - _PAIR_RTOL)
@@ -143,32 +148,26 @@ def _after_entries(b, modes, factor):
         np.nextafter(up, np.inf),
         np.nextafter(down, -np.inf),
         b * factor,
-        np.full_like(b, np.nan),
     ]
     return np.choose(modes, choices)
 
 
 @st.composite
 def _gamma_cases(draw):
-    """(before, after, gamma): tables over n = 1..12 points with random
-    labels.  As DistanceMatrix pairs they are symmetric, positive and
-    finite; as arrays they are asymmetric and may hold NaNs in either."""
-    n = draw(st.integers(1, 12))
+    """(before, after, gamma): DistanceMatrix pairs over n = 2..12 points
+    with random labels."""
+    n = draw(st.integers(2, 12))
     labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    as_matrix = n >= 2 and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     b = rng.uniform(1e-3, 1e3, size=(n, n))
-    modes = rng.integers(0, 6 if as_matrix else 7, size=(n, n))
+    modes = rng.integers(0, 6, size=(n, n))
     a = _after_entries(b, modes, rng.uniform(0.5, 2.0, size=(n, n)))
-    gamma = Partition.from_labels(labels)
-    if as_matrix:
-        def sym(t):
-            upper = np.triu(t, 1)
-            return DistanceMatrix(upper + upper.T)
 
-        return sym(b), sym(a), gamma
-    b[rng.random((n, n)) < 0.05] = np.nan
-    return b, a, gamma
+    def sym(t):
+        upper = np.triu(t, 1)
+        return DistanceMatrix(upper + upper.T)
+
+    return sym(b), sym(a), Partition.from_labels(labels)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
