@@ -5,8 +5,9 @@ Verbs: ``cluster`` runs restarted k-means on a CSV of points;
 prints a separation certificate; ``construct`` writes one of the bundled
 dataset generators to disk; ``suite`` runs named property suites (exit
 status 1 if any check fails); ``report`` renders the explained-variance
-grid or re-renders a saved report.  A value the package refuses exits
-with status 2 and one error line, as argparse reports a bad option.
+grid or re-renders a saved report.  A value the package refuses, a
+missing option and an unreadable file exit with status 2 and one error
+line, as argparse reports a bad option.
 
 Every randomized verb takes ``--seed`` and records it in its output.
 """
@@ -27,13 +28,7 @@ from .constructions import (
     wing_partition,
 )
 from .core import Dataset, Partition
-from .harness import (
-    SUITE_NAMES,
-    ExperimentConfig,
-    report,
-    run_suite,
-    variance_grid,
-)
+from .harness import SUITE_NAMES, report, run_suite, variance_grid
 from .kmeans import KMeansConfig, kmeans
 from .separation import certify
 from .transforms import (
@@ -90,29 +85,33 @@ def _cmd_cluster(args):
     return 0
 
 
+# the options each transform kind needs besides --data and --out
+_TRANSFORM_NEEDS = {
+    "scale": ("alpha",),
+    "centric": ("partition", "cluster", "lam"),
+    "motion": ("partition", "cluster", "vector"),
+    "inner": ("partition", "lams"),
+}
+
+
 def _cmd_transform(args):
+    missing = [o for o in _TRANSFORM_NEEDS[args.kind]
+               if getattr(args, o) is None]
+    if missing:
+        raise ValueError("transform %s needs %s" % (
+            args.kind, ", ".join("--" + o for o in missing)))
     ds = Dataset.from_csv(args.data)
     legal = None
     if args.kind == "scale":
-        if args.alpha is None:
-            raise SystemExit("transform scale needs --alpha")
         out = scale(ds, args.alpha)
     else:
-        if args.partition is None:
-            raise SystemExit("transform %s needs --partition" % args.kind)
         gamma = _read_partition(args.partition)
         if args.kind == "centric":
-            if args.cluster is None or args.lam is None:
-                raise SystemExit("transform centric needs --cluster and --lam")
             out = centric_transform(ds, gamma, args.cluster, args.lam)
         elif args.kind == "motion":
-            if args.cluster is None or args.vector is None:
-                raise SystemExit("transform motion needs --cluster and --vector")
             vector = np.array([float(x) for x in args.vector.split(",")])
             out, legal = motion_transform(ds, gamma, args.cluster, vector)
         else:  # inner
-            if args.lams is None:
-                raise SystemExit("transform inner needs --lams")
             lams = [float(x) for x in args.lams.split(",")]
             out = inner_proportional_transform(ds, gamma, lams)
     # the verb draws nothing at random; its output carries the input's seed
@@ -161,19 +160,15 @@ def _cmd_construct(args):
         fh.write("# master_seed=%d\n" % args.seed)
         ds.to_csv(fh)
     if partition is not None:
-        path = args.partition_out
-        if path is None:
-            stem = args.out[:-4] if args.out.endswith(".csv") else args.out
-            path = stem + ".partition.json"
-        with open(path, "w") as fh:
+        stem = args.out[:-4] if args.out.endswith(".csv") else args.out
+        with open(stem + ".partition.json", "w") as fh:
             fh.write(partition.to_json())
     return 0
 
 
 def _cmd_suite(args):
     names = SUITE_NAMES if args.name == "all" else (args.name,)
-    config = ExperimentConfig(master_seed=args.seed, trials=args.trials)
-    reports = [run_suite(name, config) for name in names]
+    reports = [run_suite(name, args.seed, args.trials) for name in names]
     if args.format == "json":
         text = json.dumps([r.as_dict() for r in reports], indent=2,
                           sort_keys=True) + "\n"
@@ -188,9 +183,7 @@ def _cmd_suite(args):
 
 def _cmd_report(args):
     if args.grid:
-        results = variance_grid(
-            ExperimentConfig(master_seed=args.seed, restarts=args.restarts)
-        )
+        results = variance_grid(args.seed, args.restarts)
         _write_text(args.out, report(results, format=args.format))
         return 0 if results["all_within"] else 1
     # saved suite files hold a list (the suite verb always writes one);
@@ -245,9 +238,9 @@ def build_parser():
     p.add_argument("--rotated", action="store_true", help="segments variant")
     p.add_argument("--points-per-segment", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="dataset CSV path")
-    p.add_argument("--partition-out", default=None,
-                   help="partition JSON path (default: <out>.partition.json)")
+    p.add_argument("--out", required=True,
+                   help="dataset CSV path; a partition goes beside it, "
+                        "to <stem>.partition.json")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("suite", help="run property suites; exit 1 on failure")
@@ -279,8 +272,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # a refused value: usage error, status 2
-        parser.error(str(err))
+    except (ValueError, OSError) as err:  # a refused value, an unreadable file
+        parser.error(str(err))  # usage error, status 2
 
 
 if __name__ == "__main__":

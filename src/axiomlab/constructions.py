@@ -162,7 +162,7 @@ def _rotated_segments_endpoints():
     return segs
 
 
-def rotated_segments(rotated, points_per_segment=1000, rng=None):
+def rotated_segments(rotated, points_per_segment, rng):
     """Sample two wings of line segments, optionally with the right wing
     folded almost flat.
 
@@ -189,7 +189,7 @@ def rotated_segments(rotated, points_per_segment=1000, rng=None):
         Fold the right wing.
     points_per_segment : int
         Samples per segment (4 segments in total).
-    rng : numpy.random.Generator, int seed, or None
+    rng : numpy.random.Generator or int seed
         Randomness source for the uniform draws.
 
     Returns
@@ -226,10 +226,11 @@ def wing_partition(points_per_segment):
 # ---------------------------------------------------------------------------
 
 
-def gaussian_mixture(rng=None):
+def gaussian_mixture(rng):
     """Draw the bundled five-component mixture, component by component:
     200 points from the unit-covariance normal around each of the means
-    frozen by calibration (see the module constants), in order."""
+    frozen by calibration (see the module constants), in order, from
+    ``rng`` (a numpy Generator or an int seed)."""
     rng = np.random.default_rng(rng)
     blocks = [
         rng.multivariate_normal(mean, np.eye(2), size=_MIXTURE_POINTS_PER_COMPONENT)

@@ -13,18 +13,14 @@ All types are immutable; all functions are pure.
 import functools
 import itertools
 import json
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 # The partitions of n points grow like the Bell numbers (B(12) = 4 213 597),
 # so exhaustive search (kmeans.kmeans_ideal, kmeans.kmeans_ideal_minima)
-# refuses n above this unless the caller raises the cap via the
-# AXIOMLAB_ENUMERATION_CAP environment variable.
-DEFAULT_ENUMERATION_CAP = 12
-
-_ENUMERATION_CAP_ENV = "AXIOMLAB_ENUMERATION_CAP"
+# refuses n above this.
+ENUMERATION_CAP = 12
 
 # rows per block where distances are walked in blocks (256 KB at n = 1 000)
 _BLOCK_ROWS = 32
@@ -387,27 +383,7 @@ def _check_partition_size(partition, n):
 
 
 def _check_enumeration_size(n):
-    """Refuse exhaustive work over n points beyond the enumeration cap.
-
-    The cap is DEFAULT_ENUMERATION_CAP unless the AXIOMLAB_ENUMERATION_CAP
-    environment variable holds a positive integer.  Raises ValueError,
-    naming the variable, when n is outside 1..cap or the variable is set
-    to anything but a positive integer.
-    """
-    raw = os.environ.get(_ENUMERATION_CAP_ENV)
-    if raw is None:
-        cap = DEFAULT_ENUMERATION_CAP
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = 0  # refused below, like any cap under 1
-        if cap < 1:
-            raise ValueError(
-                "%s must be a positive integer, got %r" % (_ENUMERATION_CAP_ENV, raw)
-            )
-    if not 1 <= n <= cap:
-        raise ValueError(
-            "exhaustive search supports 1 <= n <= %d (n=%d); set %s to raise the cap"
-            % (cap, n, _ENUMERATION_CAP_ENV)
-        )
+    """Refuse exhaustive work over n points outside 1..ENUMERATION_CAP."""
+    if not 1 <= n <= ENUMERATION_CAP:
+        raise ValueError("exhaustive search supports 1 <= n <= %d (n=%d)"
+                         % (ENUMERATION_CAP, n))

@@ -4,9 +4,9 @@ A suite is the executable form of a theorem: statements asserting a
 possibility are tested by constructing the promised object and checking
 it; statements asserting an impossibility are represented by their
 constructive witnesses only.  Every trial draws its randomness from a
-substream spawned off the configured master seed, so trials are
+substream spawned off the run's master seed, so trials are
 order-independent and a whole suite run is reproducible bit for bit from
-``(master seed, config)``.  Reports record the master seed and the
+``(master seed, trials)``.  Reports record the master seed and the
 environment they ran in, and fingerprint their results alone.
 
 Every suite reports to one tally: a trial that reports a missed premise
@@ -74,35 +74,6 @@ _GRID_CENTRIC_LAMBDA = 0.8224
 _WITNESS_CAP = 3
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Knobs shared by every suite and by the variance grid.
-
-    Attributes
-    ----------
-    master_seed : int
-        Root of every rng substream; recorded in all outputs.
-    trials : int or None
-        Trial count for the sampled checks of a suite; None picks each
-        check's default.  Exhaustive checks ignore it.
-    restarts : int
-        k-means restarts per cell of the variance grid; the suites fix
-        their own restart counts.
-    """
-
-    master_seed: int = 0
-    trials: int | None = None
-    restarts: int = 40
-
-    def __post_init__(self):
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError("trials must be >= 1 when given")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-
-
 @dataclass(frozen=True, eq=False)
 class SuiteReport:
     """Outcome of one suite run.
@@ -110,8 +81,8 @@ class SuiteReport:
     ``checks`` is a tuple of dicts (name, trials, violations, passed);
     ``witnesses`` a tuple of replayable failure (or, for witness-style
     suites, success) records.  ``runtime_s`` and ``environment`` describe
-    the run; everything else is a pure function of (suite, config), and
-    :meth:`fingerprint` hashes exactly that part.
+    the run; everything else is a pure function of (suite, master seed,
+    trials), and :meth:`fingerprint` hashes exactly that part.
     """
 
     suite: str
@@ -186,7 +157,7 @@ class _Tally:
     """
 
     def __init__(self, trials):
-        self.trials = trials  # ExperimentConfig.trials: None keeps each default
+        self.trials = trials  # None keeps each check's default
         self.checks = []
         self.witnesses = []
 
@@ -204,9 +175,9 @@ class _Tally:
     def sampled(self, name, seq, default, trial):
         """Run ``trial(rng)`` on a generator per child of ``seq`` and check.
 
-        ``default`` trials unless the config overrides it.  A trial returns
-        its list of failures, or None when the instance misses the claim's
-        premise; those are not counted as trials.
+        ``default`` trials unless the run's ``trials`` overrides it.  A
+        trial returns its list of failures, or None when the instance misses
+        the claim's premise; those are not counted as trials.
         """
         trials, failures = 0, []
         for child in seq.spawn(self.trials or default):
@@ -557,14 +528,25 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name, config=None):
+def _root_seed(master_seed):
+    """The root of every rng substream of a run; refuses a negative seed."""
+    if master_seed < 0:
+        raise ValueError("master_seed must be >= 0")
+    return np.random.SeedSequence(master_seed)
+
+
+def run_suite(name, master_seed=0, trials=None):
     """Run one named property suite and return its report.
 
     Parameters
     ----------
     name : str
         One of :data:`SUITE_NAMES`.
-    config : ExperimentConfig, optional
+    master_seed : int
+        Root of every rng substream; recorded in the report.
+    trials : int or None
+        Trial count for the suite's sampled checks; None keeps each
+        check's default.  Exhaustive checks ignore it.
 
     Returns
     -------
@@ -574,14 +556,15 @@ def run_suite(name, config=None):
         raise ValueError(
             "unknown suite %r; available: %s" % (name, ", ".join(SUITE_NAMES))
         )
-    if config is None:
-        config = ExperimentConfig()
+    root = _root_seed(master_seed)
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be >= 1 when given")
     start = time.perf_counter()
-    tally = _Tally(config.trials)
-    _SUITES[name](np.random.SeedSequence(config.master_seed), tally)
+    tally = _Tally(trials)
+    _SUITES[name](root, tally)
     return SuiteReport(
         name,
-        config.master_seed,
+        master_seed,
         tally.checks,
         tally.witnesses,
         time.perf_counter() - start,
@@ -594,7 +577,7 @@ def run_suite(name, config=None):
 # ---------------------------------------------------------------------------
 
 
-def variance_grid(config=None):
+def variance_grid(master_seed=0, restarts=40):
     """Measure the explained-variance grid and compare it to its targets.
 
     Draws the bundled five-component mixture, derives the two-group and
@@ -608,16 +591,19 @@ def variance_grid(config=None):
 
     Parameters
     ----------
-    config : ExperimentConfig, optional
+    master_seed : int
+        Root of every rng substream; recorded in the result.
+    restarts : int
+        k-means restarts per cell.
 
     Returns
     -------
     dict
         Keys: kind, master_seed, restarts, rows, all_within.
     """
-    if config is None:
-        config = ExperimentConfig()
-    root = np.random.SeedSequence(config.master_seed)
+    root = _root_seed(master_seed)
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     sample_seed, km_seed = root.spawn(2)
     data = gaussian_mixture(rng=np.random.default_rng(sample_seed))
     gamma = mixture_partition()
@@ -636,7 +622,7 @@ def variance_grid(config=None):
         cfg = KMeansConfig(
             k=k,
             seeding="plus-plus",
-            restarts=config.restarts,
+            restarts=restarts,
             rng_seed=int(cells[i].generate_state(1)[0]),
         )
         measured = 100.0 * kmeans(ds, cfg).explained_variance
@@ -653,8 +639,8 @@ def variance_grid(config=None):
         })
     return {
         "kind": "variance-grid",
-        "master_seed": config.master_seed,
-        "restarts": config.restarts,
+        "master_seed": master_seed,
+        "restarts": restarts,
         "rows": rows,
         "all_within": all(r["within"] for r in rows),
     }

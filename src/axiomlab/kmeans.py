@@ -114,7 +114,7 @@ class KMeansConfig:
         ``"uniform-random"`` or ``"plus-plus"``.
     restarts : int
         Independent seedings to try; the best final objective wins.
-    rng_seed : int or None
+    rng_seed : int
         Master seed; restarts use spawned child generators, so the whole
         run is reproducible.
     """
@@ -122,7 +122,7 @@ class KMeansConfig:
     k: int
     seeding: str = "plus-plus"
     restarts: int = 1
-    rng_seed: int | None = None
+    rng_seed: int = 0
 
     def __post_init__(self):
         if self.k < 2:
@@ -769,8 +769,7 @@ def kmeans_ideal(dataset, k):
     shifted form.  The result is built on the plain-float route, whose
     floats the array route gives too.
 
-    n may not exceed ``DEFAULT_ENUMERATION_CAP`` (12), or the
-    ``AXIOMLAB_ENUMERATION_CAP`` environment variable when it is set.
+    n may not exceed ``core.ENUMERATION_CAP`` (12).
 
     Parameters
     ----------

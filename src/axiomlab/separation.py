@@ -11,7 +11,7 @@ and the uniform seeding success probability.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,24 +77,7 @@ class SeparationCertificate:
         )
 
     def to_json(self):
-        return json.dumps(
-            {
-                "nice_ball": self.nice_ball,
-                "perfect_ball": self.perfect_ball,
-                "rho": self.rho,
-                "core": self.core,
-                "core_pairs": [
-                    {"pair": list(p["pair"]), "gap": p["gap"],
-                     "core_radius": p["core_radius"]}
-                    for p in self.core_pairs
-                ],
-                "absolute": self.absolute,
-                "absolute_required": self.absolute_required,
-                "absolute_actual": self.absolute_actual,
-                "absolute_cases": self.absolute_cases,
-                "pairwise_center_distances": self.pairwise_center_distances.tolist(),
-            }
-        )
+        return json.dumps(asdict(self), default=np.ndarray.tolist)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from axiomlab.core import (
     Partition,
     distance_matrix,
 )
-from axiomlab.harness import ExperimentConfig, run_suite, variance_grid
+from axiomlab.harness import run_suite, variance_grid
 from axiomlab.kmeans import (
     KMeansConfig,
     _increment,
@@ -198,7 +198,7 @@ def test_07_four_rho_separation_never_leaks():
     """Monte Carlo over 1000 two-ball instances with centers >= 4 max(r_A,
     r_B) apart and one random seed per ball: the first assignment never
     crosses over and convergence keeps the ball partition (0 violations)."""
-    rep = run_suite("separation-4rho", ExperimentConfig(trials=1000))
+    rep = run_suite("separation-4rho", trials=1000)
     assert rep.passed
     assert rep.checks[0]["trials"] == 1000
     assert rep.checks[0]["violations"] == 0
@@ -208,7 +208,7 @@ def test_08_core_points_never_cross_at_two_rho_plus_g():
     """Monte Carlo over 1000 two-ball instances at center distance 2 rho
     + g with arbitrary in-ball seeds: no point within g/2 of a true center
     is ever assigned to the other seed (0 violations)."""
-    rep = run_suite("core-preservation", ExperimentConfig(trials=1000))
+    rep = run_suite("core-preservation", trials=1000)
     assert rep.passed
     assert rep.checks[0]["trials"] == 1000
     assert rep.checks[0]["violations"] == 0
@@ -239,7 +239,7 @@ def test_10_certified_absolute_instances_are_global_minima():
     """On at least 100 randomized instances (n <= 10) whose separation
     certificate reports the absolute condition, exhaustive search confirms
     the certified partition is the global minimum in 100% of cases."""
-    rep = run_suite("absolute-global", ExperimentConfig(trials=110))
+    rep = run_suite("absolute-global", trials=110)
     assert rep.passed
     assert rep.checks[0]["trials"] >= 100  # certified instances actually hit
     assert rep.checks[0]["violations"] == 0
@@ -338,7 +338,7 @@ def test_13_variance_grid_lands_within_all_bands():
     fall within the allowed bands: +-3 points for original and centric,
     +-1 for the collapse column.  The reference mixture behind the targets
     is unpublished, so this is a tolerance comparison, not an exact one."""
-    grid = variance_grid(ExperimentConfig())
+    grid = variance_grid()
     assert len(grid["rows"]) == 15
     off = ["%s k=%d dev %+0.2f" % (r["regime"], r["k"], r["deviation"])
            for r in grid["rows"] if not r["within"]]

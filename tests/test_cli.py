@@ -77,7 +77,7 @@ def test_construct_cluster_certify_roundtrip(tmp_path):
         "e07220b3144b4a1f9cef91953814559dc5c5673900d837ef1ac0b8d030c59ba5")
 
 
-def test_transform_kinds(tmp_path):
+def test_transform_kinds(tmp_path, capsys):
     data = tmp_path / "line.csv"
     main(["construct", "--what", "line", "--sizes", "3,3",
           "--out", str(data)])
@@ -106,14 +106,23 @@ def test_transform_kinds(tmp_path):
                  "--alpha", "2.0", "--out", str(scaled)]) == 0
     assert np.allclose(Dataset.from_csv(str(scaled)).points,
                        2.0 * before.points)
-    with pytest.raises(SystemExit):  # scale without --alpha
-        main(["transform", "--data", str(data), "--kind", "scale",
-              "--out", str(scaled)])
-    for kind in ("centric", "motion", "inner"):  # no --partition
-        with pytest.raises(SystemExit, match="needs --partition"):
-            main(["transform", "--data", str(data), "--kind", kind,
-                  "--cluster", "0", "--lam", "0.5", "--vector", "1.0",
-                  "--lams", "0.5,0.9", "--out", str(tmp_path / "none.csv")])
+
+    # a missing option is a usage error, refused before --data is read
+    for kind, given, missing in [
+        ("scale", [], "--alpha"),
+        ("centric", ["--cluster", "0", "--lam", "0.5"], "--partition"),
+        ("motion", ["--cluster", "0", "--vector", "1.0"], "--partition"),
+        ("inner", ["--lams", "0.5,0.9"], "--partition"),
+        ("centric", ["--partition", part], "--cluster, --lam"),
+        ("motion", ["--partition", part, "--cluster", "0"], "--vector"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--data", str(tmp_path / "missing.csv"),
+                  "--kind", kind, *given, "--out", str(tmp_path / "none.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "axiomlab: error: transform %s needs %s" % (kind, missing))
+    assert not (tmp_path / "none.csv").exists()
 
 
 def test_construct_other_kinds(tmp_path):
@@ -179,6 +188,10 @@ def test_construct_line_refuses_sizes_beyond_float64(tmp_path):
     (["report", "--grid", "--restarts", "0"], "restarts must be >= 1"),
     (["construct", "--what", "line", "--sizes", "3,0"],
      "cluster sizes must all be >= 1, got [3, 0]"),
+    (["cluster", "--data", "missing.csv", "--k", "2"],
+     "[Errno 2] No such file or directory: 'missing.csv'"),
+    (["report", "--from", "missing.json"],
+     "[Errno 2] No such file or directory: 'missing.json'"),
 ])
 def test_refused_values_are_usage_errors(tmp_path, argv, message):
     # status 1 means "a check failed"; a refused value is a usage error,
@@ -189,7 +202,7 @@ def test_refused_values_are_usage_errors(tmp_path, argv, message):
     out = subprocess.run(
         [sys.executable, "-m", "axiomlab.cli", *argv, "--out",
          str(tmp_path / "out.csv")],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert out.returncode == 2
     assert out.stderr.splitlines()[-1] == "axiomlab: error: " + message

@@ -12,6 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
+from axiomlab import core
 from axiomlab.core import (
     Dataset,
     DistanceMatrix,
@@ -376,24 +377,14 @@ def _evenly_spaced(n):
 
 
 def test_enumeration_cap(monkeypatch):
-    monkeypatch.delenv("AXIOMLAB_ENUMERATION_CAP", raising=False)
-    with pytest.raises(ValueError, match="set AXIOMLAB_ENUMERATION_CAP"):
+    with pytest.raises(ValueError, match=r"1 <= n <= 12 \(n=13\)"):
         kmeans_ideal(_evenly_spaced(13), 2)
-    monkeypatch.setenv("AXIOMLAB_ENUMERATION_CAP", "5")
-    with pytest.raises(ValueError, match="set AXIOMLAB_ENUMERATION_CAP"):
+    monkeypatch.setattr(core, "ENUMERATION_CAP", 5)
+    with pytest.raises(ValueError, match=r"1 <= n <= 5 \(n=6\)"):
         kmeans_ideal(_evenly_spaced(6), 2)
     assert kmeans_ideal(_evenly_spaced(5), 2).partition.n == 5
     with pytest.raises(ValueError, match="1 <= k <= n"):
         kmeans_ideal(_evenly_spaced(4), 5)
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
-def test_enumeration_cap_rejects_bad_values(monkeypatch, raw):
-    monkeypatch.setenv("AXIOMLAB_ENUMERATION_CAP", raw)
-    # a bad value is reported as such, not as every n being too large
-    with pytest.raises(ValueError,
-                       match="AXIOMLAB_ENUMERATION_CAP must be a positive integer"):
-        kmeans_ideal(_evenly_spaced(3), 2)
 
 
 # Every entry point that takes a partition with its data refuses one of the

@@ -13,7 +13,6 @@ from axiomlab.harness import (
     GRID_KS,
     GRID_TARGETS,
     SUITE_NAMES,
-    ExperimentConfig,
     SuiteReport,
     _Tally,
     _witness,
@@ -30,14 +29,15 @@ from axiomlab.core import Partition
 
 
 def test_experiment_config_validation():
-    cfg = ExperimentConfig()
-    assert cfg.master_seed == 0 and cfg.restarts == 40 and cfg.trials is None
-    with pytest.raises(ValueError):
-        ExperimentConfig(master_seed=-1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(trials=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(restarts=0)
+    # the run settings are plain arguments, each checked by its reader
+    with pytest.raises(ValueError, match="master_seed must be >= 0"):
+        run_suite("interference", master_seed=-1)
+    with pytest.raises(ValueError, match="trials must be >= 1 when given"):
+        run_suite("interference", trials=0)
+    with pytest.raises(ValueError, match="master_seed must be >= 0"):
+        variance_grid(master_seed=-1)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        variance_grid(restarts=0)
 
 
 def test_suite_report_is_immutable_and_serializable():
@@ -124,7 +124,7 @@ def test_k_richness_rate_checks_respect_the_witness_cap(monkeypatch):
     monkeypatch.setattr(harness, "kmeans",
                         lambda ds, cfg: SimpleNamespace(partition=None))
     monkeypatch.setattr(harness, "seeding_success", lambda *args: 1.0)
-    rep = run_suite("k-richness", ExperimentConfig(trials=10))
+    rep = run_suite("k-richness", trials=10)
     assert [c["violations"] for c in rep.checks] == [37, 3, 3]
     assert [w["check"] for w in rep.witnesses] == ["line-recovery"] * 3
 
@@ -177,7 +177,7 @@ def test_every_suite_passes_at_defaults():
 def test_suite_reports_are_deterministic_given_seed():
     a = run_suite("separation-4rho")
     b = run_suite("separation-4rho")
-    other = run_suite("separation-4rho", ExperimentConfig(master_seed=5))
+    other = run_suite("separation-4rho", master_seed=5)
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != other.fingerprint()
     # wall time is the one field allowed to differ
@@ -228,18 +228,18 @@ PINNED_FINGERPRINTS = {
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_fingerprints_are_pinned(name):
-    configs = [ExperimentConfig(master_seed=s, trials=10) for s in range(20)]
-    configs.append(ExperimentConfig(trials=100 if name == "k-richness" else None))
+    runs = [(s, 10) for s in range(20)]
+    runs.append((0, 100 if name == "k-richness" else None))
     if name == "motion-consistency":
-        configs.append(ExperimentConfig(master_seed=16))
+        runs.append((16, None))
     digest = hashlib.sha256()
-    for cfg in configs:
-        digest.update(run_suite(name, cfg).fingerprint().encode())
+    for master_seed, trials in runs:
+        digest.update(run_suite(name, master_seed, trials).fingerprint().encode())
     assert digest.hexdigest() == PINNED_FINGERPRINTS[name]
 
 
 def test_trials_override_shrinks_sampled_checks():
-    rep = run_suite("core-preservation", ExperimentConfig(trials=10))
+    rep = run_suite("core-preservation", trials=10)
     assert rep.checks[0]["trials"] == 10
     assert rep.passed
 
@@ -250,8 +250,7 @@ def test_trials_override_shrinks_sampled_checks():
 
 
 def test_variance_grid_structure_and_determinism():
-    cfg = ExperimentConfig(restarts=4)
-    grid = variance_grid(cfg)
+    grid = variance_grid(restarts=4)
     assert grid["kind"] == "variance-grid"
     assert grid["master_seed"] == 0 and grid["restarts"] == 4
     assert len(grid["rows"]) == 15
@@ -263,7 +262,7 @@ def test_variance_grid_structure_and_determinism():
         assert r["band"] == GRID_BANDS[r["regime"]]
         assert r["deviation"] == pytest.approx(r["measured"] - r["target"])
         assert r["within"] == (abs(r["deviation"]) <= r["band"])
-    again = variance_grid(cfg)
+    again = variance_grid(restarts=4)
     assert again == grid
 
 
@@ -288,7 +287,7 @@ _GRID_PINS = {
 
 @pytest.mark.parametrize("master_seed", sorted(_GRID_PINS))
 def test_variance_grid_is_bit_identical(master_seed):
-    grid = variance_grid(ExperimentConfig(master_seed=master_seed, restarts=5))
+    grid = variance_grid(master_seed, restarts=5)
     cells = [(r["regime"], r["k"]) for r in grid["rows"]]
     assert cells == [(reg, k) for reg in ("original", "kleinberg", "centric")
                      for k in GRID_KS]
@@ -311,7 +310,7 @@ def test_report_json_roundtrip_and_master_seed():
 
 
 def test_report_csv_shapes():
-    grid = variance_grid(ExperimentConfig(restarts=2))
+    grid = variance_grid(restarts=2)
     lines = report(grid, format="csv").strip().splitlines()
     assert lines[0] == "# master_seed=0"
     assert lines[1] == "k,original,kleinberg,centric"
@@ -328,8 +327,7 @@ def test_report_markdown_and_validation():
     rep = run_suite("interference")
     md = report(rep, format="markdown")
     assert "interference" in md and "pass" in md
-    grid_md = report(variance_grid(ExperimentConfig(restarts=2)),
-                     format="markdown")
+    grid_md = report(variance_grid(restarts=2), format="markdown")
     assert "| k | regime |" in grid_md
     with pytest.raises(ValueError):
         report(rep, format="yaml")

@@ -23,7 +23,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
 import axiomlab
-from axiomlab.constructions import rotated_segments
+from axiomlab import core
+from axiomlab.constructions import gaussian_mixture, rotated_segments
 from axiomlab.core import (
     CrossCheckError,
     Dataset,
@@ -73,6 +74,18 @@ def test_config_validation():
         KMeansConfig(k=2, restarts=0)
     cfg = KMeansConfig(k=3, restarts=5, rng_seed=42)
     assert cfg.seeding == "plus-plus"
+
+
+def test_left_out_seeds_never_draw_os_entropy():
+    # a generator needs its seed; k-means without one runs at seed 0
+    with pytest.raises(TypeError):
+        gaussian_mixture()
+    with pytest.raises(TypeError):
+        rotated_segments(False, points_per_segment=3)
+    ds = rotated_segments(True, points_per_segment=20, rng=4)
+    a, b = (kmeans(ds, KMeansConfig(k=2, restarts=3)) for _ in range(2))
+    assert a.partition == b.partition and a.q == b.q
+    assert a.q == kmeans(ds, KMeansConfig(k=2, restarts=3, rng_seed=0)).q
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +579,9 @@ def test_kmeans_ideal_matches_the_1d_dynamic_programme():
 
 
 def test_kmeans_ideal_respects_cap(monkeypatch):
-    monkeypatch.setenv("AXIOMLAB_ENUMERATION_CAP", "5")
+    monkeypatch.setattr(core, "ENUMERATION_CAP", 5)
     ds = _line(*range(6))
-    with pytest.raises(ValueError, match="AXIOMLAB_ENUMERATION_CAP"):
+    with pytest.raises(ValueError, match="exhaustive search supports"):
         kmeans_ideal(ds, 2)
 
 
