@@ -166,19 +166,23 @@ def _cmd_construct(args):
     return 0
 
 
+def _render_reports(reports, format):
+    """Suite reports as the suite verb saves them: one JSON list, or the
+    reports' CSV or markdown renderings joined."""
+    texts = [report(r, format=format) for r in reports]  # refuses a non-report
+    if format == "json":
+        return json.dumps(reports, indent=2, sort_keys=True) + "\n"
+    return "\n".join(texts)
+
+
 def _cmd_suite(args):
     names = SUITE_NAMES if args.name == "all" else (args.name,)
     reports = [run_suite(name, args.seed, args.trials) for name in names]
-    if args.format == "json":
-        text = json.dumps([r.as_dict() for r in reports], indent=2,
-                          sort_keys=True) + "\n"
-    else:
-        text = "\n".join(report(r, format=args.format) for r in reports)
-    _write_text(args.out, text)
+    _write_text(args.out, _render_reports(reports, args.format))
     for r in reports:
-        print("%-28s %s" % (r.suite, "pass" if r.passed else "FAIL"),
+        print("%-28s %s" % (r["suite"], "pass" if r["passed"] else "FAIL"),
               file=sys.stderr)
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if all(r["passed"] for r in reports) else 1
 
 
 def _cmd_report(args):
@@ -192,8 +196,7 @@ def _cmd_report(args):
         loaded = json.load(fh)
     if not isinstance(loaded, list):
         loaded = [loaded]
-    _write_text(args.out,
-                "\n".join(report(r, format=args.format) for r in loaded))
+    _write_text(args.out, _render_reports(loaded, args.format))
     return 0
 
 

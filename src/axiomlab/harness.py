@@ -7,7 +7,8 @@ constructive witnesses only.  Every trial draws its randomness from a
 substream spawned off the run's master seed, so trials are
 order-independent and a whole suite run is reproducible bit for bit from
 ``(master seed, trials)``.  Reports record the master seed and the
-environment they ran in, and fingerprint their results alone.
+environment they ran in.  A report is the plain dict it is saved as, and
+:func:`fingerprint` hashes its results alone, live or read back.
 
 Every suite reports to one tally: a trial that reports a missed premise
 (its instance does not meet the claim's hypothesis) is not counted, every
@@ -22,7 +23,6 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,70 +74,16 @@ _GRID_CENTRIC_LAMBDA = 0.8224
 _WITNESS_CAP = 3
 
 
-@dataclass(frozen=True, eq=False)
-class SuiteReport:
-    """Outcome of one suite run.
-
-    ``checks`` is a tuple of dicts (name, trials, violations, passed);
-    ``witnesses`` a tuple of replayable failure (or, for witness-style
-    suites, success) records.  ``runtime_s`` and ``environment`` describe
-    the run; everything else is a pure function of (suite, master seed,
-    trials), and :meth:`fingerprint` hashes exactly that part.
+def fingerprint(results):
+    """sha256 over a suite report's suite, master seed, checks and
+    witnesses.  Runtime and environment are left out, so the same results
+    give the same fingerprint on any machine, live or read back from JSON.
     """
-
-    suite: str
-    master_seed: int
-    checks: tuple
-    witnesses: tuple
-    runtime_s: float
-    environment: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-        object.__setattr__(self, "checks", tuple(self.checks))
-        object.__setattr__(self, "witnesses", tuple(self.witnesses))
-        object.__setattr__(self, "runtime_s", float(self.runtime_s))
-        object.__setattr__(self, "environment", dict(self.environment))
-
-    @property
-    def passed(self):
-        return all(c["passed"] for c in self.checks)
-
-    def as_dict(self):
-        return {
-            "kind": "suite",
-            "suite": self.suite,
-            "master_seed": self.master_seed,
-            "passed": self.passed,
-            "checks": list(self.checks),
-            "witnesses": list(self.witnesses),
-            "runtime_s": self.runtime_s,
-            "environment": self.environment,
-        }
-
-    def fingerprint(self):
-        """sha256 over the results: suite, master seed, checks, witnesses.
-
-        Runtime and environment are left out, so the same results give the
-        same fingerprint on any machine.
-        """
-        payload = {
-            "suite": self.suite,
-            "master_seed": self.master_seed,
-            "checks": list(self.checks),
-            "witnesses": list(self.witnesses),
-        }
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()
-
-    def __repr__(self):
-        return "SuiteReport(%s, %s, %d checks, %d witnesses)" % (
-            self.suite,
-            "pass" if self.passed else "FAIL",
-            len(self.checks),
-            len(self.witnesses),
-        )
+    payload = {key: results[key]
+               for key in ("suite", "master_seed", "checks", "witnesses")}
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()
 
 
 def _environment():
@@ -550,7 +496,13 @@ def run_suite(name, master_seed=0, trials=None):
 
     Returns
     -------
-    SuiteReport
+    dict
+        ``kind`` (``"suite"``), ``suite``, ``master_seed``, ``passed``,
+        ``checks`` (dicts of name, trials, violations, passed),
+        ``witnesses`` (replayable failure records, or for witness-style
+        suites success records), ``runtime_s`` and ``environment``.  All
+        but the last two are a pure function of (suite, master seed,
+        trials); :func:`fingerprint` hashes them.
     """
     if name not in _SUITES:
         raise ValueError(
@@ -562,14 +514,16 @@ def run_suite(name, master_seed=0, trials=None):
     start = time.perf_counter()
     tally = _Tally(trials)
     _SUITES[name](root, tally)
-    return SuiteReport(
-        name,
-        master_seed,
-        tally.checks,
-        tally.witnesses,
-        time.perf_counter() - start,
-        _environment(),
-    )
+    return {
+        "kind": "suite",
+        "suite": name,
+        "master_seed": int(master_seed),
+        "passed": all(c["passed"] for c in tally.checks),
+        "checks": tally.checks,
+        "witnesses": tally.witnesses,
+        "runtime_s": time.perf_counter() - start,
+        "environment": _environment(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +610,9 @@ def report(results, format="json"):
 
     Parameters
     ----------
-    results : SuiteReport or dict
-        A :class:`SuiteReport`, the dict from :func:`variance_grid`, or a
-        previously serialized report parsed back from JSON.
+    results : dict
+        A report from :func:`run_suite` or :func:`variance_grid`, live or
+        parsed back from its JSON.  Anything else raises ``ValueError``.
     format : str
         ``"json"``, ``"csv"``, or ``"markdown"``.
 
@@ -666,18 +620,16 @@ def report(results, format="json"):
     -------
     str
     """
-    if isinstance(results, SuiteReport):
-        payload = results.as_dict()
-    elif isinstance(results, dict) and "kind" in results:
-        payload = results
-    else:
-        raise TypeError("results must be a SuiteReport or a report dict")
+    if not (isinstance(results, dict)
+            and results.get("kind") in ("suite", "variance-grid")):
+        raise ValueError("not a report: expected an object of kind suite "
+                         "or variance-grid")
     if format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(results, sort_keys=True, indent=2) + "\n"
     if format == "csv":
-        return _render_csv(payload)
+        return _render_csv(results)
     if format == "markdown":
-        return _render_markdown(payload)
+        return _render_markdown(results)
     raise ValueError("format must be json, csv, or markdown, got %r" % (format,))
 
 

@@ -255,20 +255,15 @@ def _canonical(members):
     return sorted(range(len(members)), key=lambda j: members[j][0])
 
 
-def explained_variance(dataset, result):
-    """Fraction of total scatter explained: 1 - Q / TSS.
+def explained_variance(dataset, partition):
+    """Fraction of total scatter a partition explains: 1 - Q / TSS.
 
-    ``result`` may be a :class:`ClusteringResult` (its ``q`` is used) or a
-    :class:`~axiomlab.core.Partition` (Q is computed).  A dataset whose
-    points all coincide has TSS = 0 and is fully explained by anything.
+    A dataset whose points all coincide has TSS = 0 and is fully explained
+    by anything.
     """
-    if isinstance(result, ClusteringResult):
-        q = result.q
-    elif isinstance(result, Partition):
-        q = objective_q(dataset, result)
-    else:
-        raise TypeError("result must be ClusteringResult or Partition")
-    return _explained(dataset, q)
+    if not isinstance(partition, Partition):
+        raise TypeError("partition must be a Partition")
+    return _explained(dataset, objective_q(dataset, partition))
 
 
 def _explained(dataset, q):

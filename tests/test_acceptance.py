@@ -199,9 +199,9 @@ def test_07_four_rho_separation_never_leaks():
     r_B) apart and one random seed per ball: the first assignment never
     crosses over and convergence keeps the ball partition (0 violations)."""
     rep = run_suite("separation-4rho", trials=1000)
-    assert rep.passed
-    assert rep.checks[0]["trials"] == 1000
-    assert rep.checks[0]["violations"] == 0
+    assert rep["passed"]
+    assert rep["checks"][0]["trials"] == 1000
+    assert rep["checks"][0]["violations"] == 0
 
 
 def test_08_core_points_never_cross_at_two_rho_plus_g():
@@ -209,9 +209,9 @@ def test_08_core_points_never_cross_at_two_rho_plus_g():
     + g with arbitrary in-ball seeds: no point within g/2 of a true center
     is ever assigned to the other seed (0 violations)."""
     rep = run_suite("core-preservation", trials=1000)
-    assert rep.passed
-    assert rep.checks[0]["trials"] == 1000
-    assert rep.checks[0]["violations"] == 0
+    assert rep["passed"]
+    assert rep["checks"][0]["trials"] == 1000
+    assert rep["checks"][0]["violations"] == 0
 
 
 def test_09_motion_gap_bound_is_conservative():
@@ -240,9 +240,9 @@ def test_10_certified_absolute_instances_are_global_minima():
     certificate reports the absolute condition, exhaustive search confirms
     the certified partition is the global minimum in 100% of cases."""
     rep = run_suite("absolute-global", trials=110)
-    assert rep.passed
-    assert rep.checks[0]["trials"] >= 100  # certified instances actually hit
-    assert rep.checks[0]["violations"] == 0
+    assert rep["passed"]
+    assert rep["checks"][0]["trials"] >= 100  # certified instances actually hit
+    assert rep["checks"][0]["violations"] == 0
 
 
 # Signed coordinates of the six-point table: the third axis is imaginary,
@@ -350,9 +350,9 @@ def test_14_interference_witness_holds():
     followed by rescaling to the original diameter leaves one cross-cluster
     pair strictly closer than it ever was."""
     rep = run_suite("interference")
-    assert rep.passed
-    assert len(rep.witnesses) == 1
-    w = rep.witnesses[0]
+    assert rep["passed"]
+    assert len(rep["witnesses"]) == 1
+    w = rep["witnesses"][0]
     assert w["params"]["after"] < w["params"]["before"]
     # independent replay of the recorded numbers
     d_before = distance_matrix(Dataset(np.array(w["points"])))

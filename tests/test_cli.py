@@ -192,10 +192,16 @@ def test_construct_line_refuses_sizes_beyond_float64(tmp_path):
      "[Errno 2] No such file or directory: 'missing.csv'"),
     (["report", "--from", "missing.json"],
      "[Errno 2] No such file or directory: 'missing.json'"),
+    (["report", "--from", "object.json"],
+     "not a report: expected an object of kind suite or variance-grid"),
+    (["report", "--from", "list.json"],
+     "not a report: expected an object of kind suite or variance-grid"),
 ])
 def test_refused_values_are_usage_errors(tmp_path, argv, message):
     # status 1 means "a check failed"; a refused value is a usage error,
     # reported in one line with status 2, as argparse reports a bad option
+    (tmp_path / "object.json").write_text('{"a": 1}')  # JSON, not reports
+    (tmp_path / "list.json").write_text("[1, 2]")
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(axiomlab.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -279,3 +285,17 @@ def test_report_command(tmp_path):
                  "--format", "markdown", "--out",
                  str(tmp_path / "one.md")]) == 0
     assert "interference" in (tmp_path / "one.md").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--name", "all", "--trials", "3"],
+    ["--name", "motion-consistency"],  # fails at seed 16, with witnesses
+])
+def test_report_from_json_is_the_saved_file(tmp_path, argv):
+    # re-rendering a saved suite file as JSON gives back the file, byte for
+    # byte: one list, whether it holds nine reports or one
+    saved, again = tmp_path / "suite.json", tmp_path / "again.json"
+    main(["suite", *argv, "--seed", "16", "--out", str(saved)])
+    assert main(["report", "--from", str(saved), "--format", "json",
+                 "--out", str(again)]) == 0
+    assert again.read_bytes() == saved.read_bytes()

@@ -23,7 +23,6 @@ from axiomlab.core import (
     distance_matrix,
 )
 from axiomlab.constructions import collapse_to_two_groups
-from axiomlab.harness import SuiteReport
 from axiomlab.kmeans import ClusteringResult, is_local_min, kmeans_ideal, objective_q
 from axiomlab.separation import certify
 from axiomlab.transforms import (
@@ -186,14 +185,9 @@ def _same_fields(a, b):
                          0.99, True),
         certify(Dataset([[0.0], [1.0], [10.0], [11.0]]),
                 Partition([[0, 1], [2, 3]])),
-        SuiteReport("interference", 7,
-                    [{"name": "gap", "trials": 3, "violations": 0,
-                      "passed": True}],
-                    [{"kind": "witness", "points": [[0.0], [1.0]]}], 0.25,
-                    {"python": "3.11.7"}),
     ],
     ids=["Dataset", "DistanceMatrix", "Partition", "ClusteringResult",
-         "SeparationCertificate", "SuiteReport"],
+         "SeparationCertificate"],
 )
 def test_value_types_copy_and_pickle(value):
     for clone in (
