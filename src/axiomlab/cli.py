@@ -128,8 +128,7 @@ def _cmd_transform(args):
 def _cmd_certify(args):
     ds = Dataset.from_csv(args.data)
     gamma = _read_partition(args.partition)
-    cert = certify(ds, gamma)
-    _write_text(args.out, cert.to_json())
+    _write_text(args.out, json.dumps(certify(ds, gamma)))
     return 0
 
 
@@ -147,13 +146,8 @@ def _cmd_construct(args):
         ds = gaussian_mixture(rng=args.seed)
         partition = mixture_partition()
     elif args.what == "collapse":
-        gamma = mixture_partition()
-        ds = collapse_to_two_groups(gaussian_mixture(rng=args.seed), gamma)
-        half = gamma.k // 2
-        partition = Partition([
-            [m for c in gamma.clusters[:half] for m in c],
-            [m for c in gamma.clusters[half:] for m in c],
-        ])
+        ds, partition = collapse_to_two_groups(
+            gaussian_mixture(rng=args.seed), mixture_partition())
     else:  # fixture
         ds = fixture_table()  # a DistanceMatrix, written the same way
     with open(args.out, "w") as fh:

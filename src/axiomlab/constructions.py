@@ -275,7 +275,8 @@ def collapse_to_two_groups(dataset, gamma):
 
     Returns
     -------
-    Dataset
+    (Dataset, Partition)
+        The collapsed points and their two-group split.
     """
     if gamma.k < 2:
         raise ValueError("need at least two clusters to form two groups")
@@ -312,7 +313,7 @@ def collapse_to_two_groups(dataset, gamma):
             "groups closer than the original data (%d cross-cluster violations)"
             % (_COLLAPSE_EXPLAINED, len(violations))
         )
-    return result
+    return result, Partition([a_idx, b_idx])
 
 
 # ---------------------------------------------------------------------------

@@ -419,7 +419,7 @@ def _suite_absolute_global(seeds, tally):
                 for j, ball_rng in enumerate(rng.spawn(k))
             ])
             ds = Dataset(pts)
-            if certify(ds, gamma).absolute:
+            if certify(ds, gamma)["absolute"]:
                 break
             spacing *= 2.0
         else:
@@ -563,7 +563,7 @@ def variance_grid(master_seed=0, restarts=40):
     gamma = mixture_partition()
     regimes = (
         ("original", data),
-        ("kleinberg", collapse_to_two_groups(data, gamma)),
+        ("kleinberg", collapse_to_two_groups(data, gamma)[0]),
         ("centric", inner_proportional_transform(
             data, gamma, [_GRID_CENTRIC_LAMBDA] * gamma.k)),
     )
@@ -605,6 +605,13 @@ def variance_grid(master_seed=0, restarts=40):
 # ---------------------------------------------------------------------------
 
 
+# the top-level fields each kind of report is rendered from
+_REPORT_FIELDS = {
+    "suite": ("suite", "master_seed", "passed", "checks", "witnesses"),
+    "variance-grid": ("master_seed", "restarts", "rows", "all_within"),
+}
+
+
 def report(results, format="json"):
     """Render a suite report or a variance grid.
 
@@ -612,7 +619,8 @@ def report(results, format="json"):
     ----------
     results : dict
         A report from :func:`run_suite` or :func:`variance_grid`, live or
-        parsed back from its JSON.  Anything else raises ``ValueError``.
+        parsed back from its JSON.  Anything else, a report missing a
+        top-level field included, raises ``ValueError``.
     format : str
         ``"json"``, ``"csv"``, or ``"markdown"``.
 
@@ -624,6 +632,10 @@ def report(results, format="json"):
             and results.get("kind") in ("suite", "variance-grid")):
         raise ValueError("not a report: expected an object of kind suite "
                          "or variance-grid")
+    missing = [f for f in _REPORT_FIELDS[results["kind"]] if f not in results]
+    if missing:
+        raise ValueError("%s report lacks %s"
+                         % (results["kind"], ", ".join(missing)))
     if format == "json":
         return json.dumps(results, sort_keys=True, indent=2) + "\n"
     if format == "csv":

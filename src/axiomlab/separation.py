@@ -9,75 +9,11 @@ cluster takeover unprofitable, the gap that certifies global optimality,
 and the uniform seeding success probability.
 """
 
-import json
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (_balls, _check_partition_size, _frozen_array, _reduce_through_init,
-                   _sq_dists)
-
-
-@dataclass(frozen=True, eq=False)
-class SeparationCertificate:
-    """Which separation regimes a clustered dataset satisfies.
-
-    Attributes
-    ----------
-    nice_ball : bool
-        Every pair of clusters has center distance >= 4 max(r_A, r_B).
-    perfect_ball : bool
-        Center distances >= 4 rho with the single rho = max_j r_j.
-    rho : float
-        The global radius used by the perfect-ball test.
-    core : bool
-        Every pair has positive gap g_AB = dist - 2 max(r_A, r_B).
-    core_pairs : tuple of dict
-        Per pair: ``{"pair", "gap", "core_radius"}`` (core radius g/2).
-    absolute : bool
-        Min pairwise ball gap (dist - r_A - r_B) meets the sufficient
-        global-optimality bound.
-    absolute_required, absolute_actual : float
-    absolute_cases : dict
-        The two bound cases itemized.
-    pairwise_center_distances : (k, k) ndarray
-    """
-
-    nice_ball: bool
-    perfect_ball: bool
-    rho: float
-    core: bool
-    core_pairs: tuple
-    absolute: bool
-    absolute_required: float
-    absolute_actual: float
-    absolute_cases: dict
-    pairwise_center_distances: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nice_ball", bool(self.nice_ball))
-        object.__setattr__(self, "perfect_ball", bool(self.perfect_ball))
-        object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "core", bool(self.core))
-        object.__setattr__(self, "core_pairs", tuple(self.core_pairs))
-        object.__setattr__(self, "absolute", bool(self.absolute))
-        object.__setattr__(self, "absolute_required", float(self.absolute_required))
-        object.__setattr__(self, "absolute_actual", float(self.absolute_actual))
-        object.__setattr__(self, "absolute_cases", dict(self.absolute_cases))
-        object.__setattr__(self, "pairwise_center_distances",
-                           _frozen_array(self.pairwise_center_distances))
-
-    __reduce__ = _reduce_through_init
-
-    def __repr__(self):
-        return (
-            "SeparationCertificate(nice=%s, perfect=%s, core=%s, absolute=%s)"
-            % (self.nice_ball, self.perfect_ball, self.core, self.absolute)
-        )
-
-    def to_json(self):
-        return json.dumps(asdict(self), default=np.ndarray.tolist)
+from .core import _balls, _check_partition_size, _sq_dists
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +35,26 @@ def certify(dataset, gamma):
 
     Returns
     -------
-    SeparationCertificate
+    dict
+        The certificate, as ``axiomlab certify`` writes it; every value is
+        JSON-native, so the dict equals its own JSON round trip.  Keys, in
+        order:
+
+        - ``nice_ball`` (bool): every pair of clusters has center distance
+          >= 4 max(r_A, r_B);
+        - ``perfect_ball`` (bool): every center distance is >= 4 rho;
+        - ``rho`` (float): the single radius max_j r_j of that test;
+        - ``core`` (bool): every pair has a positive gap
+          g_AB = dist - 2 max(r_A, r_B);
+        - ``core_pairs`` (list of dict): per pair i < j,
+          ``{"pair": [i, j], "gap": g, "core_radius": g / 2}``;
+        - ``absolute`` (bool): the smallest ball gap (dist - r_A - r_B)
+          meets the sufficient global-optimality bound
+          (:func:`absolute_gap_bound`);
+        - ``absolute_required``, ``absolute_actual`` (float): that bound
+          and that smallest gap;
+        - ``absolute_cases`` (dict): the bound's ``case1`` and ``case2``;
+        - ``pairwise_center_distances`` (k x k nested list of float).
     """
     _check_partition_size(gamma, dataset.n)
     k = gamma.k
@@ -122,7 +77,7 @@ def certify(dataset, gamma):
                 nice = False
             gap = dist[i, j] - 2.0 * rho_pair
             core_pairs.append(
-                {"pair": (i, j), "gap": float(gap), "core_radius": float(gap / 2.0)}
+                {"pair": [i, j], "gap": float(gap), "core_radius": float(gap / 2.0)}
             )
             if gap <= 0.0:
                 core = False
@@ -134,20 +89,19 @@ def certify(dataset, gamma):
     perfect = bool(np.min(off_diag) >= 4.0 * rho)
 
     bound = absolute_gap_bound([len(b) for b in gamma.clusters], radii)
-    absolute = min_ball_gap >= bound["bound"]
 
-    return SeparationCertificate(
-        nice_ball=nice,
-        perfect_ball=perfect,
-        rho=rho,
-        core=core,
-        core_pairs=core_pairs,
-        absolute=absolute,
-        absolute_required=bound["bound"],
-        absolute_actual=float(min_ball_gap),
-        absolute_cases={"case1": bound["case1"], "case2": bound["case2"]},
-        pairwise_center_distances=dist,
-    )
+    return {
+        "nice_ball": nice,
+        "perfect_ball": perfect,
+        "rho": rho,
+        "core": core,
+        "core_pairs": core_pairs,
+        "absolute": bool(min_ball_gap >= bound["bound"]),
+        "absolute_required": bound["bound"],
+        "absolute_actual": float(min_ball_gap),
+        "absolute_cases": {"case1": bound["case1"], "case2": bound["case2"]},
+        "pairwise_center_distances": dist.tolist(),
+    }
 
 
 # ---------------------------------------------------------------------------

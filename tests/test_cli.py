@@ -196,12 +196,15 @@ def test_construct_line_refuses_sizes_beyond_float64(tmp_path):
      "not a report: expected an object of kind suite or variance-grid"),
     (["report", "--from", "list.json"],
      "not a report: expected an object of kind suite or variance-grid"),
+    (["report", "--from", "partial.json"],
+     "suite report lacks suite, master_seed, passed, checks, witnesses"),
 ])
 def test_refused_values_are_usage_errors(tmp_path, argv, message):
     # status 1 means "a check failed"; a refused value is a usage error,
     # reported in one line with status 2, as argparse reports a bad option
     (tmp_path / "object.json").write_text('{"a": 1}')  # JSON, not reports
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "partial.json").write_text('{"kind": "suite"}')
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(axiomlab.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")

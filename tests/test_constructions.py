@@ -221,8 +221,9 @@ def test_gaussian_mixture_moments():
 
 def test_collapse_hits_requested_explained_variance():
     data = gaussian_mixture(rng=np.random.default_rng(42))
-    out = collapse_to_two_groups(data, mixture_partition())
+    out, split = collapse_to_two_groups(data, mixture_partition())
     two_groups = Partition([tuple(range(400)), tuple(range(400, 1000))])
+    assert split == two_groups
     # the group layout is calibrated so the two-group split explains
     # exactly the requested fraction
     assert explained_variance(out, two_groups) == pytest.approx(0.98, rel=1e-12)

@@ -183,11 +183,8 @@ def _same_fields(a, b):
         Partition([[0, 3], [1], [2, 4]]),
         ClusteringResult(Partition([[0, 1], [2]]), [[0.5], [10.0]], 0.5, 2,
                          0.99, True),
-        certify(Dataset([[0.0], [1.0], [10.0], [11.0]]),
-                Partition([[0, 1], [2, 3]])),
     ],
-    ids=["Dataset", "DistanceMatrix", "Partition", "ClusteringResult",
-         "SeparationCertificate"],
+    ids=["Dataset", "DistanceMatrix", "Partition", "ClusteringResult"],
 )
 def test_value_types_copy_and_pickle(value):
     for clone in (

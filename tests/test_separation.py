@@ -10,7 +10,6 @@ import pytest
 from axiomlab.core import Dataset, Partition, _balls
 from axiomlab.kmeans import kmeans_ideal
 from axiomlab.separation import (
-    SeparationCertificate,
     absolute_gap_bound,
     certify,
     motion_gap_bound,
@@ -49,25 +48,11 @@ def test_ball_summaries_basics():
     # the symmetric cluster's center is the origin and its radius 2; the
     # singleton's radius is 0, so the ball gap is the center distance less 2
     dist = math.hypot(10.0, 10.0)
-    assert cert.pairwise_center_distances[0, 1] == pytest.approx(dist)
-    assert cert.rho == pytest.approx(2.0)
-    assert cert.absolute_actual == pytest.approx(dist - 2.0)
+    assert cert["pairwise_center_distances"][0][1] == pytest.approx(dist)
+    assert cert["rho"] == pytest.approx(2.0)
+    assert cert["absolute_actual"] == pytest.approx(dist - 2.0)
     # the bound weighs the radii by the sizes 3 and 1
-    assert cert.absolute_required == absolute_gap_bound([3, 1], [2.0, 0.0])["bound"]
-
-
-def test_value_types_copy_the_callers_arrays():
-    # the certificate keeps a read-only copy; the caller's array stays
-    # writable and writing to it changes nothing held
-    table = np.array([[0.0, 4.0], [4.0, 0.0]])
-    cert = SeparationCertificate(
-        nice_ball=True, perfect_ball=True, rho=1.0, core=True, core_pairs=(),
-        absolute=False, absolute_required=9.0, absolute_actual=2.0,
-        absolute_cases={}, pairwise_center_distances=table,
-    )
-    table[0, 1] = 5.0
-    held = cert.pairwise_center_distances
-    assert held.tolist() == [[0.0, 4.0], [4.0, 0.0]] and not held.flags.writeable
+    assert cert["absolute_required"] == absolute_gap_bound([3, 1], [2.0, 0.0])["bound"]
 
 
 def test_ball_summaries_radius_matches_brute_force():
@@ -127,7 +112,10 @@ def test_certify_center_table_matches_the_broadcast_form():
         centers = np.stack([c for c, _ in _reference_balls(ds.points, gamma)])
         want = np.sqrt(
             np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=-1))
-        assert np.array_equal(certify(ds, gamma).pairwise_center_distances, want)
+        cert = certify(ds, gamma)
+        assert np.array_equal(cert["pairwise_center_distances"], want)
+        # the certificate is the dict it is saved as
+        assert json.loads(json.dumps(cert)) == cert
 
 
 # ---------------------------------------------------------------------------
@@ -139,20 +127,20 @@ def test_certify_two_unit_balls_four_apart():
     # boundary-inclusive: center distance exactly 4 max radius passes
     ds = _line(-1.0, 1.0, 3.0, 5.0)
     cert = certify(ds, Partition([[0, 1], [2, 3]]))
-    assert cert.nice_ball
-    assert cert.perfect_ball
-    assert cert.rho == pytest.approx(1.0)
-    assert cert.pairwise_center_distances[0, 1] == pytest.approx(4.0)
+    assert cert["nice_ball"]
+    assert cert["perfect_ball"]
+    assert cert["rho"] == pytest.approx(1.0)
+    assert cert["pairwise_center_distances"][0][1] == pytest.approx(4.0)
 
 
 def test_certify_two_unit_balls_three_apart():
     ds = _line(-1.0, 1.0, 2.0, 4.0)
     cert = certify(ds, Partition([[0, 1], [2, 3]]))
-    assert not cert.nice_ball
-    assert not cert.perfect_ball
-    assert cert.core
-    assert cert.core_pairs[0]["gap"] == pytest.approx(1.0)
-    assert cert.core_pairs[0]["core_radius"] == pytest.approx(0.5)
+    assert not cert["nice_ball"]
+    assert not cert["perfect_ball"]
+    assert cert["core"]
+    assert cert["core_pairs"][0]["gap"] == pytest.approx(1.0)
+    assert cert["core_pairs"][0]["core_radius"] == pytest.approx(0.5)
 
 
 def test_certify_absolute_for_big_gap():
@@ -164,13 +152,15 @@ def test_certify_absolute_for_big_gap():
     ds = Dataset(np.concatenate([a, b])[:, None])
     gamma = Partition([range(50), range(50, 100)])
     cert = certify(ds, gamma)
-    assert cert.absolute
-    assert cert.absolute_required == pytest.approx(5.656854249492381, abs=1e-9)
-    assert cert.absolute_actual == pytest.approx(6.0, abs=1e-9)
-    assert cert.absolute_cases["case2"] == pytest.approx(2.449489742783178, abs=1e-9)
-    raw = json.loads(cert.to_json())
-    assert raw["absolute"] is True
-    assert raw["absolute_cases"]["case1"] == pytest.approx(cert.absolute_required)
+    assert cert["absolute_required"] == pytest.approx(5.656854249492381, abs=1e-9)
+    assert cert["absolute_actual"] == pytest.approx(6.0, abs=1e-9)
+    assert cert["absolute_cases"]["case2"] == pytest.approx(2.449489742783178, abs=1e-9)
+    assert list(cert) == [
+        "nice_ball", "perfect_ball", "rho", "core", "core_pairs", "absolute",
+        "absolute_required", "absolute_actual", "absolute_cases",
+        "pairwise_center_distances"]
+    assert json.loads(json.dumps(cert)) == cert and cert["absolute"] is True
+    assert cert["absolute_cases"]["case1"] == cert["absolute_required"]
 
 
 def test_certify_validation():
@@ -275,5 +265,5 @@ def test_absolute_certificate_implies_global_optimum():
         ds = Dataset(np.concatenate([a, b])[:, None])
         gamma = Partition([range(5), range(5, 10)])
         cert = certify(ds, gamma)
-        assert cert.absolute
+        assert cert["absolute"]
         assert kmeans_ideal(ds, 2).partition == gamma
