@@ -170,6 +170,47 @@ def _two_balls(rng, far, ra, na, rb, nb):
     return pts, Partition([tuple(range(na)), tuple(range(na, na + nb))])
 
 
+def _normal_instance(rng, n_lo, n_hi):
+    """``n_lo``..``n_hi`` standard-normal points in 1-3 axes, and a k >= 2."""
+    n = int(rng.integers(n_lo, n_hi + 1))
+    k = int(rng.integers(2, min(4, n)))
+    return Dataset(rng.normal(size=(n, int(rng.integers(1, 4))))), k
+
+
+def _unit_line(rng):
+    """4-24 sorted uniform points on [0, 1], one axis."""
+    n = int(rng.integers(4, 25))
+    return Dataset(np.sort(rng.uniform(0.0, 1.0, n))[:, None])
+
+
+# the centric shrink factors a preservation claim is checked at, in order
+_LAMS = (0.9, 0.5, 0.1)
+
+
+def _shrink_failures(ds, part, cluster, holds):
+    """One failure per factor of ``_LAMS`` at which ``holds(lam)`` is false."""
+    return [(ds.points, part, {"cluster": cluster, "lam": lam})
+            for lam in _LAMS if not holds(lam)]
+
+
+def _rate_check(tally, name, seq, default, hits_of, two_sided):
+    """Test an all-clusters-hit rate at k = 2, 3, 4 against the closed form
+    q = ``seeding_success(1/k, k)``: one-sided, not below q - 3 sigma;
+    two-sided, within 3 sigma of q.  ``hits_of(k, seq, trials)`` returns the
+    hits and the points and partition a failure records."""
+    trials = tally.trials or default
+    failures = []
+    for k, k_seed in zip((2, 3, 4), seq.spawn(3)):
+        hits, points, part = hits_of(k, k_seed, trials)
+        q = seeding_success(1.0 / k, k)
+        sigma = math.sqrt(q * (1.0 - q) / trials)
+        if (abs(hits / trials - q) > 3.0 * sigma if two_sided
+                else hits / trials < q - 3.0 * sigma):
+            failures.append((points, part, {"k": k, "hits": hits, "trials": trials,
+                                            "expected" if two_sided else "bound": q}))
+    tally.check(name, 3 * trials, failures)
+
+
 # ---------------------------------------------------------------------------
 # the nine suites
 # ---------------------------------------------------------------------------
@@ -180,9 +221,7 @@ def _suite_scale_invariance(seeds, tally):
     argmin_seq, thr_seq = seeds.spawn(2)
 
     def argmin(rng):
-        n = int(rng.integers(4, 9))
-        k = int(rng.integers(2, 4))
-        ds = Dataset(rng.normal(size=(n, int(rng.integers(1, 4)))))
+        ds, k = _normal_instance(rng, 4, 8)
         base = kmeans_ideal_minima(ds, k)
         base_q = objective_q(ds, base[0])
         failures = []
@@ -196,8 +235,7 @@ def _suite_scale_invariance(seeds, tally):
         return failures
 
     def threshold(rng):
-        n = int(rng.integers(4, 25))
-        ds = Dataset(np.sort(rng.uniform(0.0, 1.0, n))[:, None])
+        ds = _unit_line(rng)
         part = threshold_clustering(ds)
         return [(ds.points, part, {"alpha": alpha}) for alpha in alphas
                 if threshold_clustering(scale(ds, alpha)) != part]
@@ -229,51 +267,31 @@ def _suite_k_richness(seeds, tally):
 
     # a single uniformly seeded restart succeeds at least as often as the
     # closed-form all-clusters-hit probability, within 3 sigma
-    trials = tally.trials or 2000
-    failures = []
-    for k, k_seed in zip((2, 3, 4), hit_seq.spawn(3)):
+    def restart_hits(k, seq, trials):
         ds, part = krich_line((3,) * k)
-        q = seeding_success(1.0 / k, k)
-        hits = 0
-        for child in k_seed.spawn(trials):
-            cfg = KMeansConfig(k=k, seeding="uniform-random", restarts=1,
-                               rng_seed=int(child.generate_state(1)[0]))
-            if kmeans(ds, cfg).partition == part:
-                hits += 1
-        sigma = math.sqrt(q * (1.0 - q) / trials)
-        if hits / trials < q - 3.0 * sigma:
-            failures.append((ds.points, part,
-                             {"k": k, "hits": hits, "trials": trials, "bound": q}))
-    tally.check("single-restart-hit-rate", 3 * trials, failures)
+        hits = sum(kmeans(ds, KMeansConfig(
+            k=k, seeding="uniform-random", restarts=1,
+            rng_seed=int(child.generate_state(1)[0]))).partition == part
+            for child in seq.spawn(trials))
+        return hits, ds.points, part
 
     # on balanced data the all-clusters-hit frequency of the seed draw
     # itself matches the closed form within 3 sigma (two-sided)
-    trials = tally.trials or 3000
-    failures = []
-    for k, k_seed in zip((2, 3, 4), freq_seq.spawn(3)):
+    def seed_hits(k, seq, trials):
         per = 200
         labels = np.repeat(np.arange(k), per)
-        q = seeding_success(1.0 / k, k)
-        rng = np.random.default_rng(k_seed)
-        hits = 0
-        for _ in range(trials):
-            chosen = rng.choice(k * per, size=k, replace=False)
-            if len(set(labels[chosen])) == k:
-                hits += 1
-        sigma = math.sqrt(q * (1.0 - q) / trials)
-        if abs(hits / trials - q) > 3.0 * sigma:
-            failures.append((np.empty((0, 1)), None,
-                             {"k": k, "hits": hits, "trials": trials, "expected": q}))
-    tally.check("seed-hit-frequency", 3 * trials, failures)
+        rng = np.random.default_rng(seq)
+        hits = sum(len(set(labels[rng.choice(k * per, size=k, replace=False)])) == k
+                   for _ in range(trials))
+        return hits, np.empty((0, 1)), None
+
+    _rate_check(tally, "single-restart-hit-rate", hit_seq, 2000, restart_hits, False)
+    _rate_check(tally, "seed-hit-frequency", freq_seq, 3000, seed_hits, True)
 
 
 def _suite_centric_local(seeds, tally):
-    lams = (0.9, 0.5, 0.1)
-
     def trial(rng):
-        n = int(rng.integers(6, 31))
-        k = int(rng.integers(2, 4))
-        ds = Dataset(rng.normal(size=(n, int(rng.integers(1, 4)))))
+        ds, k = _normal_instance(rng, 6, 30)
         cfg = KMeansConfig(k=k, seeding="uniform-random", restarts=1,
                            rng_seed=int(rng.integers(2 ** 31)))
         part = kmeans(ds, cfg).partition
@@ -282,50 +300,34 @@ def _suite_centric_local(seeds, tally):
         if not is_local_min(ds, part):
             return None
         cluster = int(rng.integers(part.k))
-        failures = []
-        for lam in lams:
-            shrunk = centric_transform(ds, part, cluster, lam)
-            if not is_local_min(shrunk, part):
-                failures.append((ds.points, part, {"cluster": cluster, "lam": lam}))
-        return failures
+        return _shrink_failures(ds, part, cluster, lambda lam: is_local_min(
+            centric_transform(ds, part, cluster, lam), part))
 
     tally.sampled("local-minimum-preserved", seeds, 100, trial)
 
 
 def _suite_centric_global(seeds, tally):
-    lams = (0.9, 0.5, 0.1)
     ideal_seq, thr_seq = seeds.spawn(2)
 
     def ideal(rng):
-        n = int(rng.integers(4, 11))
-        k = int(rng.integers(2, min(4, n)))
-        ds = Dataset(rng.normal(size=(n, int(rng.integers(1, 4)))))
+        ds, k = _normal_instance(rng, 4, 10)
         best = kmeans_ideal(ds, k).partition
         cluster = int(rng.integers(best.k))
-        failures = []
-        for lam in lams:
-            shrunk = centric_transform(ds, best, cluster, lam)
-            if best not in kmeans_ideal_minima(shrunk, k):
-                failures.append((ds.points, best, {"cluster": cluster, "lam": lam}))
-        return failures
+        return _shrink_failures(ds, best, cluster, lambda lam: best in (
+            kmeans_ideal_minima(centric_transform(ds, best, cluster, lam), k)))
 
     # threshold clustering, fed distance tables, is likewise unmoved by
     # a centric shrink of any of its own clusters
     def threshold(rng):
-        n = int(rng.integers(4, 25))
-        ds = Dataset(np.sort(rng.uniform(0.0, 1.0, n))[:, None])
+        ds = _unit_line(rng)
         d = distance_matrix(ds)
         part = threshold_clustering(d)
         big = [i for i, c in enumerate(part.clusters) if len(c) >= 2]
         if not big:
             return []
         cluster = big[int(rng.integers(len(big)))]
-        failures = []
-        for lam in lams:
-            shrunk = centric_matrix_transform(d, part, cluster, lam)
-            if threshold_clustering(shrunk) != part:
-                failures.append((ds.points, part, {"cluster": cluster, "lam": lam}))
-        return failures
+        return _shrink_failures(ds, part, cluster, lambda lam: threshold_clustering(
+            centric_matrix_transform(d, part, cluster, lam)) == part)
 
     tally.sampled("global-minimum-preserved", ideal_seq, 50, ideal)
     tally.sampled("threshold-partition-preserved", thr_seq, 100, threshold)
@@ -569,16 +571,9 @@ def variance_grid(master_seed=0, restarts=40):
     )
     cells = km_seed.spawn(len(regimes) * len(GRID_KS))
     rows = []
-    for i, (regime, ds) in enumerate(
-        (reg, d) for reg, d in regimes for _ in GRID_KS
-    ):
-        k = GRID_KS[i % len(GRID_KS)]
-        cfg = KMeansConfig(
-            k=k,
-            seeding="plus-plus",
-            restarts=restarts,
-            rng_seed=int(cells[i].generate_state(1)[0]),
-        )
+    for ((regime, ds), k), cell in zip(itertools.product(regimes, GRID_KS), cells):
+        cfg = KMeansConfig(k=k, seeding="plus-plus", restarts=restarts,
+                           rng_seed=int(cell.generate_state(1)[0]))
         measured = 100.0 * kmeans(ds, cfg).explained_variance
         target = GRID_TARGETS[regime][k]
         band = GRID_BANDS[regime]
@@ -619,8 +614,8 @@ def report(results, format="json"):
     ----------
     results : dict
         A report from :func:`run_suite` or :func:`variance_grid`, live or
-        parsed back from its JSON.  Anything else, a report missing a
-        top-level field included, raises ``ValueError``.
+        parsed back from its JSON.  Anything else raises ``ValueError``, a
+        report lacking a top-level field or not rendering in every format too.
     format : str
         ``"json"``, ``"csv"``, or ``"markdown"``.
 
@@ -636,13 +631,15 @@ def report(results, format="json"):
     if missing:
         raise ValueError("%s report lacks %s"
                          % (results["kind"], ", ".join(missing)))
-    if format == "json":
-        return json.dumps(results, sort_keys=True, indent=2) + "\n"
-    if format == "csv":
-        return _render_csv(results)
-    if format == "markdown":
-        return _render_markdown(results)
-    raise ValueError("format must be json, csv, or markdown, got %r" % (format,))
+    try:  # a bad nested or typed field shows in the renderings
+        texts = {"csv": _render_csv(results), "markdown": _render_markdown(results)}
+    except (KeyError, TypeError) as err:
+        raise ValueError("%s report does not render: %r"
+                         % (results["kind"], err)) from None
+    texts["json"] = json.dumps(results, sort_keys=True, indent=2) + "\n"
+    if format not in texts:
+        raise ValueError("format must be json, csv, or markdown, got %r" % (format,))
+    return texts[format]
 
 
 def _render_csv(payload):

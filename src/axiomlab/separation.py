@@ -9,6 +9,7 @@ cluster takeover unprofitable, the gap that certifies global optimality,
 and the uniform seeding success probability.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -69,7 +70,7 @@ def certify(dataset, gamma):
     nice = True
     core = True
     core_pairs = []
-    min_ball_gap = np.inf
+    min_ball_gap = min_center_dist = np.inf
     for i in range(k):
         for j in range(i + 1, k):
             rho_pair = max(radii[i], radii[j])
@@ -83,10 +84,10 @@ def certify(dataset, gamma):
                 core = False
             ball_gap = dist[i, j] - radii[i] - radii[j]
             min_ball_gap = min(min_ball_gap, ball_gap)
+            min_center_dist = min(min_center_dist, dist[i, j])
 
     rho = max(radii)
-    off_diag = dist[~np.eye(k, dtype=bool)]
-    perfect = bool(np.min(off_diag) >= 4.0 * rho)
+    perfect = bool(min_center_dist >= 4.0 * rho)
 
     bound = absolute_gap_bound([len(b) for b in gamma.clusters], radii)
 
@@ -170,17 +171,10 @@ def absolute_gap_bound(sizes, radii):
         raise ValueError("cluster sizes must be >= 1")
     n = sum(sizes)
     weighted = sum(size * r ** 2 for size, r in zip(sizes, radii))
-    case1 = 0.0
-    for p in range(k):
-        for q in range(k):
-            if p == q:
-                continue
-            case1 = max(
-                case1,
-                k
-                * math.sqrt(sizes[p] + sizes[q] + n)
-                * math.sqrt(weighted / (sizes[p] * sizes[q])),
-            )
+    # the term is symmetric in p and q, so each pair is taken once
+    case1 = max(k * math.sqrt(sizes[p] + sizes[q] + n)
+                * math.sqrt(weighted / (sizes[p] * sizes[q]))
+                for p, q in itertools.combinations(range(k), 2))
     big, small = max(sizes), min(sizes)
     case2 = max(r * math.sqrt(k * (big + n) / small) for r in radii)
     return {"bound": max(case1, case2), "case1": case1, "case2": case2}

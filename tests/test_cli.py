@@ -198,6 +198,14 @@ def test_construct_line_refuses_sizes_beyond_float64(tmp_path):
      "not a report: expected an object of kind suite or variance-grid"),
     (["report", "--from", "partial.json"],
      "suite report lacks suite, master_seed, passed, checks, witnesses"),
+] + [
+    # the top-level fields are there, a nested or typed one is bad
+    (["report", "--from", name, "--format", fmt], message)
+    for name, message in [
+        ("empty-check.json", "suite report does not render: KeyError('name')"),
+        ("text-seed.json", "variance-grid report does not render: "
+         "TypeError('%d format: a real number is required, not str')")]
+    for fmt in ("json", "csv", "markdown")
 ])
 def test_refused_values_are_usage_errors(tmp_path, argv, message):
     # status 1 means "a check failed"; a refused value is a usage error,
@@ -205,6 +213,12 @@ def test_refused_values_are_usage_errors(tmp_path, argv, message):
     (tmp_path / "object.json").write_text('{"a": 1}')  # JSON, not reports
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "partial.json").write_text('{"kind": "suite"}')
+    (tmp_path / "empty-check.json").write_text(json.dumps({
+        "kind": "suite", "suite": "interference", "master_seed": 0,
+        "passed": True, "checks": [{}], "witnesses": []}))
+    (tmp_path / "text-seed.json").write_text(json.dumps({
+        "kind": "variance-grid", "master_seed": "0", "restarts": 5,
+        "rows": [], "all_within": True}))
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(axiomlab.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")

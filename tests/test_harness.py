@@ -130,6 +130,29 @@ def test_k_richness_rate_checks_respect_the_witness_cap(monkeypatch):
     rep = run_suite("k-richness", trials=10)
     assert [c["violations"] for c in rep["checks"]] == [37, 3, 3]
     assert [w["check"] for w in rep["witnesses"]] == ["line-recovery"] * 3
+    # with the real k-means only k = 2 hits every time, so the rate checks
+    # write the witnesses: one-sided against a bound, two-sided against q
+    monkeypatch.undo()
+    monkeypatch.setattr(harness, "seeding_success", lambda *args: 1.0)
+    rep = run_suite("k-richness", trials=10)
+    assert [c["violations"] for c in rep["checks"]] == [0, 2, 3]
+    assert [(w["check"], w["params"]["k"]) for w in rep["witnesses"]] == [
+        ("single-restart-hit-rate", 3), ("single-restart-hit-rate", 4),
+        ("seed-hit-frequency", 2)]
+    assert [sorted(w["params"]) for w in rep["witnesses"]] == [
+        ["bound", "hits", "k", "trials"]] * 2 + [["expected", "hits", "k", "trials"]]
+
+
+def test_centric_global_shrink_failures_carry_each_factor(monkeypatch):
+    # no shrunk instance keeps its minimiser, so every factor fails
+    monkeypatch.setattr(harness, "kmeans_ideal_minima", lambda ds, k: [])
+    rep = run_suite("centric-consistency-global", trials=2)
+    witnesses = rep["witnesses"]
+    assert [w["check"] for w in witnesses] == ["global-minimum-preserved"] * 3
+    assert [w["params"]["lam"] for w in witnesses] == [0.9, 0.5, 0.1]
+    assert len({w["params"]["cluster"] for w in witnesses}) == 1
+    assert rep["checks"][0] == {"name": "global-minimum-preserved", "trials": 2,
+                                "violations": 6, "passed": False}
 
 
 def test_interference_failures_carry_witnesses(monkeypatch):
