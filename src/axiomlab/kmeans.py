@@ -3,8 +3,7 @@
 Contains the two-route objective evaluator, seeding strategies, Lloyd
 iteration with deterministic tie-breaking, restarted k-means that builds a
 result only for the winning restart, an exhaustive branch-and-bound global
-optimiser for small n, and a vectorised single-point-move local-minimum
-test.
+optimiser for small n, and a one-table single-point-move local-minimum test.
 
 On the array route a Lloyd step computes only its clusters' means, the
 next centers; the step's objective, for the monotonicity check, is read
@@ -175,20 +174,25 @@ class ClusteringResult:
 
 def _cross_check(what, first, second):
     """Raise CrossCheckError unless two routes agree elementwise to
-    _CROSS_CHECK_RTOL * max(1, |first|, |second|); NaN never agrees.
-    Two Python floats are compared without numpy."""
+    _CROSS_CHECK_RTOL * max(1, |first|, |second|); NaN never agrees.  Two
+    Python floats are compared without numpy, and arrays whose largest
+    difference is within _CROSS_CHECK_RTOL pass on one reduction.  ``what``
+    names the check, or maps the first disagreement's flat index to it."""
     if type(first) is float and type(second) is float:
-        scale = max(1.0, abs(first), abs(second))
-        if not abs(first - second) <= _CROSS_CHECK_RTOL * scale:
+        if not abs(first - second) <= _CROSS_CHECK_RTOL * max(1.0, abs(first), abs(second)):
             raise CrossCheckError("%s: %r and %r disagree" % (what, first, second))
         return
     first, second = np.asarray(first), np.asarray(second)
+    error = np.abs(first - second)
+    if np.maximum.reduce(error, axis=None, initial=0.0) <= _CROSS_CHECK_RTOL:
+        return
     scale = np.maximum(1.0, np.maximum(np.abs(first), np.abs(second)))
-    bad = ~(np.abs(first - second) <= _CROSS_CHECK_RTOL * scale)
+    bad = ~(error <= _CROSS_CHECK_RTOL * scale)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise CrossCheckError("%s: %r and %r disagree" % (
-            what, float(first.flat[i]), float(second.flat[i])))
+            what(i) if callable(what) else what,
+            float(first.flat[i]), float(second.flat[i])))
 
 
 def objective_q(dataset, partition):
@@ -908,7 +912,8 @@ def kmeans_ideal_minima(dataset, k):
 def _increment(x, mean, total, size, step):
     """Objective change when x leaves (step=-1) or joins (step=+1) a
     cluster of ``size`` points with coordinate sum ``total`` and mean
-    ``mean``; a removal gain or an addition cost.  Broadcasts over moves.
+    ``mean``; a removal gain or an addition cost.  Broadcasts over moves,
+    one step each, so a call may mix removals and additions.
 
     Route one is the closed form size / (size + step) * |x - mean|^2.
     Route two forms the moved cluster's mean nu from ``total`` and uses
@@ -917,14 +922,15 @@ def _increment(x, mean, total, size, step):
     cluster holding x and s the size of the one without it.  Both routes
     cost O(m) per move and must agree to relative 1e-9 (floored at 1).
     """
-    size = np.asarray(size)
-    closed = size / (size + step) * np.sum((x - mean) ** 2, axis=-1)
-    nu = (total + step * x) / (size + step)[..., None]
-    larger_mean = mean if step < 0 else nu
-    direct = (np.sum((x - larger_mean) ** 2, axis=-1)
-              + np.minimum(size, size + step) * np.sum((nu - mean) ** 2, axis=-1))
-    _cross_check("removal increment" if step < 0 else "addition increment",
-                 closed, direct)
+    step = np.asarray(step)
+    moved = size + step
+    dist = np.add.reduce(np.square(x - mean), axis=-1)
+    closed = size / moved * dist
+    nu = (total + step[..., None] * x) / moved[..., None]
+    direct = (np.where(step < 0, dist, np.add.reduce(np.square(x - nu), axis=-1))
+              + np.minimum(size, moved) * np.add.reduce(np.square(nu - mean), axis=-1))
+    _cross_check(lambda i: "removal increment" if step.flat[i] < 0
+                 else "addition increment", closed, direct)
     return closed
 
 
@@ -933,12 +939,12 @@ def is_local_min(dataset, partition):
 
     A move takes one point from its cluster to another; it improves the
     objective iff the removal gain exceeds the addition cost.  Moves that
-    would empty a cluster are skipped.  All n x k moves are scored at once
-    from the clusters' sizes, coordinate sums and means, each increment
-    along two O(m) routes that are cross-checked (see :func:`_increment`),
-    so the test costs O(nkm).  The witness is the first improving move in
-    a fixed scan order: clusters canonically, members ascending, targets
-    canonically.  A move counts as improving only if gain - cost exceeds
+    would empty a cluster are skipped.  One (movers x k) table, O(nkm),
+    holds each mover's removal gain in its source column and its addition
+    costs in the others, each along two cross-checked routes (see
+    :func:`_increment`).  The witness is the first improving move in scan
+    order, read from ``partition.clusters``: clusters canonically, members
+    ascending, targets canonically.  A move improves only if gain - cost >
     REL_TOL * max(1, gain, cost), which keeps degenerate ties stable.
 
     Parameters
@@ -953,30 +959,24 @@ def is_local_min(dataset, partition):
         ``(False, witness)`` with the first improving move in scan order:
         ``{"point", "source", "target", "delta_q"}``.
     """
-    pts = dataset.points
     _check_partition_size(partition, dataset.n)
-    labels = partition.labels()
-    k = partition.k
-    sizes = np.bincount(labels, minlength=k)
-    totals = np.stack([pts[labels == j].sum(axis=0) for j in range(k)])
-    means = totals / sizes[:, None]
+    clusters = partition.clusters
+    rows = dataset.points[[i for block in clusters for i in block]]
+    sizes = np.fromiter(map(len, clusters), dtype=float)
+    # each cluster's rows are one contiguous block, added in member order
+    totals = np.array([np.add.reduce(rows[end - len(block):end], axis=0) for block, end
+                       in zip(clusters, itertools.accumulate(map(len, clusters)))])
     # scan order; moving the only member would empty its cluster
-    movers = np.argsort(labels, kind="stable")
-    movers = movers[sizes[labels[movers]] > 1]
-    source = labels[movers]
-    x = pts[movers]
-    gain = _increment(x, means[source], totals[source], sizes[source], -1)[:, None]
-    cost = _increment(x[:, None, :], means, totals, sizes, +1)
-    improving = gain - cost > REL_TOL * np.maximum(1.0, np.maximum(gain, cost))
-    improving[np.arange(len(movers)), source] = False
-    hits = np.flatnonzero(improving)
+    movers = [i for block in clusters if len(block) > 1 for i in block]
+    source = [j for j, block in enumerate(clusters) if len(block) > 1 for _ in block]
+    step = np.where(np.equal.outer(source, np.arange(len(clusters))), -1.0, 1.0)
+    table = _increment(dataset.points[movers][:, None, :], totals / sizes[:, None],
+                       totals, sizes, step)
+    gain = table[step < 0][:, None]
+    # a source column's gain - gain is 0, never an improving move
+    hits = np.flatnonzero(gain - table > REL_TOL * np.maximum(1.0, np.maximum(gain, table)))
     if len(hits) == 0:
         return True, None
-    row, target = divmod(int(hits[0]), k)
-    witness = {
-        "point": int(movers[row]),
-        "source": int(source[row]),
-        "target": target,
-        "delta_q": float(cost[row, target] - gain[row, 0]),
-    }
-    return False, witness
+    row, target = divmod(int(hits[0]), len(clusters))
+    return False, {"point": movers[row], "source": source[row], "target": target,
+                   "delta_q": float(table[row, target] - gain[row, 0])}

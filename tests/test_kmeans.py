@@ -50,6 +50,7 @@ from axiomlab.kmeans import (
     _cluster_stats,
     _fix_empty_clusters,
     _ideal_search,
+    _increment,
     _lloyd_core,
 )
 from brute_force import enumerate_partitions
@@ -1051,8 +1052,10 @@ def test_is_local_min_matches_the_scalar_scan():
     verdicts = set()
     for trial in range(300):
         n = int(rng.integers(2, 30))
-        m = int(rng.integers(1, 6))
-        k = int(rng.integers(1, min(n, 5) + 1))
+        # from m = 8 on numpy adds the axes pairwise
+        m = int(rng.integers(1, 12))
+        # every fifth draw makes each point a singleton: no point can move
+        k = n if trial % 5 == 4 else int(rng.integers(1, min(n, 5) + 1))
         if trial % 3 == 0:
             # small integer grid: coincident points and exact ties
             pts = rng.integers(0, 3, size=(n, m)).astype(float)
@@ -1068,6 +1071,18 @@ def test_is_local_min_matches_the_scalar_scan():
         assert got == scalar_move_scan(ds, part)
         verdicts.add(got[0])
     assert verdicts == {True, False}
+
+
+def test_increment_names_the_move_whose_routes_disagree():
+    # one table mixes a removal (column 0) and an addition (column 1); a
+    # coordinate sum that does not match its mean is caught in either
+    x, mean = np.array([[[1.0]]]), np.array([[0.0], [0.0]])
+    sizes, step = np.array([2.0, 2.0]), np.array([[-1.0, 1.0]])
+    for bad, name in ((0, "removal increment"), (1, "addition increment")):
+        total = np.array([[0.0], [0.0]])
+        total[bad] = 5.0
+        with pytest.raises(CrossCheckError, match="^" + name):
+            _increment(x, mean, total, sizes, step)
 
 
 def test_is_local_min_skips_singleton_sources():
