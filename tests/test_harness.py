@@ -167,6 +167,26 @@ def test_interference_failures_carry_witnesses(monkeypatch):
         assert w["params"]["moved_points"] == [[0.0], [0.5], [0.6], [2.0]]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_centric_local_skips_lloyd_results_that_are_not_local_minima(monkeypatch):
+    # is_local_min's (ok, witness) tuple is always true, so the premise
+    # never skips a draw and every draw counts as a trial
+    monkeypatch.setattr(harness, "is_local_min", lambda ds, part: (False, None))
+    rep = run_suite("centric-consistency-local", trials=3)
+    assert rep["checks"][0]["trials"] == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_threshold_check_skips_instances_without_a_multi_point_cluster(monkeypatch):
+    # such an instance returns [] (checked, no failure) where None would
+    # mark the premise missed
+    monkeypatch.setattr(harness, "threshold_clustering",
+                        lambda d: Partition([(i,) for i in range(d.n)]))
+    rep = run_suite("centric-consistency-global", trials=3)
+    check = next(c for c in rep["checks"] if c["name"] == "threshold-partition-preserved")
+    assert check["trials"] == 0
+
+
 # ---------------------------------------------------------------------------
 # suite runs
 # ---------------------------------------------------------------------------
