@@ -5,52 +5,32 @@ iteration with deterministic tie-breaking, restarted k-means that builds a
 result only for the winning restart, an exhaustive branch-and-bound global
 optimiser for small n, and a one-table single-point-move local-minimum test.
 
-On the array route a Lloyd step computes only its clusters' means, the
-next centers; the step's objective, for the monotonicity check, is read
-from the next assignment's distance table, whose centers those means
-are.  Each restart's exact cluster scatters are computed once, from one
-stable sort of its final labels: they are checked against that
-objective, compared between restarts and, for the winning restart,
-summed into the returned objective, and the same sort gives the
-members its partition is built from.  The plain-float route computes
-the means and scatters at every step.  A dataset's total scatter is
-computed once (:attr:`~axiomlab.core.Dataset.total_scatter`).
-
-Lloyd's kernels and k-means++ seeding read the points as contiguous
-per-axis columns (:attr:`~axiomlab.core.Dataset.columns`, one transpose
-per dataset, shared by every restart) and build no (n, k, m) temporary.
-Squared distances come from one kernel,
-:func:`~axiomlab.core._sq_dists`; the assignment is its table's first
-minimum per point (``argmin``'s answer), and the cluster statistics
-group the rows with one stable argsort (:func:`_cluster_stats`).
-Labels, centers, scatters and ``q`` are the floats of the broadcast and
-per-cluster-mask forms, bit for bit, for every m.
-
 Lloyd has two routes, chosen in one place (:func:`_first_best`) from the
-dataset's size; both run the same loop (:func:`_lloyd_core`) and result
-builder (:func:`_build_result`), and :func:`kmeans_ideal` builds its
-result on the plain-float one.  Above ``_FLOAT_ROUTE_MAX`` coordinates
-(n * m) their steps are the array kernels above (:func:`_assign_arrays`,
-:func:`_means`, :func:`_cluster_stats`, :func:`_shifted_q`).  At or
-below it, where numpy's fixed cost per call on a few dozen floats is
-most of the time, they run on plain Python floats (:func:`_assign_floats`,
-:func:`_float_stats`, :func:`_shifted_floats`): only the
-squared-distance table, its first minimum per point and the rare
-empty-cluster repair stay numpy calls; labels, counts, the convergence
-test, means, scatters, the monotonicity check, the partition, the
-centers, ``q`` and the shifted-form cross-check are lists and floats.
-Both routes give the same floats, bit for bit, because both follow
-numpy's summation order, which is written once, in
-:func:`~axiomlab.core._pairwise_sum`: the axes of each squared distance,
-each cluster's scatter and the m = 1 means follow it, and the m >= 2
-means add the points in order from 0.0 as ``np.bincount(weights=)``
-does.  The cutoff, 64, is a measured
+dataset's size, that run one loop (:func:`_lloyd_core`) and result
+builder (:func:`_build_result`).  Above ``_FLOAT_ROUTE_MAX`` coordinates
+(n * m) the steps are numpy kernels on contiguous per-axis columns
+(:attr:`~axiomlab.core.Dataset.columns`) with no (n, k, m) temporary: the
+assignment is the first minimum per point of one distance table
+(:func:`~axiomlab.core._sq_dists`), a step computes only the next
+centers (:func:`_means`) and reads its objective from the next table,
+and a run's exact scatters come once, from one stable sort of its final
+labels (:func:`_cluster_stats`).  At or below it, where numpy's fixed
+cost per call is most of the time, everything but the distance table,
+its first minimum per point and the rare empty-cluster repair runs on
+plain Python floats (:func:`_assign_floats`, :func:`_float_stats`,
+:func:`_shifted_floats`), means and scatters at every step.  Both routes
+give the floats of the broadcast and per-cluster-mask forms, bit for bit,
+because both follow numpy's summation order, written once in
+:func:`~axiomlab.core._pairwise_sum`.  The cutoff, 64, is a measured
 crossover: single-restart ``kmeans`` on both routes, m in {1, 2, 3, 5,
 8} and k in {2, 3, 4} (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6), took
 0.63-0.97 of the array route's time at n * m <= 64; the routes break
-even near n * m = 80 for m = 1 and 96-128 for m >= 2.  The size is n * m
-because the float route's Python work per step grows with the
-coordinates, while k moves the break-even point little.
+even near n * m = 80 for m = 1 and 96-128 for m >= 2.
+
+Restarts share one table of the paths their converged runs took.  From a
+labelling on, Lloyd depends on that labelling alone, so a restart that
+reaches one an earlier converged restart passed through stops there: it
+would end in that restart's state, and the first of equal runs wins.
 
 Every number that matters is computed along two independent routes and
 cross-checked: the objective in centroid form (per-cluster scatters
@@ -463,27 +443,24 @@ def _check_descent(q_prev, q_here):
         )
 
 
-def _lloyd_core(dataset, centers, rows=None):
+def _lloyd_core(dataset, centers, rows=None, paths=None):
     """Run Lloyd until membership stabilises, for at most
-    ``_MAX_ITERATIONS`` center updates; returns raw state.
+    ``_MAX_ITERATIONS`` center updates; returns raw state, or None when
+    the run met an earlier run's path.
 
-    Both routes (see the module docstring) run this one loop and differ
-    only in its steps: on arrays when ``rows`` is None
-    (:func:`_assign_arrays`, :func:`_means`, :func:`_cluster_stats`), on
-    plain Python floats when ``rows`` is ``dataset.points.tolist()``
-    (:func:`_assign_floats`, :func:`_float_stats`).  They give the same
-    state bit for bit, with lists in place of arrays, as both add in the
-    order of :func:`~axiomlab.core._pairwise_sum`.
+    ``rows`` picks the route (see the module docstring).  Each step's
+    objective is checked not to exceed the previous one; on the array
+    route a converged run's final block scatters, about the final labels'
+    own means, must also agree with the last table's objective.
 
-    Each step turns an assignment into the next centers, its clusters'
-    means, and its objective is checked not to exceed the previous one.
-    On the array route that objective is read from the next assignment's
-    table (:func:`_assign_arrays`), and the exact block scatters are
-    computed once, for the final labels; when the run converged they are
-    taken about the last table's centers, the final labels' own means,
-    and must agree with that table's objective.  On the plain-float route
-    each step computes the exact scatters with the means.  An empty
-    cluster is repaired only when an assignment leaves one.
+    ``paths`` (None for a single start) maps each labelling a converged
+    run of this call passed through to its objective and the updates that
+    run made from it on.  A run depends only on its labelling, so one
+    whose labelling after t updates is in the table would end in that
+    run's state and ``q``, and cannot win (:func:`_first_best`).  If t
+    plus those updates is within the cap (else it would stop elsewhere),
+    it makes the descent check it would make next (the earlier run made
+    the rest on the same floats), enters its path and returns None.
 
     Returns
     -------
@@ -494,14 +471,15 @@ def _lloyd_core(dataset, centers, rows=None):
     """
     k = len(centers)
     if rows is None:
-        assign = functools.partial(_assign_arrays, dataset.columns, k)
+        assign = functools.partial(_assign_arrays, dataset.columns, k,
+                                   np.min_scalar_type(k - 1))
         step = functools.partial(_center_step, dataset.columns)
         stats = functools.partial(_cluster_stats, dataset)
     else:
         assign = functools.partial(_assign_floats, dataset.columns, k)
         step = stats = functools.partial(_float_stats, rows)
-    prev = owners = scatters = None
-    updates = 0
+    owners = scatters = None
+    path, seen = [], []  # the keys stepped from; q_prev at each assignment
     empty_events = 0
     q_prev = math.inf
     converged = False
@@ -511,18 +489,25 @@ def _lloyd_core(dataset, centers, rows=None):
         if q_table is not None:  # the objective of the owners' step
             _check_descent(q_prev, q_table)
             q_prev = q_table
-        if key == prev:
-            converged = True  # labels are prev's
+        seen.append(q_prev)
+        if path and key == path[-1]:
+            converged = True  # labels are the last step's
             break
-        if updates >= _MAX_ITERATIONS:
+        met = paths and paths.get(key)
+        if met and len(path) + met[1] <= _MAX_ITERATIONS:
+            _check_descent(q_prev, met[0])  # the check this run makes next
+            _record(paths, path, seen, len(path) + met[1])
+            return None
+        if len(path) >= _MAX_ITERATIONS:
             break
         means, scatters, members = step(labels, counts)
         if scatters is not None:
             q_prev = _checked(q_prev, scatters)
         centers = means
-        updates += 1
-        prev = key
+        path.append(key)
         owners = labels
+    if converged and paths is not None:
+        _record(paths, path, seen, len(path))
     if scatters is None or not converged:
         if converged:  # array route: centers are the final labels' means
             means, scatters, members = _cluster_stats(dataset, labels, counts, centers)
@@ -532,7 +517,13 @@ def _lloyd_core(dataset, centers, rows=None):
         if converged and q_table is not None:
             _cross_check("Lloyd objective: block scatters vs distance table",
                          q_here, q_table)
-    return labels, means, scatters, members, updates, converged, empty_events
+    return labels, means, scatters, members, len(path), converged, empty_events
+
+
+def _record(paths, path, seen, total):
+    """Table each labelling of a run's path as (objective, updates left)."""
+    for s, key in enumerate(path):
+        paths[key] = (seen[s + 1], total - s)
 
 
 def _checked(q_prev, scatters):
@@ -549,15 +540,16 @@ def _center_step(cols, labels, counts):
     return _means(cols, labels, counts), None, None
 
 
-def _assign_arrays(cols, k, centers, owners):
+def _assign_arrays(cols, k, key_type, centers, owners):
     """The array route's assignment step: :func:`_assign`, then the
     empty-cluster repair if a cluster came up empty.
 
-    Returns the labels, their counts, the labels' bytes (equal for two
-    assignments exactly when their labels are), the number of repairs,
-    and, when ``owners`` are the labels whose means ``centers`` are, their
-    objective read from the (k, n) table: the sum of each point's entry
-    for its owner (its distance to its own cluster's mean), else None.
+    Returns the labels, their counts, their key (their bytes as
+    ``key_type``, the narrowest unsigned type for k labels), the number
+    of repairs, and, when ``owners`` are the labels whose means
+    ``centers`` are, their objective read from the (k, n) table: the sum
+    of each point's entry for its owner (its distance to its own
+    cluster's mean), else None.
     """
     labels, d2 = _assign(cols, np.asarray(centers, dtype=float))
     counts = np.bincount(labels, minlength=k)
@@ -570,13 +562,13 @@ def _assign_arrays(cols, k, centers, owners):
         n = len(owners)
         own = d2.ravel().take(owners * n + np.arange(n))
         q_table = float(np.add.reduce(own))
-    return labels, counts, labels.tobytes(), events, q_table
+    return labels, counts, labels.astype(key_type).tobytes(), events, q_table
 
 
 def _assign_floats(cols, k, centers, owners):
-    """:func:`_assign_arrays` with the labels and counts as lists (the
-    labels are their own key) and no table objective (this route takes
-    each step's objective from its exact scatters).
+    """:func:`_assign_arrays` with the labels and counts as lists, the
+    labels' bytes as ``intp`` for key and no table objective (this route
+    takes each step's objective from its exact scatters).
 
     The (k, n) squared-distance table still comes from
     :func:`~axiomlab.core._sq_dists`, a few whole-table numpy calls that
@@ -593,7 +585,7 @@ def _assign_floats(cols, k, centers, owners):
         events = _fix_empty_clusters(d2, found, k)
         labels = found.tolist()
         counts = list(map(labels.count, range(k)))
-    return labels, counts, labels, events, None
+    return labels, counts, found.tobytes(), events, None
 
 
 def _float_stats(rows, labels, counts):
@@ -656,7 +648,7 @@ def lloyd(dataset, initial_centers):
     return _first_best(dataset, [centers])
 
 
-def _first_best(dataset, starts):
+def _first_best(dataset, starts, paths=None):
     """Lloyd from each (k, m) start in turn; the ClusteringResult of the
     first run with the smallest objective.
 
@@ -666,13 +658,19 @@ def _first_best(dataset, starts):
     take the plain-float route, with ``rows`` the points as lists, while
     n * m is at most ``_FLOAT_ROUTE_MAX``, and the array route (``rows``
     None) above; both give the same floats.
+
+    ``paths``, an empty dict for several starts, becomes their path table
+    (:func:`_lloyd_core`): a run that meets an earlier run's path would
+    end with its ``q``, and the first of equal runs wins, so it is skipped.
     """
     rows = None
     if dataset.n * dataset.m <= _FLOAT_ROUTE_MAX:
         rows = dataset.points.tolist()
     best = None
     for centers in starts:
-        run = _lloyd_core(dataset, centers, rows)
+        run = _lloyd_core(dataset, centers, rows, paths)
+        if run is None:
+            continue  # met an earlier run's path
         q = _summed(run[2], _canonical(run[3]))  # scatters in canonical order
         if best is None or q < best[0]:
             best = (q, run)
@@ -729,7 +727,9 @@ def kmeans(dataset, config):
     smallest objective wins (first winner kept on exact ties).  Restarts
     are compared on their scatters summed in canonical cluster order, the
     winner's ``q`` bit for bit, and only the winner becomes a
-    :class:`ClusteringResult` (:func:`_first_best`).
+    :class:`ClusteringResult` (:func:`_first_best`).  A restart that
+    reaches a labelling an earlier converged restart passed through stops
+    there: it would end in that restart's state and so cannot win.
 
     Parameters
     ----------
@@ -743,7 +743,7 @@ def kmeans(dataset, config):
     children = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
     starts = (seed(dataset, config.k, config.seeding, np.random.default_rng(child))
               for child in children)
-    return _first_best(dataset, starts)
+    return _first_best(dataset, starts, {} if config.restarts > 1 else None)
 
 
 # ---------------------------------------------------------------------------

@@ -779,9 +779,12 @@ def _lloyd_instance(draw):
     rows = draw(st.lists(st.lists(coord, min_size=m, max_size=m),
                          min_size=n, max_size=n))
     seeding = draw(st.sampled_from(["uniform-random", "plus-plus"]))
-    restarts = draw(st.sampled_from([1, 3, 7]))
-    # the cap on center updates the run is made under (_MAX_ITERATIONS)
-    cap = draw(st.sampled_from([1, 100]))
+    # later restarts meet earlier paths, the more so the more restarts
+    restarts = draw(st.sampled_from([1, 3, 7, 12]))
+    # the cap on center updates the run is made under (_MAX_ITERATIONS);
+    # under a small one, a run that meets a path too late to end within
+    # the cap runs on
+    cap = draw(st.sampled_from([1, 2, 3, 100]))
     config = KMeansConfig(k=k, seeding=seeding, restarts=restarts,
                           rng_seed=draw(st.integers(0, 2 ** 31)))
     # centers beyond every point put all points in cluster 0, so every
@@ -826,6 +829,14 @@ def _clumps(n, m, rng_seed, grid=False):
 @example((_clumps(120, 11, 11, grid=True),
           KMeansConfig(k=4, seeding="uniform-random", restarts=3, rng_seed=12),
           100, False))
+# later restarts meet a converged path too late to end within the cap
+# and run on, on both routes
+@example((Dataset([[-1.0], [-0.5], [2.0], [2.0]]),
+          KMeansConfig(k=2, seeding="uniform-random", restarts=7, rng_seed=691),
+          1, False))
+@example((_clumps(80, 1, 20, grid=True),
+          KMeansConfig(k=3, seeding="uniform-random", restarts=12, rng_seed=16),
+          2, False))
 @given(_lloyd_instance())
 def test_lloyd_results_match_the_recompute_everything_oracle(instance):
     ds, config, cap, far = instance
@@ -844,15 +855,23 @@ def test_lloyd_results_match_the_recompute_everything_oracle(instance):
 @pytest.mark.parametrize("rotated", [False, True])
 def test_kmeans_at_segment_cross_scale_matches_the_oracle(rotated):
     # acceptance test 12's 4 000-point crosses: clusters of thousands of
-    # points and runs of dozens of steps, past the Hypothesis sizes
+    # points and runs of dozens of steps, past the Hypothesis sizes, with
+    # enough restarts that later ones meet earlier paths and stop there
     ds = rotated_segments(rotated, points_per_segment=1000, rng=11)
+    met = []
+    def counting(*args):
+        run = _lloyd_core(*args)
+        met.append(run is None)
+        return run
     for rng_seed in (11, 12, 13):
-        config = KMeansConfig(k=2, seeding="plus-plus", restarts=3,
+        config = KMeansConfig(k=2, seeding="plus-plus", restarts=10,
                               rng_seed=rng_seed)
-        got = kmeans(ds, config)
+        with mock.patch.object(kmeans_module, "_lloyd_core", counting):
+            got = kmeans(ds, config)
         want = _reference_kmeans(ds, config)
         assert_same_result(got, want)
         assert got.centers.tobytes() == want.centers.tobytes()
+    assert len(met) == 30 and any(met)
 
 
 def _route_cases():
@@ -1174,11 +1193,32 @@ expect("lloyd-blocks", lambda: km._lloyd_core(line, np.array([[0.0], [1.0]])),
        TABLE)
 km._cluster_stats = real_cluster_stats
 
+# Lloyd, on both routes: the second start meets the first's path at its
+# second step, where the objectives are 8e8 + 36.8 and 8e8 + 20.8, and the
+# stored objectives are about 1e-6 high, so the descent check the meeting
+# makes in place of the run's next step must fail
+cross = Dataset([[x, y] for x in (-1.0, 1.0, 9.0, 11.0) for y in (-1e4, 1e4)]
+                + [[4.0, 0.0]])
+def joined():
+    real_record = km._record
+    km._record = lambda paths, path, seen, total: real_record(
+        paths, path, [q * (1.0 + 1e-6) for q in seen], total)
+    try:
+        km._first_best(cross, [np.array([[0.0, 0.0], [10.0, 0.0]]),
+                               np.array([[0.0, 0.0], [4.5, 0.0]])], {})
+    finally:
+        km._record = real_record
+# a cutoff of 0 sends the cross to the array route
+real_cutoff = km._FLOAT_ROUTE_MAX
+km._FLOAT_ROUTE_MAX = 0
+expect("lloyd-join", joined, DESCENT)
+km._FLOAT_ROUTE_MAX = real_cutoff
+expect("lloyd-join-floats", joined, DESCENT)
+
 # result, on both routes: the shifted form behind a Lloyd result is off by
 # about 1e-6 (a cutoff of 0 sends the line to the array route)
 real_shifted_q = km._shifted_q
 km._shifted_q = lambda *args: real_shifted_q(*args) * (1.0 + 1e-6) + 1e-6
-real_cutoff = km._FLOAT_ROUTE_MAX
 km._FLOAT_ROUTE_MAX = 0
 expect("result", lambda: km.lloyd(line, [[0.0], [10.0]]),
        SHIFTED)
@@ -1210,7 +1250,8 @@ def test_cross_checks_raise_under_python_O():
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["optimize"] == 1
     assert result["caught"] == ["objective", "lloyd", "lloyd-floats",
-                                "lloyd-table", "lloyd-blocks", "result",
+                                "lloyd-table", "lloyd-blocks", "lloyd-join",
+                                "lloyd-join-floats", "result",
                                 "result-floats", "increment"]
 
 
