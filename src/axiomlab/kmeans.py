@@ -374,10 +374,10 @@ def _cluster_stats(dataset, labels, counts, means=None):
 def _sorted_blocks(labels, counts):
     """One stable argsort of the labels and each label's slice of it, a
     contiguous block of its members in increasing point index."""
-    # the narrowest unsigned key sorts by radix; the permutation is the
-    # same for any key type
-    order = np.argsort(labels.astype(np.min_scalar_type(len(counts) - 1)),
-                       kind="stable")
+    # one-byte keys sort by radix; the permutation is the same for any
+    # key type
+    keys = labels.astype(np.uint8) if len(counts) <= 256 else labels
+    order = np.argsort(keys, kind="stable")
     sizes = counts.tolist()
     blocks = [slice(end - size, end)
               for size, end in zip(sizes, itertools.accumulate(sizes))]
@@ -473,12 +473,9 @@ def _lloyd_core(dataset, centers, rows=None, paths=None):
     if rows is None:
         assign = functools.partial(_assign_arrays, dataset.columns, k,
                                    np.min_scalar_type(k - 1))
-        step = functools.partial(_center_step, dataset.columns)
-        stats = functools.partial(_cluster_stats, dataset)
     else:
         assign = functools.partial(_assign_floats, dataset.columns, k)
-        step = stats = functools.partial(_float_stats, rows)
-    owners = scatters = None
+    owners = None
     path, seen = [], []  # the keys stepped from; q_prev at each assignment
     empty_events = 0
     q_prev = math.inf
@@ -500,19 +497,22 @@ def _lloyd_core(dataset, centers, rows=None, paths=None):
             return None
         if len(path) >= _MAX_ITERATIONS:
             break
-        means, scatters, members = step(labels, counts)
-        if scatters is not None:
+        if rows is None:  # the next table gives this step's objective
+            means = _means(dataset.columns, labels, counts)
+        else:
+            means, scatters, members = _float_stats(rows, labels, counts)
             q_prev = _checked(q_prev, scatters)
         centers = means
         path.append(key)
         owners = labels
     if converged and paths is not None:
         _record(paths, path, seen, len(path))
-    if scatters is None or not converged:
-        if converged:  # array route: centers are the final labels' means
-            means, scatters, members = _cluster_stats(dataset, labels, counts, centers)
+    if rows is None or not converged:
+        if rows is None:  # a converged run's centers are its labels' means
+            means, scatters, members = _cluster_stats(
+                dataset, labels, counts, centers if converged else None)
         else:
-            means, scatters, members = stats(labels, counts)
+            means, scatters, members = _float_stats(rows, labels, counts)
         q_here = _checked(q_prev, scatters)
         if converged and q_table is not None:
             _cross_check("Lloyd objective: block scatters vs distance table",
@@ -532,12 +532,6 @@ def _checked(q_prev, scatters):
     q_here = _summed(scatters, range(len(scatters)))
     _check_descent(q_prev, q_here)
     return q_here
-
-
-def _center_step(cols, labels, counts):
-    """The array route's step: the next centers (:func:`_means`) alone; the
-    loop reads the step's objective from the next table."""
-    return _means(cols, labels, counts), None, None
 
 
 def _assign_arrays(cols, k, key_type, centers, owners):
@@ -878,8 +872,8 @@ def _ideal_search(dataset, k, collect_tol=None):
                 s[a] -= x[a]
 
     rec(0, 0, 0.0)
-    if best_rgs is None:
-        raise RuntimeError("search found no partition")  # unreachable
+    if best_rgs is None:  # every leaf's objective overflowed to inf
+        raise RuntimeError("search found no partition")
     return best_rgs, best_q, leaves, near
 
 

@@ -205,14 +205,13 @@ def motion_transform(dataset, gamma, cluster_id, vector):
         raise ValueError("vector must have shape (%d,)" % dataset.m)
     pts = dataset.points.copy()
     idx = list(gamma.clusters[cluster_id])
-    before, _ = _balls(pts, gamma.clusters)
+    # a rigid move shifts a cluster's center and points alike, so the radii
+    # are those before it; remeasuring would only add the move's rounding
+    before, radii = _balls(pts, gamma.clusters)
     pts[idx] = pts[idx] + vector
     moved = Dataset(pts)
-
     after = before.copy()
     after[cluster_id] += vector
-    _, radii = _balls(pts, gamma.clusters, after)
-
     d_before = np.sqrt(_sq_dists(before.T, before))
     d_after = np.sqrt(_sq_dists(after.T, after))
     closer = d_after[cluster_id] < d_before[cluster_id] * (1.0 - _PAIR_RTOL)

@@ -1,4 +1,7 @@
-"""Partition enumeration: the brute-force oracle for the exhaustive search."""
+"""Partition enumeration: the brute-force oracle for the exhaustive search,
+and an exact referee for its ties."""
+
+from fractions import Fraction
 
 from axiomlab.core import Partition
 
@@ -32,3 +35,27 @@ def enumerate_partitions(n, k=None):
             yield from rec(i + 1, max(used, v + 1))
 
     yield from rec(0, 0)
+
+
+def exact_q(rows, partition):
+    """The k-means objective of ``partition`` in exact rational arithmetic.
+
+    ``rows`` are the points as lists of floats; every float is a dyadic
+    rational, so reading it as a ``Fraction`` loses nothing, and equal
+    objectives compare equal however their float sums would round.
+    """
+    total = Fraction(0)
+    for block in partition.clusters:
+        for axis in zip(*(rows[i] for i in block)):
+            values = [Fraction(x) for x in axis]
+            mean = sum(values) / len(values)
+            total += sum((x - mean) ** 2 for x in values)
+    return total
+
+
+def exact_minima(rows, k):
+    """Every partition into k clusters of least exact objective
+    (:func:`exact_q`), in canonical order."""
+    scored = [(exact_q(rows, p), p) for p in enumerate_partitions(len(rows), k)]
+    best = min(q for q, _ in scored)
+    return [p for q, p in scored if q == best]

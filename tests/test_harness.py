@@ -1,6 +1,7 @@
 """Tests for the property-suite runner, variance grid, and report output."""
 
 import hashlib
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -20,7 +21,10 @@ from axiomlab.harness import (
     run_suite,
     variance_grid,
 )
-from axiomlab.core import Partition
+from axiomlab.core import Dataset, Partition
+from axiomlab.kmeans import kmeans_ideal, kmeans_ideal_minima
+from axiomlab.transforms import centric_transform
+from brute_force import exact_minima
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +160,7 @@ def test_centric_global_shrink_failures_carry_each_factor(monkeypatch):
 
 
 def test_interference_failures_carry_witnesses(monkeypatch):
-    monkeypatch.setattr(harness, "is_gamma_transform", lambda *args: (False, None))
-    monkeypatch.setattr(harness, "scale", lambda table, alpha: table)
+    monkeypatch.setattr(harness, "is_gamma_transform", lambda *args: (False, ()))
     rep = run_suite("interference")
     assert [c["violations"] for c in rep["checks"]] == [1, 1]
     assert [w["check"] for w in rep["witnesses"]] == [
@@ -165,6 +168,23 @@ def test_interference_failures_carry_witnesses(monkeypatch):
     for w in rep["witnesses"]:
         assert w["points"] == [[0.0], [0.4], [0.6], [1.0]]
         assert w["params"]["moved_points"] == [[0.0], [0.5], [0.6], [2.0]]
+
+
+def test_interference_reads_the_shrunk_pair_from_is_gamma_transform(monkeypatch):
+    # a consistency check blind to every violation sees no cross-cluster
+    # distance shrink, so the claim's one check fails
+    monkeypatch.setattr(harness, "is_gamma_transform", lambda *args: (True, ()))
+    rep = run_suite("interference")
+    assert [c["violations"] for c in rep["checks"]] == [0, 1]
+    assert [w["check"] for w in rep["witnesses"]] == ["cross-distance-decreases"]
+    assert "pair" not in rep["witnesses"][0]["params"]
+
+
+def test_absolute_global_skips_draws_the_certificate_refuses(monkeypatch):
+    monkeypatch.setattr(harness, "certify", lambda ds, gamma: {"absolute": False})
+    rep = run_suite("absolute-global", trials=5)
+    assert rep["checks"] == [{"name": "certified-absolute-is-global", "trials": 0,
+                              "violations": 0, "passed": True}]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
@@ -251,6 +271,8 @@ def test_interference_suite_records_witness_on_pass():
     rescaled = scale(distance_matrix(after), w["params"]["alpha"])
     assert rescaled.values[i, j] < distance_matrix(before).values[i, j]
     assert w["params"]["after"] == pytest.approx(rescaled.values[i, j])
+    assert w["params"]["pair"] == [0, 1]
+    assert (w["params"]["before"], w["params"]["after"]) == (0.4, 0.25)
 
 
 # one sha256 per suite over the fingerprints of: master seeds 0-19 at
@@ -281,6 +303,28 @@ def test_suite_fingerprints_are_pinned(name):
     for master_seed, trials in runs:
         digest.update(fingerprint(run_suite(name, master_seed, trials)).encode())
     assert digest.hexdigest() == PINNED_FINGERPRINTS[name]
+
+
+def test_centric_consistency_holds_on_every_small_line_layout():
+    # every layout of {0} plus 3-5 points of {1, ..., 8}: each cluster of
+    # the optimum, shrunk by each factor, leaves that optimum a minimiser;
+    # integer points tie exactly, as random draws never do
+    checks = violations = tied = 0
+    for size in (3, 4, 5):
+        for rest in itertools.combinations(range(1, 9), size):
+            rows = [[0.0]] + [[float(x)] for x in rest]
+            ds = Dataset(rows)
+            for k in (2, 3):
+                best = kmeans_ideal(ds, k).partition
+                minima = kmeans_ideal_minima(ds, k)
+                if len(minima) > 1:
+                    tied += 1
+                    assert minima == exact_minima(rows, k)
+                for cluster, lam in itertools.product(range(k), harness._LAMS):
+                    checks += 1
+                    violations += best not in kmeans_ideal_minima(
+                        centric_transform(ds, best, cluster, lam), k)
+    assert (checks, violations, tied) == (2730, 0, 59)
 
 
 def test_trials_override_shrinks_sampled_checks():

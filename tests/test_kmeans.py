@@ -53,7 +53,7 @@ from axiomlab.kmeans import (
     _increment,
     _lloyd_core,
 )
-from brute_force import enumerate_partitions
+from brute_force import enumerate_partitions, exact_minima
 from dp_1d import kmeans_1d
 
 
@@ -545,6 +545,27 @@ def test_kmeans_ideal_tie_goes_to_canonical_order():
     assert res.partition == Partition([[0, 1], [2, 3]])
 
 
+# three partitions cost exactly 4 at k = 2; the walk's partial sum for the
+# last of them, {0,1,3 | 2,4,5}, rounds one ulp below 4
+_ROUNDED_TIE = [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [1.0, 0.0], [1.0, 1.0],
+                [2.0, 2.0]]
+
+
+def test_exact_referee_finds_every_minimiser():
+    assert exact_minima(_ROUNDED_TIE, 2) == [
+        Partition([[0, 1, 2, 3, 4], [5]]), Partition([[0, 1, 3, 4], [2, 5]]),
+        Partition([[0, 1, 3], [2, 4, 5]])]
+    assert exact_minima(_ROUNDED_TIE, 2) == kmeans_ideal_minima(
+        Dataset(_ROUNDED_TIE), 2)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 14")
+def test_kmeans_ideal_returns_the_earliest_exact_minimiser():
+    # the strict < incumbent rule keeps the rounded-down partial sum
+    assert kmeans_ideal(Dataset(_ROUNDED_TIE), 2).partition == Partition(
+        [[0, 1, 2, 3, 4], [5]])
+
+
 def test_kmeans_ideal_minima_collects_all_optima():
     square = Dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     minima = kmeans_ideal_minima(square, 2)
@@ -948,6 +969,39 @@ def test_float_and_array_routes_agree_at_the_cutoff(monkeypatch):
     assert repairs > 0 and long_lines > 0
 
 
+def _same_run(got, want):
+    labels, means, scatters, members, updates, converged, events = got
+    assert np.array_equal(labels, want[0])
+    assert np.array_equal(means, want[1])
+    assert scatters == want[2]
+    assert [list(block) for block in members] == [list(block) for block in want[3]]
+    assert (updates, converged, events) == tuple(want[4:])
+
+
+def test_a_meeting_past_the_cap_runs_on():
+    # a rerun of a converged start meets that run's path at once, and its
+    # end lies as many updates away as the run made; under a cap one lower
+    # the rerun must not stop there but run on to the cap, as a run with
+    # no table does
+    rng = np.random.default_rng(31)
+    runs = 0
+    for _ in range(60):
+        n = int(rng.integers(8, 40))
+        m = int(rng.integers(1, 4))
+        ds = Dataset(rng.normal(size=(n, m)))
+        start = ds.points[rng.choice(n, size=int(rng.integers(2, 5)), replace=False)]
+        for rows in (ds.points.tolist(), None):
+            paths = {}
+            first = _lloyd_core(ds, start, rows, paths)
+            assert first[5] and _lloyd_core(ds, start, rows, paths) is None
+            with mock.patch.object(kmeans_module, "_MAX_ITERATIONS", first[4] - 1):
+                capped = _lloyd_core(ds, start, rows, paths)
+                assert capped is not None and not capped[5]
+                _same_run(capped, _lloyd_core(ds, start, rows))
+            runs += 1
+    assert runs == 120
+
+
 def _labelled_points():
     """Points, labels with no empty cluster and centers: the grid cases
     hold repeated points, ties and -0.0, the wide ones span 1e-3 .. 1e3."""
@@ -966,6 +1020,8 @@ def _labelled_points():
         yield Dataset(pts[:n]), labels, pts[n:]
     yield _clumps(200, 1, 1), np.arange(200) % 3, np.zeros((3, 1))
     yield _clumps(200, 3, 7, grid=True), np.arange(200) * 7 % 4, np.zeros((4, 3))
+    # more labels than one byte holds
+    yield _clumps(400, 2, 3), np.arange(400) * 7 % 300, np.zeros((300, 2))
 
 
 def test_lloyd_kernels_match_the_broadcast_and_mask_routes():
