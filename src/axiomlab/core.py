@@ -121,14 +121,13 @@ def _sq_dists(cols, centers):
     return _pairwise_sum(map(term, range(m)), m)
 
 
-def _balls(points, clusters, centers=None):
-    """Each cluster's center and the radius of its enclosing ball.
+def _balls(points, clusters):
+    """Each cluster's mean and the radius of its enclosing ball.
 
     ``clusters`` holds the clusters' point indices (a
-    :attr:`Partition.clusters`); ``centers``, if given, is one center per
-    cluster in the same order, and otherwise each center is its cluster's
-    mean, ``points[block].mean(axis=0)``.  A radius is the square root of
-    the largest :func:`_sq_dists` entry from the center to the cluster's
+    :attr:`Partition.clusters`); each center is its cluster's mean,
+    ``points[block].mean(axis=0)``.  A radius is the square root of the
+    largest :func:`_sq_dists` entry from the center to the cluster's
     points.  That equals, bit for bit, the largest of the broadcast form's
     ``np.sqrt(np.sum((points[block] - center) ** 2, axis=1))``: the
     squared distances are the same floats, and ``sqrt`` is correctly
@@ -137,15 +136,15 @@ def _balls(points, clusters, centers=None):
     Returns a (k, m) array of centers and a (k,) array of radii.
     """
     out, radii = [], []
-    for j, block in enumerate(clusters):
+    for block in clusters:
         sub = points[list(block)]
-        center = sub.mean(axis=0) if centers is None else centers[j]
+        center = sub.mean(axis=0)
         out.append(center)
         radii.append(np.sqrt(_sq_dists(sub.T, center[None, :]).max()))
     return np.array(out), np.array(radii)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable set of n points in R^m.
 
@@ -199,13 +198,6 @@ class Dataset:
     def __repr__(self):
         return "Dataset(n=%d, m=%d)" % (self.n, self.m)
 
-    def __eq__(self, other):
-        return isinstance(other, Dataset) and np.array_equal(self.points, other.points)
-
-    def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0, which compares equal to it
-        return hash((self.points + 0.0).tobytes())
-
     @classmethod
     def from_csv(cls, path):
         """Load a dataset from a CSV file with header ``x1,...,xm``.
@@ -223,7 +215,7 @@ class Dataset:
         np.savetxt(path, self.points, delimiter=",", header=header, comments="")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """An immutable symmetric dissimilarity table.
 
@@ -258,14 +250,6 @@ class DistanceMatrix:
 
     def __repr__(self):
         return "DistanceMatrix(n=%d)" % self.n
-
-    def __eq__(self, other):
-        return isinstance(other, DistanceMatrix) and np.array_equal(
-            self.values, other.values
-        )
-
-    def __hash__(self):
-        return hash((self.values + 0.0).tobytes())
 
     def to_csv(self, path):
         np.savetxt(path, self.values, delimiter=",")

@@ -44,6 +44,7 @@ from .kmeans import (
     kmeans_ideal_minima,
     lloyd,
     objective_q,
+    seed,
 )
 from .separation import certify, motion_gap_bound, seeding_success
 from .transforms import (
@@ -247,17 +248,13 @@ def _suite_scale_invariance(seeds, tally):
 def _suite_k_richness(seeds, tally):
     hit_seq, freq_seq = seeds.spawn(2)
 
-    # every composition of cluster sizes is reachable, exhaustively
-    def compositions(total, max_part):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, max_part), 0, -1):
-            for rest in compositions(total - first, first):
-                yield (first,) + rest
-
-    # parts of at most n - 1 make at least two clusters
-    layouts = [sizes for n in range(2, 8) for sizes in compositions(n, n - 1)]
+    # every layout of 2..7 points in two or more clusters is reachable,
+    # exhaustively: cluster sizes in non-increasing order, layouts in
+    # decreasing lexicographic order
+    layouts = [sizes for n in range(2, 8) for sizes in sorted(
+        (c for r in range(2, n + 1)
+         for c in itertools.combinations_with_replacement(range(n - 1, 0, -1), r)
+         if sum(c) == n), reverse=True)]
     failures = []
     for sizes in layouts:
         ds, part = krich_line(sizes)
@@ -276,12 +273,12 @@ def _suite_k_richness(seeds, tally):
         return hits, ds.points, part
 
     # on balanced data the all-clusters-hit frequency of the seed draw
-    # itself matches the closed form within 3 sigma (two-sided)
+    # itself matches the closed form within 3 sigma (two-sided); each of
+    # the k clusters is 200 points at its own label
     def seed_hits(k, seq, trials):
-        per = 200
-        labels = np.repeat(np.arange(k), per)
+        ds = Dataset(np.repeat(np.arange(k, dtype=float), 200)[:, None])
         rng = np.random.default_rng(seq)
-        hits = sum(len(set(labels[rng.choice(k * per, size=k, replace=False)])) == k
+        hits = sum(len(set(seed(ds, k, "uniform-random", rng)[:, 0].tolist())) == k
                    for _ in range(trials))
         return hits, np.empty((0, 1)), None
 

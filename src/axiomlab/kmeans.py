@@ -301,6 +301,8 @@ def seed(dataset, k, strategy, rng):
     d2 = _sq_dists(cols, pts[chosen])[0]
     while len(chosen) < k:
         total = float(d2.sum())
+        if not math.isfinite(total):
+            raise ValueError("squared distances overflow float64")
         if total == 0.0:
             # every remaining point coincides with a center; fall back to
             # a uniform pick among the unchosen indices
@@ -872,8 +874,8 @@ def _ideal_search(dataset, k, collect_tol=None):
                 s[a] -= x[a]
 
     rec(0, 0, 0.0)
-    if best_rgs is None:  # every leaf's objective overflowed to inf
-        raise RuntimeError("search found no partition")
+    if best_rgs is None:
+        raise ValueError("every partition's objective overflows float64")
     return best_rgs, best_q, leaves, near
 
 

@@ -206,12 +206,15 @@ def test_construct_line_refuses_sizes_beyond_float64(tmp_path):
         ("text-seed.json", "variance-grid report does not render: "
          "TypeError('%d format: a real number is required, not str')")]
     for fmt in ("json", "csv", "markdown")
+] + [
+    (["cluster", "--data", "huge.csv", "--k", "2"], "squared distances overflow float64"),
 ])
 def test_refused_values_are_usage_errors(tmp_path, argv, message):
     # status 1 means "a check failed"; a refused value is a usage error,
     # reported in one line with status 2, as argparse reports a bad option
     (tmp_path / "object.json").write_text('{"a": 1}')  # JSON, not reports
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "huge.csv").write_text("x1\n0\n1e200\n2e200\n-1e200\n")
     (tmp_path / "partial.json").write_text('{"kind": "suite"}')
     (tmp_path / "empty-check.json").write_text(json.dumps({
         "kind": "suite", "suite": "interference", "master_seed": 0,

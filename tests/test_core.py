@@ -80,18 +80,6 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert np.allclose(back.points, ds.points, rtol=0, atol=1e-12)
 
 
-def test_signed_zeros_hash_alike():
-    # -0.0 == 0.0, so values that differ only in the sign of a zero are
-    # equal and must hash alike: a set keeps one of them
-    for a, b in (
-        (Dataset([[0.0], [1.0]]), Dataset([[-0.0], [1.0]])),
-        (DistanceMatrix([[0.0, 1.0], [1.0, 0.0]]),
-         DistanceMatrix([[-0.0, 1.0], [1.0, -0.0]])),
-    ):
-        assert a == b and hash(a) == hash(b)
-        assert len({a, b}) == 1
-
-
 def test_distance_matrix_validation():
     with pytest.raises(ValueError, match="must be symmetric"):
         DistanceMatrix([[0.0, 1.0], [2.0, 0.0]])
@@ -137,7 +125,8 @@ def test_distance_matrix_csv_roundtrip(tmp_path):
     dm = DistanceMatrix(GRID)
     path = tmp_path / "dist.csv"
     dm.to_csv(path)
-    assert DistanceMatrix(np.loadtxt(path, delimiter=",", ndmin=2)) == dm
+    back = DistanceMatrix(np.loadtxt(path, delimiter=",", ndmin=2))
+    assert np.array_equal(back.values, dm.values)
 
 
 def test_partition_canonicalisation():
@@ -167,7 +156,9 @@ def test_partition_json_roundtrip():
 
 
 def _same_fields(a, b):
-    """Field-by-field equality for the types that compare by identity."""
+    """Field-by-field equality for the types that compare by identity
+    (Dataset, DistanceMatrix, ClusteringResult): arrays by
+    ``np.array_equal``, other fields by ``==``."""
     for f in dataclasses.fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
@@ -193,7 +184,7 @@ def test_value_types_copy_and_pickle(value):
         pickle.loads(pickle.dumps(value)),
     ):
         assert type(clone) is type(value)
-        if isinstance(value, (Dataset, DistanceMatrix, Partition)):
+        if isinstance(value, Partition):
             assert clone == value and hash(clone) == hash(value)
         else:
             assert _same_fields(clone, value)
@@ -205,11 +196,10 @@ def test_value_types_copy_and_pickle(value):
         with pytest.raises(AttributeError):
             clone.extra = 1
     if isinstance(value, Dataset):
-        # equality and hash ignore the caches, filled or not
-        fresh = Dataset(value.points)
+        # a copy made with the caches filled rebuilds the same points
         assert value.total_scatter > 0.0 and value.columns.shape == (2, 3)
-        assert fresh == value and value == fresh and hash(fresh) == hash(value)
-        assert pickle.loads(pickle.dumps(value)).total_scatter == value.total_scatter
+        clone = pickle.loads(pickle.dumps(value))
+        assert _same_fields(clone, value) and clone.total_scatter == value.total_scatter
 
 
 def _broadcast_sq_dists(points, centers):
@@ -274,12 +264,10 @@ def test_distance_tables_match_the_broadcast_form():
         distance_matrix(Dataset([[0.0], [1.0], [2.0], [1.0], [2.0]]))
 
 
-def test_balls_measure_radii_from_the_means_or_the_given_centers():
+def test_balls_measure_radii_from_the_means():
     pts = np.array([[0.0], [2.0], [10.0]])
     centers, radii = _balls(pts, ((0, 1), (2,)))
     assert centers.tolist() == [[1.0], [10.0]] and radii.tolist() == [1.0, 0.0]
-    centers, radii = _balls(pts, ((0, 1), (2,)), np.array([[0.0], [7.0]]))
-    assert centers.tolist() == [[0.0], [7.0]] and radii.tolist() == [2.0, 3.0]
 
 
 def test_dataset_columns_are_a_cached_read_only_transpose():

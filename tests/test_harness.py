@@ -23,7 +23,7 @@ from axiomlab.harness import (
 )
 from axiomlab.core import Dataset, Partition
 from axiomlab.kmeans import kmeans_ideal, kmeans_ideal_minima
-from axiomlab.transforms import centric_transform
+from axiomlab.transforms import centric_transform, scale
 from brute_force import exact_minima
 
 
@@ -145,6 +145,19 @@ def test_k_richness_rate_checks_respect_the_witness_cap(monkeypatch):
         ("seed-hit-frequency", 2)]
     assert [sorted(w["params"]) for w in rep["witnesses"]] == [
         ["bound", "hits", "k", "trials"]] * 2 + [["expected", "hits", "k", "trials"]]
+
+
+def test_seed_hit_frequency_draws_through_kmeans_seed(monkeypatch):
+    # a seed draw that puts all k centers on one point never hits every
+    # cluster, so the frequency check fails at each k (0 hits leaves 3
+    # sigma of q at k = 3 and 4 only from 32 and 88 trials on)
+    monkeypatch.setattr(harness, "seed",
+                        lambda ds, k, strategy, rng: ds.points[[0] * k].copy())
+    rep = run_suite("k-richness", trials=100)
+    assert [c["violations"] for c in rep["checks"]] == [0, 0, 3]
+    assert [(w["check"], w["params"]["k"], w["params"]["hits"])
+            for w in rep["witnesses"]] == [
+        ("seed-hit-frequency", k, 0) for k in (2, 3, 4)]
 
 
 def test_centric_global_shrink_failures_carry_each_factor(monkeypatch):
@@ -325,6 +338,27 @@ def test_centric_consistency_holds_on_every_small_line_layout():
                     violations += best not in kmeans_ideal_minima(
                         centric_transform(ds, best, cluster, lam), k)
     assert (checks, violations, tied) == (2730, 0, 59)
+
+
+def test_scaling_keeps_the_optima_of_every_small_grid_subset():
+    # every 4-7-point subset of the 3 x 3 integer grid at k = 2 and 3:
+    # scaling by 2 or 0.5 is exact in binary floats, so the minima and
+    # the chosen optimum come back unchanged, exact ties included
+    grid = list(itertools.product((0.0, 1.0, 2.0), repeat=2))
+    pairs = tied = 0
+    for size in range(4, 8):
+        for rows in itertools.combinations(grid, size):
+            ds = Dataset(rows)
+            for k in (2, 3):
+                minima = kmeans_ideal_minima(ds, k)
+                best = kmeans_ideal(ds, k).partition
+                pairs += 1
+                tied += len(minima) > 1
+                for alpha in (2.0, 0.5):
+                    scaled = scale(ds, alpha)
+                    assert kmeans_ideal_minima(scaled, k) == minima
+                    assert kmeans_ideal(scaled, k).partition == best
+    assert (pairs, tied) == (744, 380)
 
 
 def test_trials_override_shrinks_sampled_checks():

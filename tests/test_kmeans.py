@@ -424,7 +424,7 @@ def _reference_ideal_search(dataset, k, collect_tol=None):
 
     rec(0, 0, 0.0)
     if state["best_rgs"] is None:
-        raise RuntimeError("search found no partition")  # unreachable
+        raise ValueError("every partition's objective overflows float64")
     return state["best_rgs"], state["best_q"], state["leaves"], state["near"]
 
 
@@ -605,6 +605,20 @@ def test_kmeans_ideal_respects_cap(monkeypatch):
     ds = _line(*range(6))
     with pytest.raises(ValueError, match="exhaustive search supports"):
         kmeans_ideal(ds, 2)
+
+
+def test_float64_overflow_is_named():
+    # the squared distances of these points overflow float64: plus-plus
+    # seeding and exhaustive search say so, not numpy's "Probabilities
+    # contain NaN" or a search that finds no partition
+    ds = _line(0.0, 1e200, 2e200, -1e200)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^squared distances overflow float64$"):
+            kmeans(ds, KMeansConfig(k=2))
+    for search in (kmeans_ideal, kmeans_ideal_minima):
+        with pytest.raises(ValueError,
+                           match="^every partition's objective overflows float64$"):
+            search(ds, 2)
 
 
 # ---------------------------------------------------------------------------
