@@ -787,35 +787,35 @@ def _ideal_search(dataset, k, collect_tol=None):
     """Shared search core; with collect_tol, also gather near-optima.
 
     Returns ``(best_rgs, best_q, leaves, near)``: the earliest canonical
-    minimiser as a restricted growth string, its partial-sum objective,
-    the number of complete k-cluster partitions reached, and (with
-    collect_tol) every leaf reached with its partial sum, in canonical
-    order.
+    minimiser as a restricted growth string, its partial sum, the number
+    of k-cluster leaves reached and (with collect_tol) every leaf reached
+    with its partial sum, in canonical order.
 
-    Points are tuples of floats, each cluster keeps a list of coordinate
-    sums and an int count, so a node costs O(m) scalar float operations
-    in the interpreter and no numpy call.  Adding point x to a cluster of
-    c >= 1 points with sums s raises the objective by
-    c / (c + 1) * d2, where d2 accumulates t * t with t = x[a] - s[a] / c
-    left to right over the axes, starting from 0.0 (exact, as t * t is
-    never -0.0); the weights c / (c + 1), and each node's range of
-    children, are tabled once per search.  For m <= 7 these are the IEEE
-    operations, in the same order, of the same walk on numpy rows (the
-    oracle in the tests), so leaves, prunes and results match it bit for
-    bit.  From m = 8 on ``np.sum`` adds the axes pairwise, so a partial
-    sum may differ from that walk in its last bit.
+    Each cluster keeps an int count and a list of coordinate sums, so a
+    node costs O(m) scalar float operations and no numpy call.  Adding x
+    to a cluster of c >= 1 points with sums s adds c / (c + 1) * d2, where
+    d2 sums t * t, t = x[a] - s[a] / c, left to right from 0.0 (exact, as
+    t * t is never -0.0).  For m <= 7 these are the IEEE operations, in
+    order, of the same walk on numpy rows (the tests' oracle); from m = 8
+    ``np.sum`` adds the axes pairwise, so a partial sum may differ from
+    that walk in its last bit.
 
-    Each child is tested in its parent's loop, before any call: it is cut
-    when its partial sum exceeds the bound, or when it would leave too few
-    points to open the missing clusters.  The bound is the incumbent,
-    widened by collect_tol * max(1, incumbent) when collecting, kept in
-    one local that starts at inf and changes only with the incumbent.  A
-    leaf (the last point placed) is scored in the loop as well; it
-    replaces the incumbent only when strictly better.  Only an inner
-    child that survives its test is entered: its cluster's sums move by
-    ``s[a] += x[a]`` on the way down and ``s[a] -= x[a]`` on the way back.
-    A child that is cut or scored as a leaf is never entered, and its
-    cluster's sums are left alone.
+    A child is tested in its parent's loop: it is cut when its partial sum
+    exceeds the bound, or when too few points would be left to open the
+    missing clusters.  A leaf is scored there too and replaces the
+    incumbent only when strictly better.  An entered child's cluster gets
+    a copy of its sums (``sums[j] = t = s[:]``, ``t[a] += x[a]``) and the
+    parent's list back on return, so a partial sum depends on its path's
+    labels alone.
+
+    The plain walk's bound is the incumbent.  The collecting walk's starts
+    at dive + tol * max(1, dive), where dive is the partial sum of the leaf
+    a greedy dive reaches (:func:`_dive`; inf if it overflows), and a
+    better leaf p lowers it to p + tol * max(1, p).  No leaf with
+    p <= cut = best_q + tol * max(1, best_q) is lost: the dive's leaf is
+    reached unless a leaf below dive cut it, so best_q <= dive and cut is
+    at most the starting bound; every later bound is at least cut; and a
+    partial sum only grows along a path (each step adds a float >= 0).
     """
     pts = dataset.points
     n, m = pts.shape
@@ -831,10 +831,12 @@ def _ideal_search(dataset, k, collect_tol=None):
     weight = [c / (c + 1) for c in range(n)]
     rgs = [0] * n
     last = n - 1
-    best_q = bound = math.inf
+    best_q = math.inf
     best_rgs = None
     leaves = 0
     near = []
+    dive = math.inf if collect_tol is None else _dive(points, k, weight)
+    bound = dive + collect_tol * max(1.0, dive) if dive < math.inf else math.inf
 
     def rec(i, used, partial):
         nonlocal best_q, bound, best_rgs, leaves
@@ -859,19 +861,18 @@ def _ideal_search(dataset, k, collect_tol=None):
                 if p < best_q:
                     best_q = p
                     best_rgs = rgs.copy()
-                    bound = p
-                    if collect_tol is not None:
-                        bound += collect_tol * max(1.0, p)
+                    bound = p if collect_tol is None else min(
+                        bound, p + collect_tol * max(1.0, p))
                 if collect_tol is not None:
                     near.append((p, rgs.copy()))
                 continue
             counts[j] = c + 1
+            sums[j] = t = s[:]
             for a in axes:
-                s[a] += x[a]
+                t[a] += x[a]
             rec(i + 1, used + 1 if j == used else used, p)
             counts[j] = c
-            for a in axes:
-                s[a] -= x[a]
+            sums[j] = s
 
     rec(0, 0, 0.0)
     if best_rgs is None:
@@ -879,15 +880,41 @@ def _ideal_search(dataset, k, collect_tol=None):
     return best_rgs, best_q, leaves, near
 
 
+def _dive(points, k, weight):
+    """The walk's partial sum at the leaf a greedy dive reaches: each point
+    joins the child :func:`_ideal_search` allows with the least increment
+    (a new cluster costs 0, ties go to the lower label); inf or NaN on overflow."""
+    n, axes = len(points), range(len(points[0]))
+    counts, sums = [0] * k, [[0.0] * len(axes) for _ in range(k)]
+    dive, used = 0.0, 0
+    for i, x in enumerate(points):
+        pick = None
+        for j in [used] if used + (n - i) == k else range(min(used + 1, k)):
+            c, s, inc = counts[j], sums[j], 0.0
+            if c:
+                d2 = 0.0
+                for a in axes:
+                    t = x[a] - s[a] / c
+                    d2 += t * t
+                inc = weight[c] * d2
+            if pick is None or inc < cost:
+                pick, cost = j, inc
+        dive += cost
+        counts[pick] += 1
+        s = sums[pick]
+        for a in axes:
+            s[a] += x[a]
+        used += pick == used
+    return dive
+
+
 def kmeans_ideal_minima(dataset, k):
     """All partitions whose objective is within ``REL_TOL`` of the optimum.
 
-    The walk keeps every partition with
-    Q <= Q* + REL_TOL * max(1, Q*), in canonical order.  It is the walk
-    of :func:`kmeans_ideal`, on plain Python floats at O(m) scalar
-    operations per node, with the prune widened by that tolerance; Q here
-    is the walk's partial sum (see :func:`_ideal_search` for its
-    summation order and the m >= 8 caveat).
+    Every partition with Q <= Q* + REL_TOL * max(1, Q*), in canonical
+    order, where Q is the partial sum of :func:`kmeans_ideal`'s walk with
+    the prune widened by that tolerance and started at a greedy dive's
+    leaf (see :func:`_ideal_search` for why no such partition is lost).
 
     Returns
     -------
@@ -895,9 +922,7 @@ def kmeans_ideal_minima(dataset, k):
     """
     _, best_q, _, near = _ideal_search(dataset, k, collect_tol=REL_TOL)
     cut = best_q + REL_TOL * max(1.0, best_q)
-    return [
-        Partition.from_labels(np.asarray(r)) for q, r in near if q <= cut
-    ]
+    return [Partition.from_labels(np.asarray(r)) for q, r in near if q <= cut]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ faster routes the package uses.
 """
 
 import ast
+import itertools
 import json
 import math
 import os
@@ -48,12 +49,13 @@ from axiomlab.kmeans import (
     _FLOAT_ROUTE_MAX,
     _assign,
     _cluster_stats,
+    _dive,
     _fix_empty_clusters,
     _ideal_search,
     _increment,
     _lloyd_core,
 )
-from brute_force import enumerate_partitions, exact_minima
+from brute_force import enumerate_partitions, exact_minima, exact_q
 from dp_1d import kmeans_1d
 
 
@@ -369,11 +371,13 @@ def test_kmeans_ideal_matches_brute_force():
         assert res.converged
 
 
-def _reference_ideal_search(dataset, k, collect_tol=None):
+def _reference_ideal_search(dataset, k, collect_tol=None, dive=True):
     """The branch-and-bound walk on numpy rows that ``_ideal_search``
-    replaced, as its oracle, under the same rule: each child is tested,
-    and each leaf scored, in its parent's loop before anything is entered,
-    so a child that is cut or scored never touches its cluster's sums."""
+    replaced, as its oracle, under the same rules: each child is tested,
+    and each leaf scored, in its parent's loop before anything is entered;
+    an entered child's cluster gets a new sum array and the old one goes
+    back on return; and with collect_tol (unless ``dive`` is False) the
+    bound starts at the widened leaf of a greedy dive."""
     pts = dataset.points
     n = pts.shape[0]
     if not 1 <= k <= n:
@@ -384,29 +388,43 @@ def _reference_ideal_search(dataset, k, collect_tol=None):
     rgs = [0] * n
     state = {"best_q": np.inf, "best_rgs": None, "leaves": 0, "near": []}
 
+    def widen(q):
+        return q + collect_tol * max(1.0, q)
+
+    def delta(c, s, x):
+        # the cost of adding x to a cluster of c points with sum s
+        return 0.0 if c == 0 else c / (c + 1) * float(np.sum((x - s / c) ** 2))
+
+    def children(i, used):
+        # a new cluster only, once every point left must open one
+        return [used] if used + (n - i) == k else range(min(used + 1, k))
+
+    start = np.inf
+    if collect_tol is not None and dive:
+        d_counts, d_sums, total, used = [0] * k, list(sums), 0.0, 0
+        for i, x in enumerate(pts):
+            j = min(children(i, used), key=lambda j: delta(d_counts[j], d_sums[j], x))
+            total += delta(d_counts[j], d_sums[j], x)
+            d_counts[j] += 1
+            d_sums[j] = d_sums[j] + x
+            used = max(used, j + 1)
+        if total < np.inf:
+            start = widen(total)
+
     def bound():
         if state["best_rgs"] is None:
-            return np.inf
+            return start
         incumbent = state["best_q"]
         if collect_tol is None:
             return incumbent
-        return incumbent + collect_tol * max(1.0, incumbent)
+        return min(start, widen(incumbent))
 
     def rec(i, used, partial):
-        top = min(used + 1, k)
-        for j in range(top):
+        for j in children(i, used):
             x = pts[i]
-            if counts[j] == 0:
-                delta = 0.0
-            else:
-                mu = sums[j] / counts[j]
-                delta = counts[j] / (counts[j] + 1) * float(np.sum((x - mu) ** 2))
-            child_used = used + 1 if j == used else used
-            child_partial = partial + delta
+            child_partial = partial + delta(counts[j], sums[j], x)
             if child_partial > bound():
                 continue
-            if child_used + (n - i - 1) < k:
-                continue  # not enough points left to open the missing clusters
             rgs[i] = j
             if i == n - 1:
                 state["leaves"] += 1
@@ -417,10 +435,11 @@ def _reference_ideal_search(dataset, k, collect_tol=None):
                     state["near"].append((child_partial, rgs.copy()))
                 continue
             counts[j] += 1
-            sums[j] += x
-            rec(i + 1, child_used, child_partial)
+            old = sums[j]
+            sums[j] = old + x
+            rec(i + 1, max(used, j + 1), child_partial)
             counts[j] -= 1
-            sums[j] -= x
+            sums[j] = old
 
     rec(0, 0, 0.0)
     if state["best_rgs"] is None:
@@ -457,7 +476,8 @@ def _cap_cases():
     """Twelve searches at n = 12, the default cap, where the suites and the
     exact benchmark search (the strategy draws n <= 9): for k = 2..4 and
     m = 1..3, normal points with axes scaled over 1e-3 .. 1e3, whose sums
-    round (so (s + x) - x is not always s), then ``_TIED_12`` at k = 2..4."""
+    round (the walk's sums must not depend on the order it entered
+    subtrees in), then ``_TIED_12`` at k = 2..4."""
     rng = np.random.default_rng(12)
     cases = [(Dataset(rng.normal(size=(12, m))
                       * 10.0 ** rng.uniform(-3, 3, size=m)), k)
@@ -474,6 +494,14 @@ def _at_the_cap(test):
     return test
 
 
+def _minima_from_inf(ds, k):
+    """The oracle walk's minima with the bound started at inf, not at a
+    dive, cut as kmeans_ideal_minima cuts them."""
+    _, q, _, near = _reference_ideal_search(ds, k, REL_TOL, dive=False)
+    cut = q + REL_TOL * max(1.0, q)
+    return [Partition.from_labels(np.asarray(r)) for p, r in near if p <= cut]
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @_at_the_cap
 @given(_search_instance(st.integers(1, 7), [_GRID_COORD, _WIDE_COORD]))
@@ -483,6 +511,8 @@ def test_ideal_search_matches_numpy_walk(instance):
     ds, k, collect_tol = instance
     assert (_ideal_search(ds, k, collect_tol)
             == _reference_ideal_search(ds, k, collect_tol))
+    if collect_tol is not None:
+        assert kmeans_ideal_minima(ds, k) == _minima_from_inf(ds, k)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -499,6 +529,65 @@ def test_ideal_search_wide_points_match_numpy_walk(instance):
     assert [r for _, r in near] == [r for _, r in ref_near]
     for (p, _), (ref_p, _) in zip(near, ref_near):
         assert p == pytest.approx(ref_p, rel=1e-12)
+
+
+def _tie_families():
+    """Every 4- to 7-point subset of the 3 x 3 integer grid, and {0} plus
+    every 3 to 5 points of {1, ..., 8} on a line, each at k = 2 and 3:
+    exact and rounded ties in every size."""
+    grid = list(itertools.product([0.0, 1.0, 2.0], repeat=2))
+    line = [(float(v),) for v in range(1, 9)]
+    layouts = [c for size in range(4, 8) for c in itertools.combinations(grid, size)]
+    layouts += [((0.0,),) + c for size in range(3, 6)
+                for c in itertools.combinations(line, size)]
+    return [(Dataset(rows), k) for rows in layouts for k in (2, 3)]
+
+
+def test_minima_on_the_tie_families_match_the_walk_from_inf():
+    pairs = several = 0
+    for ds, k in _tie_families():
+        minima = kmeans_ideal_minima(ds, k)
+        assert minima == _minima_from_inf(ds, k)
+        pairs += 1
+        several += len(minima) > 1
+    assert (pairs, several) == (1108, 439)
+
+
+def test_minima_keep_a_near_tie_above_the_dive():
+    # the dive lands on {0 | 1, 2} at (1 - d)^2 / 2; {0, 2 | 1} costs 2d
+    # more, within REL_TOL, and comes first, so only the widened starting
+    # bound keeps it
+    rows = [[0.0], [2.0], [1.0 + 1e-10]]
+    lower, upper = Partition([[0], [1, 2]]), Partition([[0, 2], [1]])
+    gap = exact_q(rows, upper) - exact_q(rows, lower)
+    assert 0 < gap < REL_TOL * exact_q(rows, lower)
+    points = [tuple(r) for r in rows]
+    assert _dive(points, 2, [0.0, 0.5, 2 / 3]) == _ideal_search(Dataset(rows), 2)[1]
+    assert kmeans_ideal_minima(Dataset(rows), 2) == [upper, lower]
+
+
+def _replay(rows, labels, k):
+    """A leaf's partial sum rebuilt from its labels alone, with the walk's
+    increments and each cluster's sums added up in point order."""
+    counts, sums, total = [0] * k, [[0.0] * len(rows[0]) for _ in range(k)], 0.0
+    for x, j in zip(rows, labels):
+        c = counts[j]
+        if c:
+            d2 = 0.0
+            for xa, sa in zip(x, sums[j]):
+                t = xa - sa / c
+                d2 += t * t
+            total += c / (c + 1) * d2
+        counts[j] += 1
+        sums[j] = [sa + xa for sa, xa in zip(sums[j], x)]
+    return total
+
+
+def test_partial_sums_depend_on_the_labels_alone():
+    for ds, k in _cap_cases():
+        near = _ideal_search(ds, k, REL_TOL)[3]
+        rows = ds.points.tolist()
+        assert [p for p, _ in near] == [_replay(rows, r, k) for _, r in near]
 
 
 # per _cap_cases() search: kmeans_ideal's partition and leaf count
@@ -564,6 +653,21 @@ def test_kmeans_ideal_returns_the_earliest_exact_minimiser():
     # the strict < incumbent rule keeps the rounded-down partial sum
     assert kmeans_ideal(Dataset(_ROUNDED_TIE), 2).partition == Partition(
         [[0, 1, 2, 3, 4], [5]])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 14")
+def test_kmeans_keeps_the_first_of_restarts_that_tie_exactly():
+    # restarts 1 and 3 end in {0, 1, 2 | 3, 4} and {0, 1 | 2, 3, 4}, both
+    # exactly 11/6, but their float q round apart (0x1.d555555555556p+0
+    # and 0x1.d555555555555p+0), so the later restart wins
+    rows = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0]]
+    ds = Dataset(rows)
+    cfg = KMeansConfig(k=2, seeding="uniform-random", restarts=8, rng_seed=1)
+    first, _, third = per_restart_results(ds, cfg)[:3]
+    if first.partition == third.partition or (
+            exact_q(rows, first.partition) != exact_q(rows, third.partition)):
+        pytest.fail("restarts 1 and 3 no longer tie exactly")
+    assert kmeans(ds, cfg).partition == first.partition
 
 
 def test_kmeans_ideal_minima_collects_all_optima():
