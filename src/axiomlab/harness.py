@@ -6,8 +6,8 @@ it; statements asserting an impossibility are represented by their
 constructive witnesses only.  Every trial draws its randomness from a
 substream spawned off the run's master seed, so trials are
 order-independent and a whole suite run is reproducible bit for bit from
-``(master seed, trials)``.  Reports record the master seed and the
-environment they ran in.  A report is the plain dict it is saved as, and
+``(master seed, trials)``.  Reports record both and the environment they
+ran in.  A report is the plain dict it is saved as, and
 :func:`fingerprint` hashes its results alone, live or read back.
 
 Every suite reports to one tally: a trial that reports a missed premise
@@ -150,7 +150,8 @@ def _ball_points(rng, center, radius, size):
     """``size`` points uniform in the closed ball around ``center``."""
     m = len(center)
     direction = rng.normal(size=(size, m))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    # np.linalg.norm(axis=1)'s floats, without its wrapper
+    direction /= np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))
     radii = radius * rng.uniform(0.0, 1.0, size=size) ** (1.0 / m)
     return np.asarray(center, dtype=float) + radii[:, None] * direction
 
@@ -365,7 +366,7 @@ def _suite_separation_4rho(seeds, tally):
         seeds_ab, _ = _two_balls(rng, cb, ra, 1, rb, 1)
         ds = Dataset(pts)
         # one assignment step: nobody may cross over to the other seed
-        first, _ = _assign(ds.columns, seeds_ab)
+        first = _assign(_sq_dists(ds.columns, seeds_ab))
         crossed = (first[:na] != 0).sum() + (first[na:] != 1).sum()
         # and iterating to convergence keeps the ball partition
         res = lloyd(ds, seeds_ab)
@@ -385,7 +386,7 @@ def _suite_core_preservation(seeds, tally):
         na, nb = int(rng.integers(5, 26)), int(rng.integers(5, 26))
         pts, gamma = _two_balls(rng, cb, rho, na, rho, nb)
         seeds_ab, _ = _two_balls(rng, cb, rho, 1, rho, 1)
-        first, _ = _assign(pts.T, seeds_ab)
+        first = _assign(_sq_dists(pts.T, seeds_ab))
         home = np.sqrt(_sq_dists(pts.T, np.vstack([np.zeros(m), cb])))
         in_core_a = home[0, :na] <= g / 2.0
         in_core_b = home[1, na:] <= g / 2.0
@@ -484,12 +485,12 @@ def run_suite(name, master_seed=0, trials=None):
     Returns
     -------
     dict
-        ``kind`` (``"suite"``), ``suite``, ``master_seed``, ``passed``,
-        ``checks`` (dicts of name, trials, violations, passed),
-        ``witnesses`` (replayable failure records, or for witness-style
-        suites success records), ``runtime_s`` and ``environment``.  All
-        but the last two are a pure function of (suite, master seed,
-        trials); :func:`fingerprint` hashes them.
+        ``kind`` (``"suite"``), ``suite``, ``master_seed``, ``trials``
+        (None or the override), ``passed``, ``checks`` (dicts of name,
+        trials, violations, passed), ``witnesses`` (replayable failure
+        records, or for witness-style suites success records),
+        ``runtime_s`` and ``environment``.  All but the last two are a
+        pure function of (suite, master seed, trials).
     """
     if name not in _SUITES:
         raise ValueError(
@@ -505,6 +506,7 @@ def run_suite(name, master_seed=0, trials=None):
         "kind": "suite",
         "suite": name,
         "master_seed": int(master_seed),
+        "trials": trials,
         "passed": all(c["passed"] for c in tally.checks),
         "checks": tally.checks,
         "witnesses": tally.witnesses,

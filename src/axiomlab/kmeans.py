@@ -30,7 +30,10 @@ even near n * m = 80 for m = 1 and 96-128 for m >= 2.
 Restarts share one table of the paths their converged runs took.  From a
 labelling on, Lloyd depends on that labelling alone, so a restart that
 reaches one an earlier converged restart passed through stops there: it
-would end in that restart's state, and the first of equal runs wins.
+would end in that restart's state, and the first of equal runs wins.  A
+plus-plus restart's first assignment reads the distance rows its seeding
+made (:func:`_seed`), and each weighted pick is ``rng.choice``'s own rule
+written out (:func:`_pick`): the same floats, indices and draws.
 
 Every number that matters is computed along two independent routes and
 cross-checked: the objective in centroid form (per-cluster scatters
@@ -79,6 +82,9 @@ _FLOAT_ROUTE_MAX = 64
 
 # cap on Lloyd center updates per run
 _MAX_ITERATIONS = 100
+
+# rng.choice's tolerance on the sum of its p: the square root of float64's eps
+_PICK_ATOL = float(np.finfo(float).eps) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -213,14 +219,13 @@ def _shifted_q(cols, clusters):
     ``cols`` is :attr:`~axiomlab.core.Dataset.columns`, so each cluster's
     differences are an (m, n_j) array whose per-axis sums run along
     contiguous rows (an independent route, so the order of its additions
-    is free)."""
+    is free).  A cluster is a sequence or array of member indices."""
     q = 0.0
     for block in clusters:
-        idx = np.fromiter(block, dtype=np.intp, count=len(block))
-        sub = cols.take(idx, axis=1)
+        sub = cols.take(block, axis=1)
         diff = sub - sub[:, :1]
         total = np.add.reduce(diff, axis=1)
-        q += float(np.sum(diff * diff)) - float(total @ total) / len(block)
+        q += float(np.sum(diff * diff)) - float(np.add.reduce(total * total)) / len(block)
     return q
 
 
@@ -268,8 +273,10 @@ def seed(dataset, k, strategy, rng):
     ``"uniform-random"`` picks k distinct point indices uniformly;
     ``"plus-plus"`` picks the first uniformly and each next point with
     probability proportional to its squared distance to the nearest center
-    chosen so far.  With k equal to the number of points, every point is a
-    center and no randomness is consumed.
+    chosen so far, by ``rng.choice``'s own rule written out (:func:`_pick`).
+    With k equal to the number of points, every point is a center and no
+    randomness is consumed.  :func:`kmeans` seeds through :func:`_seed`,
+    which also keeps the centers' distance rows for Lloyd's first step.
 
     Parameters
     ----------
@@ -284,6 +291,14 @@ def seed(dataset, k, strategy, rng):
     -------
     (k, m) ndarray
     """
+    return _seed(dataset, k, strategy, rng)[0]
+
+
+def _seed(dataset, k, strategy, rng):
+    """:func:`seed`'s centers and the (k, n) table of their
+    :func:`~axiomlab.core._sq_dists` rows (None for uniform seeding or
+    k == n): an entry depends only on its point and center, so these are
+    the floats the first assignment would make."""
     pts = dataset.points
     n = dataset.n
     if not 2 <= k <= n:
@@ -291,15 +306,16 @@ def seed(dataset, k, strategy, rng):
     if strategy not in SEEDING_STRATEGIES:
         raise ValueError("unknown seeding strategy %r" % (strategy,))
     if k == n:
-        return pts.copy()
+        return pts.copy(), None
     if strategy == "uniform-random":
         idx = rng.choice(n, size=k, replace=False)
-        return pts[idx].copy()
+        return pts[idx].copy(), None
     # plus-plus; a row of _sq_dists is np.sum((pts - c) ** 2, axis=1)
     cols = dataset.columns
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists(cols, pts[chosen])[0]
-    while len(chosen) < k:
+    table = np.empty((k, n))
+    table[0] = d2 = _sq_dists(cols, pts[chosen])[0]
+    for j in range(1, k):
         total = float(d2.sum())
         if not math.isfinite(total):
             raise ValueError("squared distances overflow float64")
@@ -310,10 +326,23 @@ def seed(dataset, k, strategy, rng):
             mask[chosen] = False
             nxt = int(rng.choice(np.flatnonzero(mask)))
         else:
-            nxt = int(rng.choice(n, p=d2 / total))
+            nxt = _pick(d2, total, rng)
         chosen.append(nxt)
-        d2 = np.minimum(d2, _sq_dists(cols, pts[[nxt]])[0])
-    return pts[chosen].copy()
+        table[j] = row = _sq_dists(cols, pts[[nxt]])[0]
+        if j < k - 1:  # the last minimum would go unread
+            d2 = np.minimum(d2, row)
+    return pts[chosen].copy(), table
+
+
+def _pick(d2, total, rng):
+    """``int(rng.choice(len(d2), p=d2 / total))`` by numpy's own rule, the
+    same index and draws; of ``choice``'s checks on p only the sum's is
+    needed, as ``d2 >= 0`` and ``total`` is its finite positive sum."""
+    cdf = (d2 / total).cumsum()
+    if not abs(cdf[-1] - 1.0) <= _PICK_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +350,16 @@ def seed(dataset, k, strategy, rng):
 # ---------------------------------------------------------------------------
 
 
-def _assign(cols, centers):
-    """Nearest-center labels and the (k, n) squared-distance table.
+def _assign(d2):
+    """Nearest-center labels from the (k, n) squared-distance table.
 
-    ``cols`` is :attr:`~axiomlab.core.Dataset.columns`; the table is
-    :func:`~axiomlab.core._sq_dists`, each entry the float
+    The table is :func:`~axiomlab.core._sq_dists`, each entry the float
     ``np.sum((x - c) ** 2)`` gives.  The labels are a running minimum over
     the table's k rows that moves to row j only where row j is strictly
     smaller: the first minimum, which is ``argmin``'s answer (exact ties
     go to the lowest center index; the coordinates are finite, so no
     entry is NaN).
     """
-    d2 = _sq_dists(cols, centers)
     labels = np.zeros(d2.shape[1], dtype=np.intp)
     best = d2[0]
     for j in range(1, len(d2)):
@@ -340,7 +367,7 @@ def _assign(cols, centers):
         labels[closer] = j
         if j < len(d2) - 1:  # the last row's minimum would go unread
             best = np.minimum(best, d2[j])
-    return labels, d2
+    return labels
 
 
 def _cluster_stats(dataset, labels, counts, means=None):
@@ -417,8 +444,8 @@ def _fix_empty_clusters(d2, labels, k):
     The point moved into an empty slot is the one farthest from its
     currently assigned center, excluding points that are alone in their
     cluster (moving those would just shift the hole around).  Distances
-    are read from ``d2``, the (k, n) table :func:`_assign` built for these
-    centers.
+    are read from ``d2``, the (k, n) table of these centers that
+    :func:`_assign` read.
     """
     events = 0
     idx = np.arange(len(labels))
@@ -445,12 +472,14 @@ def _check_descent(q_prev, q_here):
         )
 
 
-def _lloyd_core(dataset, centers, rows=None, paths=None):
+def _lloyd_core(dataset, centers, rows=None, paths=None, table=None):
     """Run Lloyd until membership stabilises, for at most
     ``_MAX_ITERATIONS`` center updates; returns raw state, or None when
     the run met an earlier run's path.
 
-    ``rows`` picks the route (see the module docstring).  Each step's
+    ``rows`` picks the route (see the module docstring).  ``table`` is
+    None or the centers' (k, n) distance table (:func:`_seed`), which the
+    first assignment then reads instead of making.  Each step's
     objective is checked not to exceed the previous one; on the array
     route a converged run's final block scatters, about the final labels'
     own means, must also agree with the last table's objective.
@@ -472,18 +501,22 @@ def _lloyd_core(dataset, centers, rows=None, paths=None):
         cluster's point indices in increasing order.
     """
     k = len(centers)
+    cols = dataset.columns
     if rows is None:
-        assign = functools.partial(_assign_arrays, dataset.columns, k,
-                                   np.min_scalar_type(k - 1))
+        assign = functools.partial(_assign_arrays, k, np.min_scalar_type(k - 1),
+                                   np.arange(dataset.n))
     else:
-        assign = functools.partial(_assign_floats, dataset.columns, k)
+        assign = functools.partial(_assign_floats, k)
     owners = None
     path, seen = [], []  # the keys stepped from; q_prev at each assignment
     empty_events = 0
     q_prev = math.inf
     converged = False
     while True:
-        labels, counts, key, events, q_table = assign(centers, owners)
+        if table is None:
+            table = _sq_dists(cols, np.asarray(centers, dtype=float))
+        labels, counts, key, events, q_table = assign(table, owners)
+        table = None
         empty_events += events
         if q_table is not None:  # the objective of the owners' step
             _check_descent(q_prev, q_table)
@@ -500,7 +533,7 @@ def _lloyd_core(dataset, centers, rows=None, paths=None):
         if len(path) >= _MAX_ITERATIONS:
             break
         if rows is None:  # the next table gives this step's objective
-            means = _means(dataset.columns, labels, counts)
+            means = _means(cols, labels, counts)
         else:
             means, scatters, members = _float_stats(rows, labels, counts)
             q_prev = _checked(q_prev, scatters)
@@ -536,18 +569,18 @@ def _checked(q_prev, scatters):
     return q_here
 
 
-def _assign_arrays(cols, k, key_type, centers, owners):
-    """The array route's assignment step: :func:`_assign`, then the
-    empty-cluster repair if a cluster came up empty.
+def _assign_arrays(k, key_type, idx, d2, owners):
+    """The array route's assignment step from the centers' (k, n) table
+    ``d2``: :func:`_assign`, then the empty-cluster repair if needed.
 
     Returns the labels, their counts, their key (their bytes as
     ``key_type``, the narrowest unsigned type for k labels), the number
-    of repairs, and, when ``owners`` are the labels whose means
-    ``centers`` are, their objective read from the (k, n) table: the sum
-    of each point's entry for its owner (its distance to its own
-    cluster's mean), else None.
+    of repairs, and, when ``owners`` are the labels whose means the
+    centers are, their objective read from the table: the sum of each
+    point's entry for its owner (its distance to its own cluster's mean;
+    ``idx`` is ``np.arange(n)``), else None.
     """
-    labels, d2 = _assign(cols, np.asarray(centers, dtype=float))
+    labels = _assign(d2)
     counts = np.bincount(labels, minlength=k)
     events = 0
     if np.count_nonzero(counts) < k:
@@ -555,24 +588,22 @@ def _assign_arrays(cols, k, key_type, centers, owners):
         counts = np.bincount(labels, minlength=k)
     q_table = None
     if owners is not None:
-        n = len(owners)
-        own = d2.ravel().take(owners * n + np.arange(n))
+        own = d2.ravel().take(owners * len(idx) + idx)
         q_table = float(np.add.reduce(own))
     return labels, counts, labels.astype(key_type).tobytes(), events, q_table
 
 
-def _assign_floats(cols, k, centers, owners):
+def _assign_floats(k, d2, owners):
     """:func:`_assign_arrays` with the labels and counts as lists, the
     labels' bytes as ``intp`` for key and no table objective (this route
     takes each step's objective from its exact scatters).
 
-    The (k, n) squared-distance table still comes from
+    The (k, n) squared-distance table ``d2`` still comes from
     :func:`~axiomlab.core._sq_dists`, a few whole-table numpy calls that
     are cheaper than a Python loop over its n * k * m terms, and its first
     minimum per point (``argmin``) is :func:`_assign`'s answer; a repair
     is :func:`_fix_empty_clusters` on that table.
     """
-    d2 = _sq_dists(cols, np.asarray(centers, dtype=float))
     found = d2.argmin(axis=0)
     labels = found.tolist()
     counts = list(map(labels.count, range(k)))
@@ -641,12 +672,13 @@ def lloyd(dataset, initial_centers):
         raise ValueError("initial_centers must be (k, %d)" % dataset.m)
     if not 2 <= len(centers) <= dataset.n:
         raise ValueError("need 2 <= k <= n, got k=%d, n=%d" % (len(centers), dataset.n))
-    return _first_best(dataset, [centers])
+    return _first_best(dataset, [(centers, None)])
 
 
 def _first_best(dataset, starts, paths=None):
-    """Lloyd from each (k, m) start in turn; the ClusteringResult of the
-    first run with the smallest objective.
+    """Lloyd from each start, (k, m) centers and their distance table or
+    None (:func:`_seed`), in turn; the ClusteringResult of the first run
+    with the smallest objective.
 
     Runs are compared on their scatters summed in canonical cluster order,
     which is the winner's ``q`` bit for bit, and only the winner becomes a
@@ -663,8 +695,8 @@ def _first_best(dataset, starts, paths=None):
     if dataset.n * dataset.m <= _FLOAT_ROUTE_MAX:
         rows = dataset.points.tolist()
     best = None
-    for centers in starts:
-        run = _lloyd_core(dataset, centers, rows, paths)
+    for centers, table in starts:
+        run = _lloyd_core(dataset, centers, rows, paths, table)
         if run is None:
             continue  # met an earlier run's path
         q = _summed(run[2], _canonical(run[3]))  # scatters in canonical order
@@ -692,7 +724,7 @@ def _build_result(dataset, means, scatters, members, iterations, converged, rows
     order = _canonical(members)
     if rows is None:
         partition = Partition([members[j].tolist() for j in order])
-        shifted = _shifted_q(dataset.columns, partition.clusters)
+        shifted = _shifted_q(dataset.columns, [members[j] for j in order])
     else:
         partition = Partition([members[j] for j in order])
         shifted = _shifted_floats(rows, partition.clusters)
@@ -737,7 +769,7 @@ def kmeans(dataset, config):
     ClusteringResult
     """
     children = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
-    starts = (seed(dataset, config.k, config.seeding, np.random.default_rng(child))
+    starts = (_seed(dataset, config.k, config.seeding, np.random.default_rng(child))
               for child in children)
     return _first_best(dataset, starts, {} if config.restarts > 1 else None)
 

@@ -70,6 +70,18 @@ def test_saved_report_keeps_its_fingerprint():
     assert fingerprint(json.loads(report(rep, format="json"))) == fingerprint(rep)
 
 
+def test_saved_report_reruns_from_the_file_alone():
+    # k-richness fails at master seed 6 with trials=10; the saved report
+    # records the override outside the fingerprint, so the file alone
+    # re-runs it, and its fingerprint is the one it had before it did
+    saved = json.loads(report(run_suite("k-richness", 6, trials=10), format="json"))
+    assert saved["trials"] == 10 and not saved["passed"]
+    rerun = run_suite(saved["suite"], saved["master_seed"], saved["trials"])
+    assert fingerprint(rerun) == fingerprint(saved) == (
+        "f8441dc770b0bce75c2d3b803dc195af43214efae25635442b4a39c992fecb48")
+    assert run_suite("interference")["trials"] is None
+
+
 def test_witness_records_are_replayable_json():
     w = _witness(
         "some-check",

@@ -30,6 +30,7 @@ from axiomlab.core import (
     CrossCheckError,
     Dataset,
     Partition,
+    _sq_dists,
 )
 from axiomlab.kmeans import (
     REL_TOL,
@@ -54,6 +55,8 @@ from axiomlab.kmeans import (
     _ideal_search,
     _increment,
     _lloyd_core,
+    _pick,
+    _seed,
 )
 from brute_force import enumerate_partitions, exact_minima, exact_q
 from dp_1d import kmeans_1d
@@ -190,6 +193,97 @@ def test_seed_all_points_when_k_equals_n():
         assert np.array_equal(centers, ds.points)
 
 
+def _pick_weights():
+    """10 000 weight vectors a plus-plus pick can meet: n from 2 to 5 000
+    (log-uniform), some entries zero, a single non-zero entry, and weights
+    from 1e-150 to 1e150, on one scale or spread over all of them."""
+    rng = np.random.default_rng(29)
+    for i in range(10_000):
+        n = int(round(2 * 2500 ** rng.random())) if i > 1 else (2, 5000)[i]
+        scale = 10.0 ** rng.uniform(-150, 150)
+        kind = i % 4
+        if kind == 0:
+            w = rng.random(n) * scale
+        elif kind == 1:
+            w = 10.0 ** rng.uniform(-150, 150, size=n)
+        elif kind == 2:
+            w = rng.integers(0, 3, size=n) * scale  # exact ties in the sums
+        else:
+            w = np.zeros(n)
+        w[rng.random(n) < rng.random()] = 0.0
+        w[rng.integers(n)] = scale  # at least one non-zero weight
+        yield w
+
+
+def test_plus_plus_pick_is_rng_choice():
+    # the written-out pick takes rng.choice's index and leaves the
+    # generator where choice leaves it; a p that does not sum to 1 is
+    # refused by both
+    def same(w, total, rng_seed):
+        mine, theirs = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+        assert _pick(w, total, mine) == int(theirs.choice(len(w), p=w / total))
+        assert mine.random() == theirs.random()
+    singles = 0
+    for i, w in enumerate(_pick_weights()):
+        same(w, float(w.sum()), i)
+        singles += np.count_nonzero(w) == 1
+    assert singles > 2500
+    # the draw u lands on a step of the cdf, where the search must take
+    # the right side, or between a step and its value before the cdf is
+    # divided by its last entry (p sums to 1 - 1e-8, which choice allows)
+    draws = [(i, np.random.default_rng(i).random()) for i in range(400)]
+    for i, u in [(i, u) for i, u in draws if u >= 0.5]:  # 1 - u is exact
+        same(np.array([0.0, u, 0.0, 1.0 - u]), 1.0, i)
+        w = np.array([u * (1.0 + 5e-9), 1.0 - u * (1.0 + 5e-9)])
+        same(w, float(w.sum()) * (1.0 + 1e-8), i)
+    with pytest.raises(ValueError, match="probabilities do not sum to 1"):
+        _pick(w, 2.0 * float(w.sum()), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="Probabilities do not sum to 1"):
+        np.random.default_rng(0).choice(len(w), p=w / (2.0 * float(w.sum())))
+
+
+def _plus_plus_cases():
+    """(dataset, k) on both Lloyd routes: random points, a half-integer
+    grid with repeated points, coincident points (the total == 0 pick)
+    and k == n."""
+    rng = np.random.default_rng(43)
+    for n, m in [(6, 2), (12, 3), (21, 3), (64, 1), (65, 1), (300, 2), (4000, 3)]:
+        yield Dataset(rng.normal(size=(n, m))), int(rng.integers(2, min(6, n) + 1))
+        yield Dataset(rng.integers(-3, 4, size=(n, m)) / 2), int(rng.integers(2, 7))
+    yield Dataset([[1.0, 2.0]] * 7), 3
+    yield Dataset([[0.0]] * 5 + [[4.0]] * 5), 4
+    yield Dataset(np.r_[np.zeros((40, 2)), np.ones((40, 2))]), 3
+    yield Dataset(rng.normal(size=(5, 2))), 5
+    yield Dataset(rng.normal(size=(40, 2))), 40
+
+
+def test_seed_tables_change_no_kmeans_result():
+    # a plus-plus seeding's table is _sq_dists of its centers, byte for
+    # byte, and results with it are those of the same starts with the
+    # first table made again
+    def without_table(*args):
+        return _seed(*args)[0], None
+    met = []
+    def counting(*args):
+        run = _lloyd_core(*args)
+        met.append(run is None)
+        return run
+    for ds, k in _plus_plus_cases():
+        centers, table = _seed(ds, k, "plus-plus", np.random.default_rng(k))
+        assert (table is None) == (k == ds.n)
+        if table is not None:
+            assert table.tobytes() == _sq_dists(ds.columns, centers).tobytes()
+        for restarts, rng_seed in itertools.product((1, 10), (0, 1)):
+            config = KMeansConfig(k=k, restarts=restarts, rng_seed=rng_seed)
+            with mock.patch.object(kmeans_module, "_lloyd_core", counting):
+                got = kmeans(ds, config)
+            with mock.patch.object(kmeans_module, "_seed", without_table):
+                want = kmeans(ds, config)
+            assert_same_result(got, want)
+            assert got.centers.tobytes() == want.centers.tobytes()
+    assert any(met)
+
+
 def test_seed_validation():
     ds = _line(0.0, 1.0, 2.0)
     with pytest.raises(ValueError):
@@ -256,7 +350,7 @@ def test_empty_cluster_repair_moves_the_farthest_eligible_point():
     pts = np.array([[0.0], [1.0], [5.0], [130.0]])
     centers = np.array([[0.0], [100.0], [50.0], [70.0]])
     labels = np.array([0, 0, 0, 1])
-    _, d2 = _assign(Dataset(pts).columns, centers)
+    d2 = _sq_dists(Dataset(pts).columns, centers)
     assert _fix_empty_clusters(d2, labels, 4) == 2
     assert labels.tolist() == [0, 3, 2, 1]
     # nothing empty, nothing moved
@@ -1145,7 +1239,8 @@ def _labelled_points():
 def test_lloyd_kernels_match_the_broadcast_and_mask_routes():
     for ds, labels, centers in _labelled_points():
         k = len(centers)
-        got_labels, d2 = _assign(ds.columns, centers)
+        d2 = _sq_dists(ds.columns, centers)
+        got_labels = _assign(d2)
         want_d2 = np.sum((ds.points[:, None, :] - centers[None, :, :]) ** 2,
                          axis=-1)
         assert np.array_equal(d2, want_d2.T)
@@ -1378,8 +1473,8 @@ def joined():
     km._record = lambda paths, path, seen, total: real_record(
         paths, path, [q * (1.0 + 1e-6) for q in seen], total)
     try:
-        km._first_best(cross, [np.array([[0.0, 0.0], [10.0, 0.0]]),
-                               np.array([[0.0, 0.0], [4.5, 0.0]])], {})
+        km._first_best(cross, [(np.array([[0.0, 0.0], [10.0, 0.0]]), None),
+                               (np.array([[0.0, 0.0], [4.5, 0.0]]), None)], {})
     finally:
         km._record = real_record
 # a cutoff of 0 sends the cross to the array route
