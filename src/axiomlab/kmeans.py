@@ -670,6 +670,8 @@ def lloyd(dataset, initial_centers):
     centers = np.asarray(initial_centers, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != dataset.m:
         raise ValueError("initial_centers must be (k, %d)" % dataset.m)
+    if not np.isfinite(centers).all():
+        raise ValueError("initial_centers must be finite")
     if not 2 <= len(centers) <= dataset.n:
         raise ValueError("need 2 <= k <= n, got k=%d, n=%d" % (len(centers), dataset.n))
     return _first_best(dataset, [(centers, None)])

@@ -65,43 +65,25 @@ def certify(dataset, gamma):
     radii = radii.tolist()
     # entry [j, i] is the broadcast form's [i, j], and (x - y) ** 2 equals
     # (y - x) ** 2 exactly, so the table is symmetric and the same
-    dist = np.sqrt(_sq_dists(centers.T, centers))
-
-    nice = True
-    core = True
-    core_pairs = []
-    min_ball_gap = min_center_dist = np.inf
-    for i in range(k):
-        for j in range(i + 1, k):
-            rho_pair = max(radii[i], radii[j])
-            if dist[i, j] < 4.0 * rho_pair:
-                nice = False
-            gap = dist[i, j] - 2.0 * rho_pair
-            core_pairs.append(
-                {"pair": [i, j], "gap": float(gap), "core_radius": float(gap / 2.0)}
-            )
-            if gap <= 0.0:
-                core = False
-            ball_gap = dist[i, j] - radii[i] - radii[j]
-            min_ball_gap = min(min_ball_gap, ball_gap)
-            min_center_dist = min(min_center_dist, dist[i, j])
-
+    dist = np.sqrt(_sq_dists(centers.T, centers)).tolist()
+    pairs = list(itertools.combinations(range(k), 2))
+    gaps = [dist[i][j] - 2.0 * max(radii[i], radii[j]) for i, j in pairs]
+    ball_gap = min(dist[i][j] - radii[i] - radii[j] for i, j in pairs)
     rho = max(radii)
-    perfect = bool(min_center_dist >= 4.0 * rho)
-
     bound = absolute_gap_bound([len(b) for b in gamma.clusters], radii)
-
     return {
-        "nice_ball": nice,
-        "perfect_ball": perfect,
+        "nice_ball": all(dist[i][j] >= 4.0 * max(radii[i], radii[j])
+                         for i, j in pairs),
+        "perfect_ball": min(dist[i][j] for i, j in pairs) >= 4.0 * rho,
         "rho": rho,
-        "core": core,
-        "core_pairs": core_pairs,
-        "absolute": bool(min_ball_gap >= bound["bound"]),
+        "core": all(gap > 0.0 for gap in gaps),
+        "core_pairs": [{"pair": [i, j], "gap": gap, "core_radius": gap / 2.0}
+                       for (i, j), gap in zip(pairs, gaps)],
+        "absolute": ball_gap >= bound["bound"],
         "absolute_required": bound["bound"],
-        "absolute_actual": float(min_ball_gap),
+        "absolute_actual": ball_gap,
         "absolute_cases": {"case1": bound["case1"], "case2": bound["case2"]},
-        "pairwise_center_distances": dist.tolist(),
+        "pairwise_center_distances": dist,
     }
 
 
@@ -121,18 +103,19 @@ def motion_gap_bound(n1, r1, n2, r2):
     Parameters
     ----------
     n1, n2 : int
-        Positive cluster sizes.
+        Positive, finite cluster sizes.
     r1, r2 : float
-        Positive ball radii.
+        Positive, finite ball radii.
 
     Returns
     -------
     float
     """
-    if n1 <= 0 or n2 <= 0:
-        raise ValueError("cluster sizes must be positive")
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("radii must be positive")
+    # written so that NaN fails every check
+    if not (0 < n1 < math.inf and 0 < n2 < math.inf):
+        raise ValueError("cluster sizes must be positive and finite")
+    if not (0 < r1 < math.inf and 0 < r2 < math.inf):
+        raise ValueError("radii must be positive and finite")
     bound = r2 * math.sqrt(2.0 * (1.0 + 0.5 * n2 / n1)) - r1
     return max(bound, 0.0)
 
@@ -154,9 +137,9 @@ def absolute_gap_bound(sizes, radii):
     Parameters
     ----------
     sizes : sequence of int
-        Cluster sizes, each >= 1.
+        Finite cluster sizes, each >= 1.
     radii : sequence of float
-        The clusters' ball radii, in the same order.
+        The clusters' finite ball radii, each >= 0, in the same order.
 
     Returns
     -------
@@ -167,8 +150,10 @@ def absolute_gap_bound(sizes, radii):
     if k < 2 or len(radii) != k:
         raise ValueError("need k >= 2 sizes and one radius each, got %d and %d"
                          % (k, len(radii)))
-    if min(sizes) < 1:
-        raise ValueError("cluster sizes must be >= 1")
+    if not all(1 <= size < math.inf for size in sizes):
+        raise ValueError("cluster sizes must be finite and >= 1")
+    if not all(0 <= r < math.inf for r in radii):
+        raise ValueError("radii must be finite and >= 0")
     n = sum(sizes)
     weighted = sum(size * r ** 2 for size, r in zip(sizes, radii))
     # the term is symmetric in p and q, so each pair is taken once
@@ -197,9 +182,9 @@ def seeding_success(p, k):
     float
         q.
     """
-    if k < 2:
+    if not k >= 2:
         raise ValueError("k must be >= 2")
-    if p <= 0:
+    if not p > 0:
         raise ValueError("p must be positive")
     if p > 1.0 / k:
         raise ValueError("p=%r exceeds 1/k; no cluster share can" % (p,))

@@ -52,6 +52,7 @@ def test_cli_runs_without_scipy(tmp_path):
     assert json.loads((tmp_path / "cert.json").read_text())["nice_ball"] is True
 
 
+@pytest.mark.pinned
 def test_construct_cluster_certify_roundtrip(tmp_path):
     data = tmp_path / "line.csv"
     assert main(["construct", "--what", "line", "--sizes", "3,2",
@@ -125,6 +126,7 @@ def test_transform_kinds(tmp_path, capsys):
     assert not (tmp_path / "none.csv").exists()
 
 
+@pytest.mark.pinned
 def test_construct_other_kinds(tmp_path):
     seg = tmp_path / "segments.csv"
     assert main(["construct", "--what", "segments", "--rotated",

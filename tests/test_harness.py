@@ -318,6 +318,7 @@ PINNED_FINGERPRINTS = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_fingerprints_are_pinned(name):
     runs = [(s, 10) for s in range(20)]
@@ -420,6 +421,7 @@ _GRID_PINS = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("master_seed", sorted(_GRID_PINS))
 def test_variance_grid_is_bit_identical(master_seed):
     grid = variance_grid(master_seed, restarts=5)
@@ -434,6 +436,7 @@ def test_variance_grid_is_bit_identical(master_seed):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.pinned
 def test_report_json_roundtrip_and_master_seed():
     rep = run_suite("interference")
     text = report(rep, format="json")

@@ -215,6 +215,7 @@ def _pick_weights():
         yield w
 
 
+@pytest.mark.pinned
 def test_plus_plus_pick_is_rng_choice():
     # the written-out pick takes rng.choice's index and leaves the
     # generator where choice leaves it; a p that does not sum to 1 is
@@ -311,6 +312,11 @@ def test_lloyd_two_pairs():
     for centers in ([[0.0]], [[0.0]] * 5):
         with pytest.raises(ValueError, match="need 2 <= k <= n"):
             lloyd(ds, centers)
+    # a non-finite center would lose every comparison and be refilled by
+    # the empty-cluster repair, so it is refused
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            lloyd(ds, [[bad], [0.0]])
 
 
 def test_lloyd_centers_are_cluster_means_in_canonical_order():
@@ -706,6 +712,7 @@ _CAP_PINS = [
 ]
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("case, pin", zip(_cap_cases(), _CAP_PINS))
 def test_exhaustive_search_at_the_cap_is_pinned(case, pin):
     ds, k = case

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from axiomlab.core import Dataset, Partition, _balls
+from axiomlab.core import Dataset, Partition, _balls, _sq_dists
 from axiomlab.kmeans import kmeans_ideal
 from axiomlab.separation import (
     absolute_gap_bound,
@@ -163,12 +163,99 @@ def test_certify_absolute_for_big_gap():
     assert cert["absolute_cases"]["case1"] == cert["absolute_required"]
 
 
+def _reference_certify(dataset, gamma):
+    # the pair-by-pair loop the pair-list expressions replaced
+    k = gamma.k
+    centers, radii = _balls(dataset.points, gamma.clusters)
+    radii = radii.tolist()
+    dist = np.sqrt(_sq_dists(centers.T, centers))
+    nice = True
+    core = True
+    core_pairs = []
+    min_ball_gap = min_center_dist = np.inf
+    for i in range(k):
+        for j in range(i + 1, k):
+            rho_pair = max(radii[i], radii[j])
+            if dist[i, j] < 4.0 * rho_pair:
+                nice = False
+            gap = dist[i, j] - 2.0 * rho_pair
+            core_pairs.append(
+                {"pair": [i, j], "gap": float(gap), "core_radius": float(gap / 2.0)}
+            )
+            if gap <= 0.0:
+                core = False
+            ball_gap = dist[i, j] - radii[i] - radii[j]
+            min_ball_gap = min(min_ball_gap, ball_gap)
+            min_center_dist = min(min_center_dist, dist[i, j])
+    rho = max(radii)
+    bound = absolute_gap_bound([len(b) for b in gamma.clusters], radii)
+    return {
+        "nice_ball": nice,
+        "perfect_ball": bool(min_center_dist >= 4.0 * rho),
+        "rho": rho,
+        "core": core,
+        "core_pairs": core_pairs,
+        "absolute": bool(min_ball_gap >= bound["bound"]),
+        "absolute_required": bound["bound"],
+        "absolute_actual": float(min_ball_gap),
+        "absolute_cases": {"case1": bound["case1"], "case2": bound["case2"]},
+        "pairwise_center_distances": dist.tolist(),
+    }
+
+
+def _certify_cases():
+    rng = np.random.default_rng(97)
+    # random clusterings, every third one on a half-integer grid (ties)
+    for t in range(900):
+        k = int(rng.integers(2, 7))
+        n = k + int(rng.integers(0, 10))
+        m = int(rng.integers(1, 4))
+        if t % 3:
+            pts = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-2, 2)
+        else:
+            pts = rng.integers(-3, 4, size=(n, m)) / 2
+        labels = rng.integers(0, k, size=n)
+        labels[:k] = range(k)  # k clusters, singletons among them
+        yield Dataset(pts), Partition.from_labels(labels)
+    # clusters {c - r, c + r} (r = 0: the single point c) on one axis, each
+    # center exactly 4 max(r_A, r_B) past the one before
+    for t in range(300):
+        k = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 4))
+        radii = rng.integers(0, 3, size=k) / 2
+        centers = np.concatenate(
+            [[0.0], np.cumsum(4.0 * np.maximum(radii[:-1], radii[1:]))])
+        rows, labels = [], []
+        for j, (c, r) in enumerate(zip(centers, radii)):
+            for x in sorted({c - r, c + r}):
+                rows.append([x] + [0.0] * (m - 1))
+                labels.append(j)
+        yield Dataset(rows), Partition.from_labels(labels)
+
+
+def test_certify_matches_the_pairwise_loop():
+    seen = {"nice": 0, "not nice": 0, "core": 0, "not core": 0, "singleton": 0}
+    for ds, gamma in _certify_cases():
+        got = certify(ds, gamma)
+        assert json.dumps(got) == json.dumps(_reference_certify(ds, gamma))
+        seen["nice" if got["nice_ball"] else "not nice"] += 1
+        seen["core" if got["core"] else "not core"] += 1
+        seen["singleton"] += any(len(b) == 1 for b in gamma.clusters)
+    # every branch of the certificates is reached
+    assert min(seen.values()) > 50, seen
+
+
 def test_certify_validation():
     ds = _line(0.0, 1.0)
     with pytest.raises(ValueError):
         certify(ds, Partition([[0, 1]]))
     with pytest.raises(ValueError):  # the partition covers three points
         certify(ds, Partition([[0, 1], [2]]))
+    # radii that overflow float64 reach absolute_gap_bound as inf and are
+    # refused there: the gaps inf - inf would be NaN
+    far = _line(0.0, 1e200, 2e200, 3e200)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="radii"):
+        certify(far, Partition([[0, 1], [2, 3]]))
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +282,12 @@ def test_motion_gap_bound_floor_and_validation():
         motion_gap_bound(5, -1.0, 5, 1.0)
     with pytest.raises(ValueError):
         motion_gap_bound(5, 1.0, 5, 0.0)
+    # NaN and inf fail the checks instead of giving nan or a 0.0 floor
+    for args in [(3, math.inf, 3, 1.0), (3, 1.0, 3, math.inf),
+                 (math.nan, 1.0, 3, 1.0), (3, 1.0, math.inf, 1.0),
+                 (3, math.nan, 3, 1.0), (3, 1.0, 3, math.nan)]:
+        with pytest.raises(ValueError):
+            motion_gap_bound(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +314,14 @@ def test_absolute_gap_bound_zero_radii_and_imbalance():
         absolute_gap_bound([10, 0], [1.0, 1.0])  # an empty cluster
     with pytest.raises(ValueError):
         absolute_gap_bound([10], [1.0])
+    # a one-point cluster's radius 0 is legal; negative, NaN and inf are not
+    assert absolute_gap_bound([1, 1], [0.0, 0.0])["bound"] == 0.0
+    for radii in ([-1.0, 1.0], [math.nan, 1.0], [1.0, math.inf]):
+        with pytest.raises(ValueError):
+            absolute_gap_bound([2, 2], radii)
+    for sizes in ([2, math.nan], [math.inf, 2]):
+        with pytest.raises(ValueError):
+            absolute_gap_bound(sizes, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +350,10 @@ def test_seeding_success_validation():
         seeding_success(0.0, 2)
     with pytest.raises(ValueError):
         seeding_success(0.5, 1)
+    with pytest.raises(ValueError):
+        seeding_success(math.nan, 3)
+    with pytest.raises(ValueError):
+        seeding_success(0.25, math.nan)
 
 
 # ---------------------------------------------------------------------------
