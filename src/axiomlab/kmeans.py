@@ -21,11 +21,11 @@ plain Python floats (:func:`_assign_floats`, :func:`_float_stats`,
 :func:`_shifted_floats`), means and scatters at every step.  Both routes
 give the floats of the broadcast and per-cluster-mask forms, bit for bit,
 because both follow numpy's summation order, written once in
-:func:`~axiomlab.core._pairwise_sum`.  The cutoff, 64, is a measured
-crossover: single-restart ``kmeans`` on both routes, m in {1, 2, 3, 5,
-8} and k in {2, 3, 4} (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6), took
-0.63-0.97 of the array route's time at n * m <= 64; the routes break
-even near n * m = 80 for m = 1 and 96-128 for m >= 2.
+:func:`~axiomlab.core._pairwise_sum`.  The cutoff is 64.  Over 600 single
+uniform restarts per size (k 2-4, m in {1, 2, 3, 5, 8}; fastest of 7
+alternating runs, 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6) the float
+route took 0.75-0.89 of the array route's time at n * m <= 40 and broke
+even near n * m = 48 for m <= 2, 64-80 for m in {3, 5} and 96 for m = 8.
 
 Restarts share one table of the paths their converged runs took.  From a
 labelling on, Lloyd depends on that labelling alone, so a restart that
@@ -71,8 +71,8 @@ SEEDING_STRATEGIES = ("uniform-random", "plus-plus")
 # relative tolerance (floored at 1) between the two routes of a cross-check
 _CROSS_CHECK_RTOL = 1e-9
 
-# relative tolerance of every objective comparison: kmeans_ideal_minima's
-# cut, is_local_min's move test (both floored at 1) and the suites' checks
+# relative tolerance, with no floor so that scaling changes no verdict, of
+# kmeans_ideal_minima's cut, is_local_min's move test and the suites' checks
 REL_TOL = 1e-9
 
 # Lloyd runs on plain Python floats while the dataset holds at most this
@@ -308,8 +308,7 @@ def _seed(dataset, k, strategy, rng):
     if k == n:
         return pts.copy(), None
     if strategy == "uniform-random":
-        idx = rng.choice(n, size=k, replace=False)
-        return pts[idx].copy(), None
+        return pts[rng.choice(n, size=k, replace=False)], None
     # plus-plus; a row of _sq_dists is np.sum((pts - c) ** 2, axis=1)
     cols = dataset.columns
     chosen = [int(rng.integers(n))]
@@ -331,7 +330,7 @@ def _seed(dataset, k, strategy, rng):
         table[j] = row = _sq_dists(cols, pts[[nxt]])[0]
         if j < k - 1:  # the last minimum would go unread
             d2 = np.minimum(d2, row)
-    return pts[chosen].copy(), table
+    return pts[chosen], table
 
 
 def _pick(d2, total, rng):
@@ -752,14 +751,14 @@ def _shifted_floats(rows, clusters):
 def kmeans(dataset, config):
     """Full k-means driver: seed, run Lloyd, repeat, keep the best.
 
-    ``config.restarts`` independent seedings are drawn from child
-    generators spawned off ``config.rng_seed`` and the result with the
-    smallest objective wins (first winner kept on exact ties).  Restarts
-    are compared on their scatters summed in canonical cluster order, the
-    winner's ``q`` bit for bit, and only the winner becomes a
-    :class:`ClusteringResult` (:func:`_first_best`).  A restart that
-    reaches a labelling an earlier converged restart passed through stops
-    there: it would end in that restart's state and so cannot win.
+    ``config.restarts`` independent seedings are drawn, restart i's from
+    ``SeedSequence(rng_seed).spawn(restarts)[i]``'s generator, and the
+    result with the smallest objective wins (first winner kept on exact
+    ties).  Restarts are compared on their scatters summed in canonical
+    cluster order, the winner's ``q`` bit for bit, and only the winner
+    becomes a :class:`ClusteringResult` (:func:`_first_best`).  A restart
+    that reaches a labelling an earlier converged restart passed through
+    stops there: it would end in that restart's state and so cannot win.
 
     Parameters
     ----------
@@ -770,9 +769,9 @@ def kmeans(dataset, config):
     -------
     ClusteringResult
     """
-    children = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
-    starts = (_seed(dataset, config.k, config.seeding, np.random.default_rng(child))
-              for child in children)
+    starts = (_seed(dataset, config.k, config.seeding, np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(config.rng_seed, spawn_key=(i,)))))
+        for i in range(config.restarts))
     return _first_best(dataset, starts, {} if config.restarts > 1 else None)
 
 
@@ -843,10 +842,10 @@ def _ideal_search(dataset, k, collect_tol=None):
     labels alone.
 
     The plain walk's bound is the incumbent.  The collecting walk's starts
-    at dive + tol * max(1, dive), where dive is the partial sum of the leaf
-    a greedy dive reaches (:func:`_dive`; inf if it overflows), and a
-    better leaf p lowers it to p + tol * max(1, p).  No leaf with
-    p <= cut = best_q + tol * max(1, best_q) is lost: the dive's leaf is
+    at dive + tol * dive, where dive is the partial sum of the leaf a
+    greedy dive reaches (:func:`_dive`; inf if it overflows), and a better
+    leaf p lowers it to p + tol * p.  No leaf with
+    p <= cut = best_q + tol * best_q is lost: the dive's leaf is
     reached unless a leaf below dive cut it, so best_q <= dive and cut is
     at most the starting bound; every later bound is at least cut; and a
     partial sum only grows along a path (each step adds a float >= 0).
@@ -870,9 +869,11 @@ def _ideal_search(dataset, k, collect_tol=None):
     leaves = 0
     near = []
     dive = math.inf if collect_tol is None else _dive(points, k, weight)
-    bound = dive + collect_tol * max(1.0, dive) if dive < math.inf else math.inf
+    bound = dive + collect_tol * dive if dive < math.inf else math.inf
 
-    def rec(i, used, partial):
+    # the fixed state rides in as defaults: locals read faster than cells
+    def rec(i, used, partial, points=points, counts=counts, sums=sums, axes=axes,
+            tops=tops, weight=weight, rgs=rgs, last=last, n=n, k=k):
         nonlocal best_q, bound, best_rgs, leaves
         x = points[i]
         # every point from i on must open a cluster of its own
@@ -895,8 +896,7 @@ def _ideal_search(dataset, k, collect_tol=None):
                 if p < best_q:
                     best_q = p
                     best_rgs = rgs.copy()
-                    bound = p if collect_tol is None else min(
-                        bound, p + collect_tol * max(1.0, p))
+                    bound = p if collect_tol is None else min(bound, p + collect_tol * p)
                 if collect_tol is not None:
                     near.append((p, rgs.copy()))
                 continue
@@ -945,17 +945,17 @@ def _dive(points, k, weight):
 def kmeans_ideal_minima(dataset, k):
     """All partitions whose objective is within ``REL_TOL`` of the optimum.
 
-    Every partition with Q <= Q* + REL_TOL * max(1, Q*), in canonical
-    order, where Q is the partial sum of :func:`kmeans_ideal`'s walk with
-    the prune widened by that tolerance and started at a greedy dive's
-    leaf (see :func:`_ideal_search` for why no such partition is lost).
+    Every partition with Q <= Q* + REL_TOL * Q*, in canonical order, where
+    Q is the partial sum of :func:`kmeans_ideal`'s walk with the prune
+    widened by that tolerance and started at a greedy dive's leaf (see
+    :func:`_ideal_search` for why no such partition is lost).
 
     Returns
     -------
     list of Partition
     """
     _, best_q, _, near = _ideal_search(dataset, k, collect_tol=REL_TOL)
-    cut = best_q + REL_TOL * max(1.0, best_q)
+    cut = best_q + REL_TOL * best_q
     return [Partition.from_labels(np.asarray(r)) for q, r in near if q <= cut]
 
 
@@ -1000,7 +1000,7 @@ def is_local_min(dataset, partition):
     :func:`_increment`).  The witness is the first improving move in scan
     order, read from ``partition.clusters``: clusters canonically, members
     ascending, targets canonically.  A move improves only if gain - cost >
-    REL_TOL * max(1, gain, cost), which keeps degenerate ties stable.
+    REL_TOL * max(gain, cost), which keeps degenerate ties stable at any scale.
 
     Parameters
     ----------
@@ -1029,7 +1029,7 @@ def is_local_min(dataset, partition):
                        totals, sizes, step)
     gain = table[step < 0][:, None]
     # a source column's gain - gain is 0, never an improving move
-    hits = np.flatnonzero(gain - table > REL_TOL * np.maximum(1.0, np.maximum(gain, table)))
+    hits = np.flatnonzero(gain - table > REL_TOL * np.maximum(gain, table))
     if len(hits) == 0:
         return True, None
     row, target = divmod(int(hits[0]), len(clusters))

@@ -424,6 +424,25 @@ def test_kmeans_equals_per_restart_lloyd_loop(seeding, restarts):
         assert np.array_equal(got.centers, want.centers)
 
 
+@pytest.mark.parametrize("seeding", ["uniform-random", "plus-plus"])
+@pytest.mark.parametrize("rng_seed", [0, 2**32 + 1, 2**63, 2**64 + 5])
+def test_kmeans_restart_streams_hold_at_large_seeds(seeding, rng_seed):
+    # kmeans builds restart i's generator from its spawn key; the oracle
+    # spawns children off SeedSequence(rng_seed) and calls default_rng
+    rng = np.random.default_rng(rng_seed % 1000)
+    for n, m in ((12, 2), (30, 3)):  # n * m below and above the cutoff
+        assert (n * m <= _FLOAT_ROUTE_MAX) == (n == 12)
+        ds = Dataset(rng.normal(size=(n, m)))
+        for restarts in (1, 3, 12):
+            cfg = KMeansConfig(k=3, seeding=seeding, restarts=restarts,
+                               rng_seed=rng_seed)
+            got = kmeans(ds, cfg)
+            want = first_best(per_restart_results(ds, cfg))
+            assert (got.partition, got.q, got.iterations) == (
+                want.partition, want.q, want.iterations)
+            assert np.array_equal(got.centers, want.centers)
+
+
 def test_kmeans_exact_tie_keeps_the_first_restart():
     # unit square, k=2: top/bottom and left/right both cost exactly 1.0
     square = Dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -489,7 +508,7 @@ def _reference_ideal_search(dataset, k, collect_tol=None, dive=True):
     state = {"best_q": np.inf, "best_rgs": None, "leaves": 0, "near": []}
 
     def widen(q):
-        return q + collect_tol * max(1.0, q)
+        return q + collect_tol * q
 
     def delta(c, s, x):
         # the cost of adding x to a cluster of c points with sum s
@@ -598,7 +617,7 @@ def _minima_from_inf(ds, k):
     """The oracle walk's minima with the bound started at inf, not at a
     dive, cut as kmeans_ideal_minima cuts them."""
     _, q, _, near = _reference_ideal_search(ds, k, REL_TOL, dive=False)
-    cut = q + REL_TOL * max(1.0, q)
+    cut = q + REL_TOL * q
     return [Partition.from_labels(np.asarray(r)) for p, r in near if p <= cut]
 
 
@@ -1336,7 +1355,7 @@ def scalar_move_scan(ds, part, rel_tol=1e-9):
                     continue
                 nb = len(dst)
                 cost = nb / (nb + 1) * float(np.sum((x - dst.mean(axis=0)) ** 2))
-                if gain - cost > rel_tol * max(1.0, gain, cost):
+                if gain - cost > rel_tol * max(gain, cost):
                     return False, {"point": point, "source": a, "target": b,
                                    "delta_q": cost - gain}
     return True, None
@@ -1386,6 +1405,47 @@ def test_is_local_min_skips_singleton_sources():
     ds = _line(0.0, 0.2, 50.0)
     ok, witness = is_local_min(ds, Partition([[0, 1], [2]]))
     assert ok and witness is None
+
+
+def _rescaled_verdict(verdict, e):
+    """An is_local_min answer with its witness's delta_q scaled by 4**-e,
+    which undoes scaling the data by 2**e exactly."""
+    ok, witness = verdict
+    return ok, witness and dict(witness, delta_q=math.ldexp(witness["delta_q"], -2 * e))
+
+
+def test_verdicts_do_not_change_when_the_data_are_scaled_by_powers_of_two():
+    # scaling by 2**e is exact in binary floats, so every objective scales
+    # by 4**e exactly and a relative verdict cannot change (Kleinberg's
+    # scale invariance, applied to the lab's own decisions)
+    rng = np.random.default_rng(1702)
+    local = set()
+    for trial in range(150):
+        n, m = int(rng.integers(4, 9)), int(rng.integers(1, 3))
+        k = int(rng.integers(2, 4))
+        pts = rng.normal(size=(n, m))
+        minima = kmeans_ideal_minima(Dataset(pts), k)
+        part = kmeans(Dataset(pts), KMeansConfig(k=k, rng_seed=trial)).partition
+        verdict = is_local_min(Dataset(pts), part)
+        local.add(verdict[0])
+        for e in (-60, -30, 20, 30):
+            scaled = Dataset(pts * 2.0 ** e)
+            assert kmeans_ideal_minima(scaled, k) == minima
+            assert _rescaled_verdict(is_local_min(scaled, part), e) == verdict
+    assert local == {True, False}
+
+
+def test_verdicts_far_below_unit_scale():
+    # an absolute floor of 1e-9 would make every partition of these points
+    # a near-tie: seven minima, and a bad split that counts as stable
+    for scale in (1.0, 1e-6, 1e-7):
+        ds = _line(0.0, scale, 2.0 * scale, 10.0 * scale)
+        assert kmeans_ideal_minima(ds, 2) == [Partition([[0, 1, 2], [3]])]
+        ok, witness = is_local_min(ds, Partition([[0, 3], [1, 2]]))
+        # 0 leaves {0, 10} (gain 50) for {1, 2} (cost 1.5), scaled by scale**2
+        assert not ok
+        assert (witness["point"], witness["source"], witness["target"]) == (0, 0, 1)
+        assert witness["delta_q"] == pytest.approx(-48.5 * scale * scale, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
