@@ -71,8 +71,11 @@ SEEDING_STRATEGIES = ("uniform-random", "plus-plus")
 # relative tolerance (floored at 1) between the two routes of a cross-check
 _CROSS_CHECK_RTOL = 1e-9
 
-# relative tolerance, with no floor so that scaling changes no verdict, of
-# kmeans_ideal_minima's cut, is_local_min's move test and the suites' checks
+# relative tolerance of kmeans_ideal_minima's cut, is_local_min's move test
+# and the suites' checks; the first two take it of the larger objective
+# floored at _tie_floor, which scales as objectives do (so scaling the
+# data by 2**e changes no verdict) and keeps coincident points tied,
+# though their means round and their exact 0 increments come out > 0
 REL_TOL = 1e-9
 
 # Lloyd runs on plain Python floats while the dataset holds at most this
@@ -113,9 +116,8 @@ class KMeansConfig:
         if self.k < 2:
             raise ValueError("k must be >= 2, got %d" % self.k)
         if self.seeding not in SEEDING_STRATEGIES:
-            raise ValueError(
-                "seeding must be one of %s, got %r" % (SEEDING_STRATEGIES, self.seeding)
-            )
+            raise ValueError("seeding must be one of %s, got %r"
+                             % (SEEDING_STRATEGIES, self.seeding))
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -146,11 +148,7 @@ class ClusteringResult:
 
     def __repr__(self):
         return "ClusteringResult(k=%d, q=%.6g, iterations=%d, converged=%s)" % (
-            self.partition.k,
-            self.q,
-            self.iterations,
-            self.converged,
-        )
+            self.partition.k, self.q, self.iterations, self.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +297,7 @@ def _seed(dataset, k, strategy, rng):
     :func:`~axiomlab.core._sq_dists` rows (None for uniform seeding or
     k == n): an entry depends only on its point and center, so these are
     the floats the first assignment would make."""
-    pts = dataset.points
-    n = dataset.n
+    pts, n = dataset.points, dataset.n
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n, got k=%d, n=%d" % (k, n))
     if strategy not in SEEDING_STRATEGIES:
@@ -466,9 +463,7 @@ def _check_descent(q_prev, q_here):
     empty-cluster fix both only remove scatter, and the mean update is
     optimal for fixed membership.  Raise CrossCheckError if it did."""
     if not q_here <= q_prev * (1.0 + 1e-9) + 1e-12:
-        raise CrossCheckError(
-            "Lloyd objective increased from %r to %r" % (q_prev, q_here)
-        )
+        raise CrossCheckError("Lloyd objective increased from %r to %r" % (q_prev, q_here))
 
 
 def _lloyd_core(dataset, centers, rows=None, paths=None, table=None):
@@ -769,8 +764,8 @@ def kmeans(dataset, config):
     -------
     ClusteringResult
     """
-    starts = (_seed(dataset, config.k, config.seeding, np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(config.rng_seed, spawn_key=(i,)))))
+    starts = (_seed(dataset, config.k, config.seeding, np.random.default_rng(
+        np.random.SeedSequence(config.rng_seed, spawn_key=(i,))))
         for i in range(config.restarts))
     return _first_best(dataset, starts, {} if config.restarts > 1 else None)
 
@@ -842,12 +837,12 @@ def _ideal_search(dataset, k, collect_tol=None):
     labels alone.
 
     The plain walk's bound is the incumbent.  The collecting walk's starts
-    at dive + tol * dive, where dive is the partial sum of the leaf a
-    greedy dive reaches (:func:`_dive`; inf if it overflows), and a better
-    leaf p lowers it to p + tol * p.  No leaf with
-    p <= cut = best_q + tol * best_q is lost: the dive's leaf is
-    reached unless a leaf below dive cut it, so best_q <= dive and cut is
-    at most the starting bound; every later bound is at least cut; and a
+    at w(dive), w(q) = q + tol * max(q, :func:`_tie_floor`), where dive
+    is the partial sum of the leaf a greedy dive reaches (:func:`_dive`; inf
+    if it overflows), and a better leaf p lowers it to w(p).  No leaf with
+    p <= cut = w(best_q) is lost: the dive's leaf is reached unless a leaf
+    below dive cut it, so best_q <= dive and cut is at most the starting
+    bound; w grows with q, so every later bound is at least cut; and a
     partial sum only grows along a path (each step adds a float >= 0).
     """
     pts = dataset.points
@@ -857,23 +852,17 @@ def _ideal_search(dataset, k, collect_tol=None):
         raise ValueError("need 1 <= k <= n, got k=%d, n=%d" % (k, n))
 
     points = [tuple(row) for row in pts.tolist()]
-    counts = [0] * k
-    sums = [[0.0] * m for _ in range(k)]
+    counts, sums = [0] * k, [[0.0] * m for _ in range(k)]
     axes = range(m)
     tops = [range(min(used + 1, k)) for used in range(k + 1)]
     weight = [c / (c + 1) for c in range(n)]
-    rgs = [0] * n
-    last = n - 1
-    best_q = math.inf
-    best_rgs = None
-    leaves = 0
-    near = []
-    dive = math.inf if collect_tol is None else _dive(points, k, weight)
-    bound = dive + collect_tol * dive if dive < math.inf else math.inf
+    rgs, last = [0] * n, n - 1
+    best_q, best_rgs, leaves, near, bound = math.inf, None, 0, [], math.inf
+    if collect_tol is not None:
+        floor, dive = _tie_floor(pts), _dive(points, k, weight)
+        bound = dive + collect_tol * max(dive, floor) if dive < math.inf else bound
 
-    # the fixed state rides in as defaults: locals read faster than cells
-    def rec(i, used, partial, points=points, counts=counts, sums=sums, axes=axes,
-            tops=tops, weight=weight, rgs=rgs, last=last, n=n, k=k):
+    def rec(i, used, partial):
         nonlocal best_q, bound, best_rgs, leaves
         x = points[i]
         # every point from i on must open a cluster of its own
@@ -896,7 +885,8 @@ def _ideal_search(dataset, k, collect_tol=None):
                 if p < best_q:
                     best_q = p
                     best_rgs = rgs.copy()
-                    bound = p if collect_tol is None else min(bound, p + collect_tol * p)
+                    bound = p if collect_tol is None else min(
+                        bound, p + collect_tol * max(p, floor))
                 if collect_tol is not None:
                     near.append((p, rgs.copy()))
                 continue
@@ -942,20 +932,27 @@ def _dive(points, k, weight):
     return dive
 
 
+def _tie_floor(points):
+    """eps * (largest |coordinate|)**2: the least objective a verdict takes
+    REL_TOL of; it scales by 4**e when the points scale by 2**e."""
+    top = float(np.maximum.reduce(np.abs(points), axis=None))
+    return float(np.finfo(float).eps) * top * top
+
+
 def kmeans_ideal_minima(dataset, k):
     """All partitions whose objective is within ``REL_TOL`` of the optimum.
 
-    Every partition with Q <= Q* + REL_TOL * Q*, in canonical order, where
-    Q is the partial sum of :func:`kmeans_ideal`'s walk with the prune
-    widened by that tolerance and started at a greedy dive's leaf (see
-    :func:`_ideal_search` for why no such partition is lost).
+    Every partition with Q <= Q* + REL_TOL * max(Q*, :func:`_tie_floor`),
+    in canonical order, where Q is the partial sum of :func:`kmeans_ideal`'s
+    walk with the prune widened by that tolerance and started at a greedy
+    dive's leaf (see :func:`_ideal_search` for why no such partition is lost).
 
     Returns
     -------
     list of Partition
     """
     _, best_q, _, near = _ideal_search(dataset, k, collect_tol=REL_TOL)
-    cut = best_q + REL_TOL * best_q
+    cut = best_q + REL_TOL * max(best_q, _tie_floor(dataset.points))
     return [Partition.from_labels(np.asarray(r)) for q, r in near if q <= cut]
 
 
@@ -1000,7 +997,8 @@ def is_local_min(dataset, partition):
     :func:`_increment`).  The witness is the first improving move in scan
     order, read from ``partition.clusters``: clusters canonically, members
     ascending, targets canonically.  A move improves only if gain - cost >
-    REL_TOL * max(gain, cost), which keeps degenerate ties stable at any scale.
+    REL_TOL * max(gain, cost, :func:`_tie_floor`), which keeps degenerate
+    ties, coincident points included, stable at any scale.
 
     Parameters
     ----------
@@ -1028,8 +1026,10 @@ def is_local_min(dataset, partition):
     table = _increment(dataset.points[movers][:, None, :], totals / sizes[:, None],
                        totals, sizes, step)
     gain = table[step < 0][:, None]
-    # a source column's gain - gain is 0, never an improving move
-    hits = np.flatnonzero(gain - table > REL_TOL * np.maximum(gain, table))
+    diff = gain - table  # a source column's 0 is never an improving move
+    hits = np.flatnonzero(diff > REL_TOL * np.maximum(gain, table))
+    if len(hits):  # the floor, only once a move clears the rest
+        hits = hits[diff.flat[hits] > REL_TOL * _tie_floor(dataset.points)]
     if len(hits) == 0:
         return True, None
     row, target = divmod(int(hits[0]), len(clusters))

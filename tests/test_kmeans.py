@@ -507,8 +507,11 @@ def _reference_ideal_search(dataset, k, collect_tol=None, dive=True):
     rgs = [0] * n
     state = {"best_q": np.inf, "best_rgs": None, "leaves": 0, "near": []}
 
+    # the least objective a tolerance is taken of: eps * (largest |coordinate|)^2
+    floor = np.finfo(float).eps * np.max(np.abs(pts)) ** 2
+
     def widen(q):
-        return q + collect_tol * q
+        return q + collect_tol * max(q, floor)
 
     def delta(c, s, x):
         # the cost of adding x to a cluster of c points with sum s
@@ -617,7 +620,7 @@ def _minima_from_inf(ds, k):
     """The oracle walk's minima with the bound started at inf, not at a
     dive, cut as kmeans_ideal_minima cuts them."""
     _, q, _, near = _reference_ideal_search(ds, k, REL_TOL, dive=False)
-    cut = q + REL_TOL * q
+    cut = q + REL_TOL * max(q, np.finfo(float).eps * np.max(np.abs(ds.points)) ** 2)
     return [Partition.from_labels(np.asarray(r)) for p, r in near if p <= cut]
 
 
@@ -1342,6 +1345,7 @@ def scalar_move_scan(ds, part, rel_tol=1e-9):
     """Oracle: the move-by-move scan, closed-form increments from each
     cluster's own points, in the documented scan order."""
     pts = ds.points
+    floor = np.finfo(float).eps * np.max(np.abs(pts)) ** 2
     blocks = [pts[list(b)] for b in part.clusters]
     for a, block in enumerate(part.clusters):
         na = len(block)
@@ -1355,7 +1359,7 @@ def scalar_move_scan(ds, part, rel_tol=1e-9):
                     continue
                 nb = len(dst)
                 cost = nb / (nb + 1) * float(np.sum((x - dst.mean(axis=0)) ** 2))
-                if gain - cost > rel_tol * max(gain, cost):
+                if gain - cost > rel_tol * max(gain, cost, floor):
                     return False, {"point": point, "source": a, "target": b,
                                    "delta_q": cost - gain}
     return True, None
@@ -1433,6 +1437,17 @@ def test_verdicts_do_not_change_when_the_data_are_scaled_by_powers_of_two():
             assert kmeans_ideal_minima(scaled, k) == minima
             assert _rescaled_verdict(is_local_min(scaled, part), e) == verdict
     assert local == {True, False}
+
+
+def test_coincident_points_stay_tied_at_any_scale():
+    # the mean of three copies of 0.1 rounds to 0.10000000000000002, so the
+    # computed increments are about 1e-34 where the exact ones are all 0
+    for e in (0, -60, 30):
+        ds = Dataset([[math.ldexp(0.1, e)]] * 5)
+        for k in (2, 3):
+            assert kmeans_ideal_minima(ds, k) == list(enumerate_partitions(5, k=k))
+        assert is_local_min(ds, Partition([[0, 1, 2], [3, 4]])) == (True, None)
+        assert is_local_min(ds, Partition([[0, 1, 2, 3], [4]])) == (True, None)
 
 
 def test_verdicts_far_below_unit_scale():
