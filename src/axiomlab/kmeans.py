@@ -11,21 +11,22 @@ builder (:func:`_build_result`).  Above ``_FLOAT_ROUTE_MAX`` coordinates
 (n * m) the steps are numpy kernels on contiguous per-axis columns
 (:attr:`~axiomlab.core.Dataset.columns`) with no (n, k, m) temporary: the
 assignment is the first minimum per point of one distance table
-(:func:`~axiomlab.core._sq_dists`), a step computes only the next
-centers (:func:`_means`) and reads its objective from the next table,
-and a run's exact scatters come once, from one stable sort of its final
-labels (:func:`_cluster_stats`).  At or below it, where numpy's fixed
-cost per call is most of the time, everything but the distance table,
-its first minimum per point and the rare empty-cluster repair runs on
-plain Python floats (:func:`_assign_floats`, :func:`_float_stats`,
-:func:`_shifted_floats`), means and scatters at every step.  Both routes
-give the floats of the broadcast and per-cluster-mask forms, bit for bit,
-because both follow numpy's summation order, written once in
+(:func:`~axiomlab.core._sq_dists`), at k = 2 one comparison of its rows
+(:func:`_assign_arrays`), a step computes only the next centers
+(:func:`_means`) and reads its objective from the next table, and a
+run's exact scatters come once, from one stable sort of its final labels
+(:func:`_cluster_stats`).  At or below it, where numpy's fixed cost per
+call is most of the time, all but the distance table, its first minimum
+per point and the rare empty-cluster repair runs on plain Python floats
+(:func:`_assign_floats`, :func:`_float_stats`, :func:`_shifted_floats`),
+means and scatters at every step.  Both routes give the floats of the
+broadcast and per-cluster-mask forms, bit for bit, as both follow
+numpy's summation order, written once in
 :func:`~axiomlab.core._pairwise_sum`.  The cutoff is 64.  Over 600 single
-uniform restarts per size (k 2-4, m in {1, 2, 3, 5, 8}; fastest of 7
-alternating runs, 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6) the float
-route took 0.75-0.89 of the array route's time at n * m <= 40 and broke
-even near n * m = 48 for m <= 2, 64-80 for m in {3, 5} and 96 for m = 8.
+uniform restarts per size (fastest of 7 alternating runs, 2-vCPU Xeon,
+Python 3.11.7, numpy 2.4.6) the float route broke even near n * m = 44
+for m = 1, 48-56 for m = 2, 54-78 for m = 3, 60-95 for m = 5 and 80-96
+for m = 8, at k = 2 and at k = 3, 4.
 
 Restarts share one table of the paths their converged runs took.  From a
 labelling on, Lloyd depends on that labelling alone, so a restart that
@@ -78,9 +79,8 @@ _CROSS_CHECK_RTOL = 1e-9
 # though their means round and their exact 0 increments come out > 0
 REL_TOL = 1e-9
 
-# Lloyd runs on plain Python floats while the dataset holds at most this
-# many coordinates (n * m), on numpy's whole-array kernels above; see the
-# module docstring for the measurement.
+# Lloyd runs on plain Python floats up to this many coordinates (n * m), on
+# numpy's whole-array kernels above; the module docstring has the measurement
 _FLOAT_ROUTE_MAX = 64
 
 # cap on Lloyd center updates per run
@@ -271,10 +271,9 @@ def seed(dataset, k, strategy, rng):
     ``"uniform-random"`` picks k distinct point indices uniformly;
     ``"plus-plus"`` picks the first uniformly and each next point with
     probability proportional to its squared distance to the nearest center
-    chosen so far, by ``rng.choice``'s own rule written out (:func:`_pick`).
-    With k equal to the number of points, every point is a center and no
-    randomness is consumed.  :func:`kmeans` seeds through :func:`_seed`,
-    which also keeps the centers' distance rows for Lloyd's first step.
+    chosen so far, by ``rng.choice``'s own rule (:func:`_pick`).  With
+    k = n every point is a center and no randomness is consumed.
+    :func:`kmeans` seeds through :func:`_seed`, which keeps their rows.
 
     Parameters
     ----------
@@ -354,7 +353,7 @@ def _assign(d2):
     the table's k rows that moves to row j only where row j is strictly
     smaller: the first minimum, which is ``argmin``'s answer (exact ties
     go to the lowest center index; the coordinates are finite, so no
-    entry is NaN).
+    entry is NaN); at k = 2, ``d2[1] < d2[0]`` (see :func:`_assign_arrays`).
     """
     labels = np.zeros(d2.shape[1], dtype=np.intp)
     best = d2[0]
@@ -459,9 +458,11 @@ def _fix_empty_clusters(d2, labels, k):
 
 
 def _check_descent(q_prev, q_here):
-    """Lloyd's objective never increases: the assignment step and the
-    empty-cluster fix both only remove scatter, and the mean update is
-    optimal for fixed membership.  Raise CrossCheckError if it did."""
+    """Lloyd's objective never increases: assignment and the empty-cluster
+    fix only remove scatter, and the mean is optimal for fixed membership.
+    Raise CrossCheckError if it did, ValueError if ``q_here`` overflowed."""
+    if not q_here < math.inf:
+        raise ValueError("squared distances overflow float64")
     if not q_here <= q_prev * (1.0 + 1e-9) + 1e-12:
         raise CrossCheckError("Lloyd objective increased from %r to %r" % (q_prev, q_here))
 
@@ -472,11 +473,10 @@ def _lloyd_core(dataset, centers, rows=None, paths=None, table=None):
     the run met an earlier run's path.
 
     ``rows`` picks the route (see the module docstring).  ``table`` is
-    None or the centers' (k, n) distance table (:func:`_seed`), which the
-    first assignment then reads instead of making.  Each step's
-    objective is checked not to exceed the previous one; on the array
-    route a converged run's final block scatters, about the final labels'
-    own means, must also agree with the last table's objective.
+    None or the centers' (k, n) distance table (:func:`_seed`), read by
+    the first assignment.  No step's objective may exceed the previous
+    one; on the array route a converged run's final block scatters must
+    also agree with the last table's objective.
 
     ``paths`` (None for a single start) maps each labelling a converged
     run of this call passed through to its objective and the updates that
@@ -496,11 +496,9 @@ def _lloyd_core(dataset, centers, rows=None, paths=None, table=None):
     """
     k = len(centers)
     cols = dataset.columns
-    if rows is None:
-        assign = functools.partial(_assign_arrays, k, np.min_scalar_type(k - 1),
-                                   np.arange(dataset.n))
-    else:
-        assign = functools.partial(_assign_floats, k)
+    assign = (functools.partial(_assign_arrays, k, np.min_scalar_type(k - 1),
+                                np.arange(dataset.n)) if rows is None
+              else functools.partial(_assign_floats, k))
     owners = None
     path, seen = [], []  # the keys stepped from; q_prev at each assignment
     empty_events = 0
@@ -572,17 +570,26 @@ def _assign_arrays(k, key_type, idx, d2, owners):
     of repairs, and, when ``owners`` are the labels whose means the
     centers are, their objective read from the table: the sum of each
     point's entry for its owner (its distance to its own cluster's mean;
-    ``idx`` is ``np.arange(n)``), else None.
+    ``idx`` is ``np.arange(n)``), in point order, else None.  At k = 2
+    the labels are one comparison, ``d2[1] < d2[0]`` (ties go to center 0),
+    whose c hits give the counts n - c and c (no ``bincount``), and the
+    owners' entries are ``np.where(owners, d2[1], d2[0])``, not a gather.
     """
-    labels = _assign(d2)
-    counts = np.bincount(labels, minlength=k)
+    if k == 2:
+        closer = d2[1] < d2[0]
+        c = int(np.count_nonzero(closer))
+        labels, counts = closer.astype(np.intp), np.array([len(idx) - c, c])
+    else:
+        labels = _assign(d2)
+        counts = np.bincount(labels, minlength=k)
     events = 0
     if np.count_nonzero(counts) < k:
         events = _fix_empty_clusters(d2, labels, k)
         counts = np.bincount(labels, minlength=k)
     q_table = None
     if owners is not None:
-        own = d2.ravel().take(owners * len(idx) + idx)
+        own = (np.where(owners, d2[1], d2[0]) if k == 2 else
+               d2.ravel().take(owners * len(idx) + idx))
         q_table = float(np.add.reduce(own))
     return labels, counts, labels.astype(key_type).tobytes(), events, q_table
 
@@ -590,13 +597,10 @@ def _assign_arrays(k, key_type, idx, d2, owners):
 def _assign_floats(k, d2, owners):
     """:func:`_assign_arrays` with the labels and counts as lists, the
     labels' bytes as ``intp`` for key and no table objective (this route
-    takes each step's objective from its exact scatters).
-
-    The (k, n) squared-distance table ``d2`` still comes from
-    :func:`~axiomlab.core._sq_dists`, a few whole-table numpy calls that
-    are cheaper than a Python loop over its n * k * m terms, and its first
-    minimum per point (``argmin``) is :func:`_assign`'s answer; a repair
-    is :func:`_fix_empty_clusters` on that table.
+    takes each step's objective from its exact scatters).  The table
+    ``d2`` stays numpy (cheaper than a Python loop over its n * k * m
+    terms); its ``argmin`` per point is :func:`_assign`'s answer, and a
+    repair is :func:`_fix_empty_clusters` on it.
     """
     found = d2.argmin(axis=0)
     labels = found.tolist()
@@ -677,11 +681,9 @@ def _first_best(dataset, starts, paths=None):
     with the smallest objective.
 
     Runs are compared on their scatters summed in canonical cluster order,
-    which is the winner's ``q`` bit for bit, and only the winner becomes a
-    result.  This is where the route is chosen: the runs and the result
-    take the plain-float route, with ``rows`` the points as lists, while
-    n * m is at most ``_FLOAT_ROUTE_MAX``, and the array route (``rows``
-    None) above; both give the same floats.
+    the winner's ``q`` bit for bit, and only the winner becomes a result.
+    Here the route is chosen: the plain-float route (``rows`` the points
+    as lists) while n * m <= ``_FLOAT_ROUTE_MAX``, else the array route.
 
     ``paths``, an empty dict for several starts, becomes their path table
     (:func:`_lloyd_core`): a run that meets an earlier run's path would
@@ -749,11 +751,9 @@ def kmeans(dataset, config):
     ``config.restarts`` independent seedings are drawn, restart i's from
     ``SeedSequence(rng_seed).spawn(restarts)[i]``'s generator, and the
     result with the smallest objective wins (first winner kept on exact
-    ties).  Restarts are compared on their scatters summed in canonical
-    cluster order, the winner's ``q`` bit for bit, and only the winner
-    becomes a :class:`ClusteringResult` (:func:`_first_best`).  A restart
-    that reaches a labelling an earlier converged restart passed through
-    stops there: it would end in that restart's state and so cannot win.
+    ties; :func:`_first_best`).  A restart that reaches a labelling an
+    earlier converged restart passed through stops there: it would end in
+    that restart's state and so cannot win.
 
     Parameters
     ----------
@@ -784,13 +784,11 @@ def kmeans_ideal(dataset, k):
     partial sum already above the incumbent is dead).  On objective ties
     the earliest partition in canonical order wins.
 
-    The walk runs on plain Python floats, O(m) scalar operations per node
-    and no numpy call (see :func:`_ideal_search` for the summation order
-    and the m >= 8 caveat); the returned ``q`` is the winning labels'
-    cluster scatters summed in canonical order (the float value of
-    :func:`objective_q`'s centroid form), cross-checked against the
-    shifted form.  The result is built on the plain-float route, whose
-    floats the array route gives too.
+    The walk runs on plain Python floats with no numpy call (see
+    :func:`_ideal_search`); the result is built on the plain-float route,
+    so ``q`` is the winner's scatters summed in canonical order (the float
+    value of :func:`objective_q`'s centroid form), cross-checked against
+    the shifted form.
 
     n may not exceed ``core.ENUMERATION_CAP`` (12).
 

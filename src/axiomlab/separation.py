@@ -70,6 +70,8 @@ def certify(dataset, gamma):
     gaps = [dist[i][j] - 2.0 * max(radii[i], radii[j]) for i, j in pairs]
     ball_gap = min(dist[i][j] - radii[i] - radii[j] for i, j in pairs)
     rho = max(radii)
+    if not rho < math.inf:  # a radius is the root of a squared distance
+        raise ValueError("squared distances overflow float64")
     bound = absolute_gap_bound([len(b) for b in gamma.clusters], radii)
     return {
         "nice_ball": all(dist[i][j] >= 4.0 * max(radii[i], radii[j])

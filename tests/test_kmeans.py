@@ -49,6 +49,7 @@ from axiomlab import kmeans as kmeans_module
 from axiomlab.kmeans import (
     _FLOAT_ROUTE_MAX,
     _assign,
+    _assign_arrays,
     _cluster_stats,
     _dive,
     _fix_empty_clusters,
@@ -834,14 +835,22 @@ def test_kmeans_ideal_respects_cap(monkeypatch):
         kmeans_ideal(ds, 2)
 
 
-def test_float64_overflow_is_named():
-    # the squared distances of these points overflow float64: plus-plus
-    # seeding and exhaustive search say so, not numpy's "Probabilities
-    # contain NaN" or a search that finds no partition
+def test_float64_overflow_is_named(monkeypatch):
+    # the squared distances of these points overflow float64: seeding,
+    # Lloyd on either route and exhaustive search say so, not numpy's
+    # "Probabilities contain NaN", a cross-check's "inf and inf disagree"
+    # or a search that finds no partition
     ds = _line(0.0, 1e200, 2e200, -1e200)
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="^squared distances overflow float64$"):
-            kmeans(ds, KMeansConfig(k=2))
+    for cutoff in (_FLOAT_ROUTE_MAX, 0):  # the float route, then the array route
+        monkeypatch.setattr(kmeans_module, "_FLOAT_ROUTE_MAX", cutoff)
+        for run in [lambda: kmeans(ds, KMeansConfig(k=2)),
+                    lambda: kmeans(ds, KMeansConfig(k=2, seeding="uniform-random",
+                                                    restarts=3)),
+                    lambda: lloyd(ds, [[0.0], [1e200]]),
+                    lambda: lloyd(ds, [[-1e200], [0.0], [2e200]])]:
+            with np.errstate(over="ignore"), pytest.raises(
+                    ValueError, match="^squared distances overflow float64$"):
+                run()
     for search in (kmeans_ideal, kmeans_ideal_minima):
         with pytest.raises(ValueError,
                            match="^every partition's objective overflows float64$"):
@@ -1138,9 +1147,10 @@ def test_kmeans_at_segment_cross_scale_matches_the_oracle(rotated):
 
 def _route_cases():
     """Datasets whose n * m lies just below, at and just above the route
-    cutoff, with k from 2 to 5: half-integer grids with repeated points,
-    exact distance ties and -0.0, signed values over 1e-3 .. 1e3, and
-    three clumps (m = 1 clusters of 9 or more points near the cutoff).
+    cutoff for each m, each with a drawn k from 2 to 5 and with k = 2 (the
+    array route's two-center step): half-integer grids with repeated
+    points, exact distance ties and -0.0, signed values over 1e-3 .. 1e3,
+    and three clumps (m = 1 clusters of 9 or more points near the cutoff).
     First, a line with a cluster of -0.0 only, whose mean numpy sums onto
     +0.0 and so reports as 0.0."""
     yield Dataset([[-0.0], [-0.0], [3.0], [3.5], [7.0]]), 3
@@ -1154,9 +1164,11 @@ def _route_cases():
             grid[rng.random(size=grid.shape) < 0.2] = -0.0
             wide = rng.uniform(1e-3, 1e3, size=(n, m))
             wide *= rng.choice([-1.0, 1.0], size=wide.shape)
-            yield Dataset(grid), k
-            yield Dataset(wide), k
-            yield _clumps(n, m, int(rng.integers(1 << 30)), grid=True), k
+            clumps = _clumps(n, m, int(rng.integers(1 << 30)), grid=True)
+            for ds in (Dataset(grid), Dataset(wide), clumps):
+                yield ds, k
+                if k != 2:
+                    yield ds, 2
 
 
 def _route_starts(ds, k):
@@ -1284,6 +1296,49 @@ def test_lloyd_kernels_match_the_broadcast_and_mask_routes():
         assert scatters == want_scatters
         assert [block.tolist() for block in members] == [
             np.flatnonzero(labels == j).tolist() for j in range(k)]
+    ties = repairs = 0
+    for ds, centers, owners in _assignment_steps():
+        k, n = len(centers), ds.n
+        d2 = _sq_dists(ds.columns, centers)
+        want_d2 = np.sum((ds.points[:, None, :] - centers[None, :, :]) ** 2,
+                         axis=-1)
+        want = _reference_assign(ds.points, centers)
+        want_events = _reference_fix_empty_clusters(ds.points, centers, want, k)
+        key_type = np.min_scalar_type(k - 1)
+        for prev in (None, owners):
+            labels, counts, key, events, q_table = _assign_arrays(
+                k, key_type, np.arange(n), d2, prev)
+            assert np.array_equal(labels, want) and labels.dtype == np.intp
+            assert events == want_events
+            assert np.array_equal(counts, np.bincount(want, minlength=k))
+            assert counts.dtype == np.intp
+            assert key == want.astype(key_type).tobytes()
+            if prev is None:
+                assert q_table is None
+            else:  # the owners' entries, not the new labels', in point order
+                assert q_table == float(np.sum(want_d2[np.arange(n), owners]))
+        ties += k == 2 and np.any(want_d2[:, 0] == want_d2[:, 1])
+        repairs += want_events > 0
+    assert ties > 50 and repairs > 50
+
+
+def _assignment_steps():
+    """Points on half-integer grids, centers and owner labels for one
+    assignment step at k = 2 and at k >= 3: grid-point centers (exact
+    point-to-center ties), coincident centers (every entry ties) and
+    centers beyond every point (all join center 0, the rest are
+    repaired), with owners that differ from the new labels."""
+    rng = np.random.default_rng(53)
+    for i in range(600):
+        m = int(rng.choice(_LLOYD_DIMS))
+        n = int(rng.integers(4, 61))
+        k = 2 if i % 2 else int(rng.integers(3, 5))
+        pts = rng.integers(-4, 5, size=(n, m)) / 2
+        centers = [pts[rng.choice(n, size=k, replace=False)],
+                   np.repeat(pts[rng.integers(n)][None, :], k, axis=0),
+                   np.array([[1e4 * (j + 1)] * m for j in range(k)])][i % 3]
+        owners = rng.permutation(np.r_[np.arange(k), rng.integers(0, k, size=n - k)])
+        yield Dataset(pts), centers, owners
 
 
 # ---------------------------------------------------------------------------

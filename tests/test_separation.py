@@ -251,11 +251,15 @@ def test_certify_validation():
         certify(ds, Partition([[0, 1]]))
     with pytest.raises(ValueError):  # the partition covers three points
         certify(ds, Partition([[0, 1], [2]]))
-    # radii that overflow float64 reach absolute_gap_bound as inf and are
-    # refused there: the gaps inf - inf would be NaN
-    far = _line(0.0, 1e200, 2e200, 3e200)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="radii"):
-        certify(far, Partition([[0, 1], [2, 3]]))
+    # radii whose squares overflow float64 are named as Lloyd and seeding
+    # name them, before absolute_gap_bound would refuse them as inf: the
+    # gaps inf - inf would be NaN
+    for far, gamma in [(_line(0.0, 1e200, 2e200, 3e200), [[0, 1], [2, 3]]),
+                       (_line(0.0, 1e200, 2e200, -1e200), [[0, 1], [2, 3]]),
+                       (_line(0.0, 1e200, 2e200, -1e200), [[0], [1, 2, 3]])]:
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^squared distances overflow float64$"):
+            certify(far, Partition(gamma))
 
 
 # ---------------------------------------------------------------------------
