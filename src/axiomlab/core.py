@@ -3,9 +3,8 @@
 This module defines the three value types everything else builds on
 (:class:`Dataset`, :class:`DistanceMatrix`, :class:`Partition`), the one
 geometry kernel every distance table and enclosing ball is computed with
-(:func:`_sq_dists`, :func:`_balls`), and two size guards: a partition
-covers its data (:func:`_check_partition_size`), and exhaustive search
-keeps under its cap (:func:`_check_enumeration_size`).
+(:func:`_sq_dists`, :func:`_balls`), the guard that a partition covers
+its data (:func:`_check_partition_size`), and the cap on exhaustive search.
 
 All types are immutable; all functions are pure.
 """
@@ -355,7 +354,7 @@ def distance_matrix(dataset):
 
 
 # ---------------------------------------------------------------------------
-# size guards
+# size guard
 # ---------------------------------------------------------------------------
 
 
@@ -364,10 +363,3 @@ def _check_partition_size(partition, n):
     applied to."""
     if partition.n != n:
         raise ValueError("partition covers %d points, the data has %d" % (partition.n, n))
-
-
-def _check_enumeration_size(n):
-    """Refuse exhaustive work over n points outside 1..ENUMERATION_CAP."""
-    if not 1 <= n <= ENUMERATION_CAP:
-        raise ValueError("exhaustive search supports 1 <= n <= %d (n=%d)"
-                         % (ENUMERATION_CAP, n))

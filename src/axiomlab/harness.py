@@ -87,14 +87,6 @@ def fingerprint(results):
     ).hexdigest()
 
 
-def _environment():
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-    }
-
-
 class _Tally:
     """The checks and witnesses of one suite run.
 
@@ -511,7 +503,8 @@ def run_suite(name, master_seed=0, trials=None):
         "checks": tally.checks,
         "witnesses": tally.witnesses,
         "runtime_s": time.perf_counter() - start,
-        "environment": _environment(),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "platform": platform.platform()},
     }
 
 

@@ -55,10 +55,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     CrossCheckError,
     Partition,
-    _check_enumeration_size,
     _check_partition_size,
     _frozen_array,
     _pairwise_sum,
@@ -817,22 +817,28 @@ def _ideal_search(dataset, k, collect_tol=None):
     of k-cluster leaves reached and (with collect_tol) every leaf reached
     with its partial sum, in canonical order.
 
-    Each cluster keeps an int count and a list of coordinate sums, so a
-    node costs O(m) scalar float operations and no numpy call.  Adding x
-    to a cluster of c >= 1 points with sums s adds c / (c + 1) * d2, where
-    d2 sums t * t, t = x[a] - s[a] / c, left to right from 0.0 (exact, as
-    t * t is never -0.0).  For m <= 7 these are the IEEE operations, in
-    order, of the same walk on numpy rows (the tests' oracle); from m = 8
-    ``np.sum`` adds the axes pairwise, so a partial sum may differ from
-    that walk in its last bit.
+    Each point, and each cluster's coordinate sums, is a tuple
+    ``(a0, a1, a2, rest)``: the first three axes (0.0 pads them when
+    m < 3) and a tuple of the axes past the third; with an int count per
+    cluster, a node costs O(m) scalar float operations and no numpy call.
+    Adding x to a cluster of c >= 1 points with sums s adds
+    c / (c + 1) * d2, d2 = t * t + u * u + v * v (t = x[0] - s[0] / c, and
+    so on), then each rest axis's t * t, left to right.  That is the sum
+    over every axis from 0.0, bit for bit: 0.0 + t * t is t * t (never
+    -0.0), and a padded axis adds exactly 0.0, its t being 0.0 - 0.0 / c.
+    For m <= 7 these are the IEEE operations, in order, of the same walk
+    on numpy rows (the tests' oracle); from m = 8 ``np.sum`` adds the axes
+    pairwise, so a partial sum may differ from that walk in its last bit.
 
     A child is tested in its parent's loop: it is cut when its partial sum
-    exceeds the bound, or when too few points would be left to open the
-    missing clusters.  A leaf is scored there too and replaces the
-    incumbent only when strictly better.  An entered child's cluster gets
-    a copy of its sums (``sums[j] = t = s[:]``, ``t[a] += x[a]``) and the
-    parent's list back on return, so a partial sum depends on its path's
-    labels alone.
+    exceeds the bound, and once every point left must open a cluster of
+    its own the new cluster is the only child.  A leaf is scored there too
+    and replaces the incumbent only when strictly better.  An entered
+    child's cluster gets new sums and the parent's back on return, so a
+    partial sum depends on its path's labels alone.  ``rec`` reads the
+    walk's fixed state from default arguments (locals, not closure cells)
+    and the incumbent, leaf count and bound from one list, the bound once
+    per node and again after each return.
 
     The plain walk's bound is the incumbent.  The collecting walk's starts
     at w(dive), w(q) = q + tol * max(q, :func:`_tie_floor`), where dive
@@ -845,87 +851,95 @@ def _ideal_search(dataset, k, collect_tol=None):
     """
     pts = dataset.points
     n, m = pts.shape
-    _check_enumeration_size(n)
+    if not 1 <= n <= core.ENUMERATION_CAP:  # read per call, so it can be patched
+        raise ValueError("exhaustive search supports 1 <= n <= %d (n=%d)"
+                         % (core.ENUMERATION_CAP, n))
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n, got k=%d, n=%d" % (k, n))
 
-    points = [tuple(row) for row in pts.tolist()]
-    counts, sums = [0] * k, [[0.0] * m for _ in range(k)]
-    axes = range(m)
-    tops = [range(min(used + 1, k)) for used in range(k + 1)]
+    pad = (0.0,) * (3 - m)
+    points = [(*row[:3], *pad, tuple(row[3:])) for row in pts.tolist()]
     weight = [c / (c + 1) for c in range(n)]
-    rgs, last = [0] * n, n - 1
-    best_q, best_rgs, leaves, near, bound = math.inf, None, 0, [], math.inf
+    floor, near, bound = None, [], math.inf
     if collect_tol is not None:
         floor, dive = _tie_floor(pts), _dive(points, k, weight)
         bound = dive + collect_tol * max(dive, floor) if dive < math.inf else bound
+    state = [math.inf, None, 0, bound]  # best_q, best_rgs, leaves, bound
 
-    def rec(i, used, partial):
-        nonlocal best_q, bound, best_rgs, leaves
-        x = points[i]
-        # every point from i on must open a cluster of its own
-        forced = used + (n - i) == k
-        for j in tops[used]:
+    def rec(i, used, partial, points=points, counts=[0] * k,
+            sums=[(0.0, 0.0, 0.0, (0.0,) * (m - 3))] * k, weight=weight,
+            tops=[range(min(u + 1, k)) for u in range(k + 1)],
+            rgs=[0] * n, last=n - 1, free=n - k, state=state, tol=collect_tol,
+            floor=floor, near=near, add=operator.add):
+        x0, x1, x2, xr = points[i]
+        bound = state[3]
+        # once every point from i on must open a cluster of its own
+        for j in (used,) if i - used == free else tops[used]:
             c = counts[j]
-            s = sums[j]
+            s = s0, s1, s2, sr = sums[j]
             p = partial  # partial + 0.0, as partial is never -0.0
             if c:
-                d2 = 0.0
-                for a in axes:
-                    t = x[a] - s[a] / c
-                    d2 += t * t
+                t = x0 - s0 / c
+                u = x1 - s1 / c
+                v = x2 - s2 / c
+                d2 = t * t + u * u + v * v
+                if xr:
+                    for xa, sa in zip(xr, sr):
+                        t = xa - sa / c
+                        d2 += t * t
                 p += weight[c] * d2
-            if p > bound or (forced and j < used):
-                continue  # cut: too costly, or k clusters are out of reach
+            if p > bound:
+                continue
             rgs[i] = j
             if i == last:
-                leaves += 1
-                if p < best_q:
-                    best_q = p
-                    best_rgs = rgs.copy()
-                    bound = p if collect_tol is None else min(
-                        bound, p + collect_tol * max(p, floor))
-                if collect_tol is not None:
+                state[2] += 1
+                if p < state[0]:
+                    state[0], state[1] = p, rgs.copy()
+                    state[3] = bound = p if tol is None else min(
+                        bound, p + tol * max(p, floor))
+                if tol is not None:
                     near.append((p, rgs.copy()))
                 continue
             counts[j] = c + 1
-            sums[j] = t = s[:]
-            for a in axes:
-                t[a] += x[a]
-            rec(i + 1, used + 1 if j == used else used, p)
+            sums[j] = (s0 + x0, s1 + x1, s2 + x2,
+                       tuple(map(add, sr, xr)) if xr else sr)
+            rec(i + 1, used + (j == used), p)
             counts[j] = c
             sums[j] = s
+            bound = state[3]
 
     rec(0, 0, 0.0)
+    best_q, best_rgs, leaves, _ = state
     if best_rgs is None:
         raise ValueError("every partition's objective overflows float64")
     return best_rgs, best_q, leaves, near
 
 
 def _dive(points, k, weight):
-    """The walk's partial sum at the leaf a greedy dive reaches: each point
-    joins the child :func:`_ideal_search` allows with the least increment
-    (a new cluster costs 0, ties go to the lower label); inf or NaN on overflow."""
-    n, axes = len(points), range(len(points[0]))
-    counts, sums = [0] * k, [[0.0] * len(axes) for _ in range(k)]
+    """The partial sum, on :func:`_ideal_search`'s points, of the leaf a
+    greedy dive reaches: each point joins the child the walk allows with
+    the least increment (a new cluster costs 0, ties go to the lower
+    label); inf or NaN on overflow."""
+    n, rest = len(points), (0.0,) * len(points[0][3])
+    counts, sums = [0] * k, [(0.0, 0.0, 0.0, rest)] * k
     dive, used = 0.0, 0
-    for i, x in enumerate(points):
+    for i, (x0, x1, x2, xr) in enumerate(points):
         pick = None
         for j in [used] if used + (n - i) == k else range(min(used + 1, k)):
-            c, s, inc = counts[j], sums[j], 0.0
+            c, (s0, s1, s2, sr), inc = counts[j], sums[j], 0.0
             if c:
-                d2 = 0.0
-                for a in axes:
-                    t = x[a] - s[a] / c
+                t, u, v = x0 - s0 / c, x1 - s1 / c, x2 - s2 / c
+                d2 = t * t + u * u + v * v
+                for xa, sa in zip(xr, sr):
+                    t = xa - sa / c
                     d2 += t * t
                 inc = weight[c] * d2
             if pick is None or inc < cost:
                 pick, cost = j, inc
         dive += cost
         counts[pick] += 1
-        s = sums[pick]
-        for a in axes:
-            s[a] += x[a]
+        s0, s1, s2, sr = sums[pick]
+        sums[pick] = (s0 + x0, s1 + x1, s2 + x2, tuple(map(operator.add, sr, xr)))
         used += pick == used
     return dive
 

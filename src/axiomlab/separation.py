@@ -62,16 +62,17 @@ def certify(dataset, gamma):
     if k < 2:
         raise ValueError("certification needs at least 2 clusters")
     centers, radii = _balls(dataset.points, gamma.clusters)
-    radii = radii.tolist()
     # entry [j, i] is the broadcast form's [i, j], and (x - y) ** 2 equals
     # (y - x) ** 2 exactly, so the table is symmetric and the same
-    dist = np.sqrt(_sq_dists(centers.T, centers)).tolist()
+    dist = np.sqrt(_sq_dists(centers.T, centers))
+    # both are roots of squared distances; inf would reach the JSON as Infinity
+    if not (np.isfinite(radii).all() and np.isfinite(dist).all()):
+        raise ValueError("squared distances overflow float64")
+    radii, dist = radii.tolist(), dist.tolist()
     pairs = list(itertools.combinations(range(k), 2))
     gaps = [dist[i][j] - 2.0 * max(radii[i], radii[j]) for i, j in pairs]
     ball_gap = min(dist[i][j] - radii[i] - radii[j] for i, j in pairs)
     rho = max(radii)
-    if not rho < math.inf:  # a radius is the root of a squared distance
-        raise ValueError("squared distances overflow float64")
     bound = absolute_gap_bound([len(b) for b in gamma.clusters], radii)
     return {
         "nice_ball": all(dist[i][j] >= 4.0 * max(radii[i], radii[j])

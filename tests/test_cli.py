@@ -210,6 +210,9 @@ def test_construct_line_refuses_sizes_beyond_float64(tmp_path):
     for fmt in ("json", "csv", "markdown")
 ] + [
     (["cluster", "--data", "huge.csv", "--k", "2"], "squared distances overflow float64"),
+    # finite radii, center distance 1e200: its square overflows
+    (["certify", "--data", "far.csv", "--partition", "far.json"],
+     "squared distances overflow float64"),
 ])
 def test_refused_values_are_usage_errors(tmp_path, argv, message):
     # status 1 means "a check failed"; a refused value is a usage error,
@@ -217,6 +220,8 @@ def test_refused_values_are_usage_errors(tmp_path, argv, message):
     (tmp_path / "object.json").write_text('{"a": 1}')  # JSON, not reports
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "huge.csv").write_text("x1\n0\n1e200\n2e200\n-1e200\n")
+    (tmp_path / "far.csv").write_text("x1\n0\n0\n1e200\n1e200\n")
+    (tmp_path / "far.json").write_text(Partition([[0, 1], [2, 3]]).to_json())
     (tmp_path / "partial.json").write_text('{"kind": "suite"}')
     (tmp_path / "empty-check.json").write_text(json.dumps({
         "kind": "suite", "suite": "interference", "master_seed": 0,

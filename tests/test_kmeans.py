@@ -608,10 +608,19 @@ def _cap_cases():
     return cases + [(_TIED_12, k) for k in (2, 3, 4)]
 
 
+# the walk keeps the first three axes apart from the rest: at m = 3 and
+# m = 4, -0.0 beside 0.0 in every axis, and coincident points
+_SIGNED_ZEROS = [[0.0, -0.0, 1.0, -0.0], [-0.0, 0.0, 1.0, 0.0],
+                 [0.5, -0.0, -0.0, 2.0], [0.0, 0.0, 1.0, -0.0],
+                 [-0.5, 0.5, 0.0, 0.5], [-0.0, -0.0, -0.0, -0.0]]
+_LAYOUT_EDGES = [(Dataset([row[:m] for row in _SIGNED_ZEROS]), k)
+                 for m in (3, 4) for k in (1, 2, 3)]
+
+
 def _at_the_cap(test):
-    """Add :func:`_cap_cases` as explicit examples, with and without
-    collect_tol."""
-    for ds, k in _cap_cases():
+    """Add :func:`_cap_cases` and ``_LAYOUT_EDGES`` as explicit examples,
+    with and without collect_tol."""
+    for ds, k in _cap_cases() + _LAYOUT_EDGES:
         for collect_tol in (None, 1e-9):
             test = example((ds, k, collect_tol))(test)
     return test
@@ -654,6 +663,25 @@ def test_ideal_search_wide_points_match_numpy_walk(instance):
         assert p == pytest.approx(ref_p, rel=1e-12)
 
 
+def test_overflowing_partial_sums_match_numpy_walk():
+    # differences near 2e154 square past float64's largest value: partial
+    # sums reach inf; the dive's leaf overflows, so the bound starts at
+    # inf and the leaves before the first finite one enter the near list
+    # as inf; at k = 1 every partition overflows
+    huge = [[-1e154], [-1.2e154], [1e154], [0.0]]
+    with np.errstate(over="ignore"):
+        for rows in (huge, [r + [0.0, -0.0, 1e153] for r in huge]):  # m = 1, 4
+            ds = Dataset(rows)
+            for collect_tol in (None, 1e-9):
+                assert (_ideal_search(ds, 2, collect_tol)
+                        == _reference_ideal_search(ds, 2, collect_tol))
+            assert math.inf in [p for p, _ in _ideal_search(ds, 2, 1e-9)[3]]
+            for search in (_ideal_search, _reference_ideal_search):
+                with pytest.raises(ValueError, match="^every partition's "
+                                   "objective overflows float64$"):
+                    search(ds, 1, 1e-9)
+
+
 def _tie_families():
     """Every 4- to 7-point subset of the 3 x 3 integer grid, and {0} plus
     every 3 to 5 points of {1, ..., 8} on a line, each at k = 2 and 3:
@@ -684,7 +712,7 @@ def test_minima_keep_a_near_tie_above_the_dive():
     lower, upper = Partition([[0], [1, 2]]), Partition([[0, 2], [1]])
     gap = exact_q(rows, upper) - exact_q(rows, lower)
     assert 0 < gap < REL_TOL * exact_q(rows, lower)
-    points = [tuple(r) for r in rows]
+    points = [(x, 0.0, 0.0, ()) for x, in rows]  # the walk's padded layout
     assert _dive(points, 2, [0.0, 0.5, 2 / 3]) == _ideal_search(Dataset(rows), 2)[1]
     assert kmeans_ideal_minima(Dataset(rows), 2) == [upper, lower]
 

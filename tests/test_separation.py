@@ -253,10 +253,12 @@ def test_certify_validation():
         certify(ds, Partition([[0, 1], [2]]))
     # radii whose squares overflow float64 are named as Lloyd and seeding
     # name them, before absolute_gap_bound would refuse them as inf: the
-    # gaps inf - inf would be NaN
+    # gaps inf - inf would be NaN; so are finite radii whose center
+    # distances overflow, which json.dumps would write as Infinity
     for far, gamma in [(_line(0.0, 1e200, 2e200, 3e200), [[0, 1], [2, 3]]),
                        (_line(0.0, 1e200, 2e200, -1e200), [[0, 1], [2, 3]]),
-                       (_line(0.0, 1e200, 2e200, -1e200), [[0], [1, 2, 3]])]:
+                       (_line(0.0, 1e200, 2e200, -1e200), [[0], [1, 2, 3]]),
+                       (_line(0.0, 0.0, 1e200, 1e200), [[0, 1], [2, 3]])]:
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match="^squared distances overflow float64$"):
             certify(far, Partition(gamma))
