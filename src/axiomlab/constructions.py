@@ -47,6 +47,23 @@ _SEGMENTS.setflags(write=False)
 # rotation; the unrotated wing opens at 45 degrees on either side.
 _WING_ROTATION_DEG = 1.0
 
+
+def _rotated_segments_endpoints():
+    """_SEGMENTS with the right wing's segments rotated about their base
+    point to +-_WING_ROTATION_DEG off the x-axis, lengths kept."""
+    segs = np.array(_SEGMENTS)
+    angle = math.radians(_WING_ROTATION_DEG)
+    for row, side in ((0, 1.0), (1, -1.0)):
+        base, tip = segs[row]
+        span = tip - base
+        length = math.sqrt(float(np.add.reduce(span * span)))
+        tip[:] = base + length * np.array([math.cos(angle), side * math.sin(angle), 0.0])
+    segs.setflags(write=False)
+    return segs
+
+
+_ROTATED_SEGMENTS = _rotated_segments_endpoints()
+
 # Means of the bundled five-component mixture (unit variance, 200 points
 # each).  Calibrated so that the population explained-variance ladder for
 # k = 2..6 sits at about 54.3 / 72.2 / 83.5 / 90.2 / 90.8 per cent -- the
@@ -150,18 +167,6 @@ def krich_line(cluster_sizes):
 # ---------------------------------------------------------------------------
 
 
-def _rotated_segments_endpoints():
-    segs = np.array(_SEGMENTS)
-    angle = math.radians(_WING_ROTATION_DEG)
-    for row, side in ((0, 1.0), (1, -1.0)):
-        base, tip = segs[row]
-        length = float(np.linalg.norm(tip - base))
-        segs[row, 1] = base + length * np.array(
-            [math.cos(angle), side * math.sin(angle), 0.0]
-        )
-    return segs
-
-
 def rotated_segments(rotated, points_per_segment, rng):
     """Sample two wings of line segments, optionally with the right wing
     folded almost flat.
@@ -203,7 +208,7 @@ def rotated_segments(rotated, points_per_segment, rng):
     # (0, 1] keeps the two segments of a wing from colliding at the shared
     # base point
     t = 1.0 - rng.random((len(_SEGMENTS), points_per_segment))
-    segs = _rotated_segments_endpoints() if rotated else _SEGMENTS
+    segs = _ROTATED_SEGMENTS if rotated else _SEGMENTS
     base = segs[:, 0, None, :]
     span = segs[:, 1, None, :] - base
     pts = base + t[:, :, None] * span

@@ -375,18 +375,18 @@ def _cluster_stats(dataset, labels, counts, means=None):
     k clusters must be non-empty.  One stable argsort of the labels lays
     every cluster's rows out as a contiguous block, in increasing point
     index as the mask would.  The means are ``means``, else :func:`_means`
-    on that sort.  Each scatter is ``np.sum`` over the cluster's block of
-    the (n, m) squared differences in sorted row order: the same flattened
-    sequence, summed pairwise, that the mask route reduces.
+    (at m = 1 on its own sort).  Each scatter is ``np.sum`` over the
+    cluster's block of the (n, m) squared differences in sorted row
+    order: the same flattened sequence, summed pairwise, that the mask
+    route reduces.
 
     Returns a (k, m) array of means, a list of k scatters and a list of k
     index arrays, each cluster's members in increasing point index (its
     block of the argsort), all indexed by label.
     """
-    sort = _sorted_blocks(labels, counts)
-    order, blocks = sort
+    order, blocks = _sorted_blocks(labels, counts)
     if means is None:
-        means = _means(dataset.columns, labels, counts, sort)
+        means = _means(dataset.columns, labels, counts)
     diff = dataset.points.take(order, axis=0)
     diff -= np.repeat(means, counts, axis=0)
     diff *= diff
@@ -408,7 +408,7 @@ def _sorted_blocks(labels, counts):
     return order, blocks
 
 
-def _means(cols, labels, counts, sort=None):
+def _means(cols, labels, counts):
     """Each cluster's mean, bit for bit ``points[labels == j].mean(axis=0)``,
     as a (k, m) array indexed by label; the array route's center update.
 
@@ -416,12 +416,11 @@ def _means(cols, labels, counts, sort=None):
     one after another from 0.0, which is the order of
     ``np.bincount(labels, weights=column)``; for m = 1 it sums the
     cluster's values pairwise, so each mean is ``np.sum`` over the
-    cluster's slice of the stably sorted column (``sort`` is
-    :func:`_sorted_blocks`' answer, made here when not given).  Both are
-    divided by the cluster size.
+    cluster's slice of the stably sorted column (:func:`_sorted_blocks`).
+    Both are divided by the cluster size.
     """
     if len(cols) == 1:
-        order, blocks = sort or _sorted_blocks(labels, counts)
+        order, blocks = _sorted_blocks(labels, counts)
         xs = cols[0].take(order)
         return np.array([[np.add.reduce(xs[b]) / (b.stop - b.start)]
                          for b in blocks])
@@ -434,7 +433,7 @@ def _means(cols, labels, counts, sort=None):
 
 
 def _fix_empty_clusters(d2, labels, k):
-    """Re-home one point per empty cluster; returns number of events.
+    """Re-home one point per empty cluster, in place in ``labels``.
 
     The point moved into an empty slot is the one farthest from its
     currently assigned center, excluding points that are alone in their
@@ -442,7 +441,6 @@ def _fix_empty_clusters(d2, labels, k):
     are read from ``d2``, the (k, n) table of these centers that
     :func:`_assign` read.
     """
-    events = 0
     idx = np.arange(len(labels))
     for c in range(k):
         while not np.any(labels == c):
@@ -453,17 +451,18 @@ def _fix_empty_clusters(d2, labels, k):
             dist2 = d2[labels, idx]  # each point to its own center
             dist2[~eligible] = -np.inf
             labels[int(np.argmax(dist2))] = c
-            events += 1
-    return events
 
 
-def _check_descent(q_prev, q_here):
+def _check_descent(q_prev, q_here, points):
     """Lloyd's objective never increases: assignment and the empty-cluster
     fix only remove scatter, and the mean is optimal for fixed membership.
-    Raise CrossCheckError if it did, ValueError if ``q_here`` overflowed."""
+    Raise ValueError if ``q_here`` overflowed, CrossCheckError if it grew
+    by over REL_TOL * (q_prev + the points' :func:`_tie_floor`), the floor
+    made only then (a zero objective rounds to about n eps**2 top**2)."""
     if not q_here < math.inf:
         raise ValueError("squared distances overflow float64")
-    if not q_here <= q_prev * (1.0 + 1e-9) + 1e-12:
+    slack = q_prev * (1.0 + REL_TOL)
+    if not q_here <= slack and not q_here <= slack + REL_TOL * _tie_floor(points):
         raise CrossCheckError("Lloyd objective increased from %r to %r" % (q_prev, q_here))
 
 
@@ -489,29 +488,26 @@ def _lloyd_core(dataset, centers, rows=None, paths=None, table=None):
 
     Returns
     -------
-    labels, means, scatters, members, updates, converged, empty_events
-        ``means``, ``scatters`` and ``members`` belong to the final
-        ``labels`` and are indexed by label; ``members`` holds each
+    means, scatters, members, updates, converged
+        The final labelling's per-label means, scatters and members, each
         cluster's point indices in increasing order.
     """
     k = len(centers)
-    cols = dataset.columns
+    cols, pts = dataset.columns, dataset.points
     assign = (functools.partial(_assign_arrays, k, np.min_scalar_type(k - 1),
                                 np.arange(dataset.n)) if rows is None
               else functools.partial(_assign_floats, k))
     owners = None
     path, seen = [], []  # the keys stepped from; q_prev at each assignment
-    empty_events = 0
     q_prev = math.inf
     converged = False
     while True:
         if table is None:
             table = _sq_dists(cols, np.asarray(centers, dtype=float))
-        labels, counts, key, events, q_table = assign(table, owners)
+        labels, counts, key, q_table = assign(table, owners)
         table = None
-        empty_events += events
         if q_table is not None:  # the objective of the owners' step
-            _check_descent(q_prev, q_table)
+            _check_descent(q_prev, q_table, pts)
             q_prev = q_table
         seen.append(q_prev)
         if path and key == path[-1]:
@@ -519,7 +515,7 @@ def _lloyd_core(dataset, centers, rows=None, paths=None, table=None):
             break
         met = paths and paths.get(key)
         if met and len(path) + met[1] <= _MAX_ITERATIONS:
-            _check_descent(q_prev, met[0])  # the check this run makes next
+            _check_descent(q_prev, met[0], pts)  # the check this run makes next
             _record(paths, path, seen, len(path) + met[1])
             return None
         if len(path) >= _MAX_ITERATIONS:
@@ -528,7 +524,7 @@ def _lloyd_core(dataset, centers, rows=None, paths=None, table=None):
             means = _means(cols, labels, counts)
         else:
             means, scatters, members = _float_stats(rows, labels, counts)
-            q_prev = _checked(q_prev, scatters)
+            q_prev = _checked(q_prev, scatters, pts)
         centers = means
         path.append(key)
         owners = labels
@@ -540,11 +536,11 @@ def _lloyd_core(dataset, centers, rows=None, paths=None, table=None):
                 dataset, labels, counts, centers if converged else None)
         else:
             means, scatters, members = _float_stats(rows, labels, counts)
-        q_here = _checked(q_prev, scatters)
+        q_here = _checked(q_prev, scatters, pts)
         if converged and q_table is not None:
             _cross_check("Lloyd objective: block scatters vs distance table",
                          q_here, q_table)
-    return labels, means, scatters, members, len(path), converged, empty_events
+    return means, scatters, members, len(path), converged
 
 
 def _record(paths, path, seen, total):
@@ -553,27 +549,28 @@ def _record(paths, path, seen, total):
         paths[key] = (seen[s + 1], total - s)
 
 
-def _checked(q_prev, scatters):
+def _checked(q_prev, scatters, points):
     """The scatters summed in label order, checked not to exceed the
-    previous objective."""
+    previous objective (:func:`_check_descent`)."""
     q_here = _summed(scatters, range(len(scatters)))
-    _check_descent(q_prev, q_here)
+    _check_descent(q_prev, q_here, points)
     return q_here
 
 
 def _assign_arrays(k, key_type, idx, d2, owners):
     """The array route's assignment step from the centers' (k, n) table
-    ``d2``: :func:`_assign`, then the empty-cluster repair if needed.
+    ``d2``: :func:`_assign`, then, if a cluster is empty, the repair
+    (:func:`_fix_empty_clusters`, in place on the labels).
 
     Returns the labels, their counts, their key (their bytes as
-    ``key_type``, the narrowest unsigned type for k labels), the number
-    of repairs, and, when ``owners`` are the labels whose means the
-    centers are, their objective read from the table: the sum of each
-    point's entry for its owner (its distance to its own cluster's mean;
-    ``idx`` is ``np.arange(n)``), in point order, else None.  At k = 2
-    the labels are one comparison, ``d2[1] < d2[0]`` (ties go to center 0),
-    whose c hits give the counts n - c and c (no ``bincount``), and the
-    owners' entries are ``np.where(owners, d2[1], d2[0])``, not a gather.
+    ``key_type``, the narrowest unsigned type for k labels) and, when
+    ``owners`` are the labels whose means the centers are, their
+    objective read from the table: the sum of each point's entry for its
+    owner (its distance to its own cluster's mean; ``idx`` is
+    ``np.arange(n)``), in point order, else None.  At k = 2 the labels
+    are one comparison, ``d2[1] < d2[0]`` (ties go to center 0), whose c
+    hits give the counts n - c and c (no ``bincount``), and the owners'
+    entries are ``np.where(owners, d2[1], d2[0])``, not a gather.
     """
     if k == 2:
         closer = d2[1] < d2[0]
@@ -582,16 +579,15 @@ def _assign_arrays(k, key_type, idx, d2, owners):
     else:
         labels = _assign(d2)
         counts = np.bincount(labels, minlength=k)
-    events = 0
     if np.count_nonzero(counts) < k:
-        events = _fix_empty_clusters(d2, labels, k)
+        _fix_empty_clusters(d2, labels, k)
         counts = np.bincount(labels, minlength=k)
     q_table = None
     if owners is not None:
         own = (np.where(owners, d2[1], d2[0]) if k == 2 else
                d2.ravel().take(owners * len(idx) + idx))
         q_table = float(np.add.reduce(own))
-    return labels, counts, labels.astype(key_type).tobytes(), events, q_table
+    return labels, counts, labels.astype(key_type).tobytes(), q_table
 
 
 def _assign_floats(k, d2, owners):
@@ -605,12 +601,11 @@ def _assign_floats(k, d2, owners):
     found = d2.argmin(axis=0)
     labels = found.tolist()
     counts = list(map(labels.count, range(k)))
-    events = 0
     if 0 in counts:
-        events = _fix_empty_clusters(d2, found, k)
+        _fix_empty_clusters(d2, found, k)
         labels = found.tolist()
         counts = list(map(labels.count, range(k)))
-    return labels, counts, found.tobytes(), events, None
+    return labels, counts, found.tobytes(), None
 
 
 def _float_stats(rows, labels, counts):
@@ -697,12 +692,10 @@ def _first_best(dataset, starts, paths=None):
         run = _lloyd_core(dataset, centers, rows, paths, table)
         if run is None:
             continue  # met an earlier run's path
-        q = _summed(run[2], _canonical(run[3]))  # scatters in canonical order
+        q = _summed(run[1], _canonical(run[2]))  # scatters in canonical order
         if best is None or q < best[0]:
             best = (q, run)
-    _, means, scatters, members, updates, converged, _ = best[1]
-    return _build_result(dataset, means, scatters, members, updates,
-                         converged, rows)
+    return _build_result(dataset, *best[1], rows)
 
 
 def _build_result(dataset, means, scatters, members, iterations, converged, rows):

@@ -330,21 +330,21 @@ def test_lloyd_centers_are_cluster_means_in_canonical_order():
 
 
 def test_lloyd_handles_empty_cluster_by_reseeding_farthest():
-    # both points are nearer the first center, so the second cluster comes
-    # up empty and gets the farthest point (index 0) re-homed into it
+    # every point is nearer the first center, so the second cluster comes
+    # up empty and gets the farthest point (index 0) re-homed into it; no
+    # repair would leave one cluster of all three
     pts = np.array([[0.0], [1.0], [10.0]])
-    labels, means, scatters, members, updates, converged, events = _lloyd_core(
+    means, scatters, members, updates, converged = _lloyd_core(
         Dataset(pts), np.array([[100.0], [200.0]])
     )
-    assert events >= 1
     assert converged
-    assert sorted(np.bincount(labels).tolist()) == [1, 2]
+    assert sorted(map(len, members)) == [1, 2]
     # the returned statistics belong to the final labelling
     for j in range(2):
-        mine = pts[labels == j]
+        mine = pts[members[j]]
         assert np.array_equal(means[j], mine.mean(axis=0))
         assert scatters[j] == float(np.sum((mine - mine.mean(axis=0)) ** 2))
-        assert members[j].tolist() == np.flatnonzero(labels == j).tolist()
+    assert sorted(np.concatenate(members).tolist()) == [0, 1, 2]
     res = lloyd(Dataset(pts), [[100.0], [200.0]])
     assert res.partition == Partition([[0, 1], [2]])
 
@@ -358,10 +358,10 @@ def test_empty_cluster_repair_moves_the_farthest_eligible_point():
     centers = np.array([[0.0], [100.0], [50.0], [70.0]])
     labels = np.array([0, 0, 0, 1])
     d2 = _sq_dists(Dataset(pts).columns, centers)
-    assert _fix_empty_clusters(d2, labels, 4) == 2
+    _fix_empty_clusters(d2, labels, 4)
     assert labels.tolist() == [0, 3, 2, 1]
     # nothing empty, nothing moved
-    assert _fix_empty_clusters(d2, labels, 4) == 0
+    _fix_empty_clusters(d2, labels, 4)
     assert labels.tolist() == [0, 3, 2, 1]
 
 
@@ -885,6 +885,31 @@ def test_float64_overflow_is_named(monkeypatch):
             search(ds, 2)
 
 
+def test_an_objective_increase_raises_at_any_scale(monkeypatch):
+    # the descent check's slack is relative to the objective and to the
+    # data's scale: an injected step that quadruples the objective raises
+    # on both routes at scale 1 and at scale 2**-40, where every objective
+    # is below 1e-21 and an absolute slack of 1e-12 would pass it
+    for scale in (1.0, 2.0 ** -40):
+        ds = Dataset(_line(0.0, 1.0, 2.0, 10.0, 11.0, 12.0).points * scale)
+        real_float_stats = kmeans_module._float_stats
+        steps = itertools.count(1)
+        def growing(*args):
+            means, scatters, members = real_float_stats(*args)
+            return means, [next(steps) * scale * scale] * len(scatters), members
+        real_assign_arrays = kmeans_module._assign_arrays
+        def first_table_low(*args):
+            labels, counts, key, q_table = real_assign_arrays(*args)
+            return labels, counts, key, q_table and min(q_table, scale * scale)
+        for cutoff, name, stub in ((_FLOAT_ROUTE_MAX, "_float_stats", growing),
+                                   (0, "_assign_arrays", first_table_low)):
+            monkeypatch.setattr(kmeans_module, "_FLOAT_ROUTE_MAX", cutoff)
+            lloyd(ds, [[0.0], [scale]])  # unpatched, the run passes
+            with mock.patch.object(kmeans_module, name, stub), pytest.raises(
+                    CrossCheckError, match="^Lloyd objective increased"):
+                lloyd(ds, [[0.0], [scale]])
+
+
 # ---------------------------------------------------------------------------
 # bit-identity oracle for Lloyd, restarts and result building
 # ---------------------------------------------------------------------------
@@ -1211,26 +1236,29 @@ def _route_starts(ds, k):
 
 
 def _same_state(floats, arrays):
-    labels, means, scatters, members, updates, converged, events = floats
-    assert labels == arrays[0].tolist()
-    assert np.array_equal(means, arrays[1])
-    assert np.array_equal(np.signbit(means), np.signbit(arrays[1]))
-    assert scatters == arrays[2]
-    assert members == [block.tolist() for block in arrays[3]]
-    assert (updates, converged, events) == tuple(arrays[4:])
+    # the members (each label's points) determine the labels
+    means, scatters, members, updates, converged = floats
+    assert np.array_equal(means, arrays[0])
+    assert np.array_equal(np.signbit(means), np.signbit(arrays[0]))
+    assert scatters == arrays[1]
+    assert members == [block.tolist() for block in arrays[2]]
+    assert (updates, converged) == tuple(arrays[3:])
 
 
 def test_float_and_array_routes_agree_at_the_cutoff(monkeypatch):
-    repairs = 0
+    repairs = []  # the plain-float runs' empty-cluster repairs
+    def spy(*args):
+        repairs.append(args)
+        _fix_empty_clusters(*args)
     long_lines = 0
     for ds, k in _route_cases():
         rows = ds.points.tolist()
         for start in _route_starts(ds, k):
             for cap in (1, 100):  # 100 last: the default cap for the runs below
                 monkeypatch.setattr(kmeans_module, "_MAX_ITERATIONS", cap)
-                floats = _lloyd_core(ds, start, rows)
+                with mock.patch.object(kmeans_module, "_fix_empty_clusters", spy):
+                    floats = _lloyd_core(ds, start, rows)
                 _same_state(floats, _lloyd_core(ds, start))
-                repairs += floats[-1]
         results = []
         for cutoff in (10 ** 9, 0):  # everything on floats, then on arrays
             monkeypatch.setattr(kmeans_module, "_FLOAT_ROUTE_MAX", cutoff)
@@ -1247,16 +1275,16 @@ def test_float_and_array_routes_agree_at_the_cutoff(monkeypatch):
                                   np.signbit(on_arrays.centers))
             if ds.m == 1:
                 long_lines += max(map(len, on_floats.partition.clusters)) >= 9
-    assert repairs > 0 and long_lines > 0
+    assert len(repairs) > 0 and long_lines > 0
 
 
 def _same_run(got, want):
-    labels, means, scatters, members, updates, converged, events = got
-    assert np.array_equal(labels, want[0])
-    assert np.array_equal(means, want[1])
-    assert scatters == want[2]
-    assert [list(block) for block in members] == [list(block) for block in want[3]]
-    assert (updates, converged, events) == tuple(want[4:])
+    # the members (each label's points) determine the labels
+    means, scatters, members, updates, converged = got
+    assert np.array_equal(means, want[0])
+    assert scatters == want[1]
+    assert [list(block) for block in members] == [list(block) for block in want[2]]
+    assert (updates, converged) == tuple(want[3:])
 
 
 def test_a_meeting_past_the_cap_runs_on():
@@ -1274,10 +1302,10 @@ def test_a_meeting_past_the_cap_runs_on():
         for rows in (ds.points.tolist(), None):
             paths = {}
             first = _lloyd_core(ds, start, rows, paths)
-            assert first[5] and _lloyd_core(ds, start, rows, paths) is None
-            with mock.patch.object(kmeans_module, "_MAX_ITERATIONS", first[4] - 1):
+            assert first[4] and _lloyd_core(ds, start, rows, paths) is None
+            with mock.patch.object(kmeans_module, "_MAX_ITERATIONS", first[3] - 1):
                 capped = _lloyd_core(ds, start, rows, paths)
-                assert capped is not None and not capped[5]
+                assert capped is not None and not capped[4]
                 _same_run(capped, _lloyd_core(ds, start, rows))
             runs += 1
     assert runs == 120
@@ -1334,10 +1362,9 @@ def test_lloyd_kernels_match_the_broadcast_and_mask_routes():
         want_events = _reference_fix_empty_clusters(ds.points, centers, want, k)
         key_type = np.min_scalar_type(k - 1)
         for prev in (None, owners):
-            labels, counts, key, events, q_table = _assign_arrays(
+            labels, counts, key, q_table = _assign_arrays(
                 k, key_type, np.arange(n), d2, prev)
             assert np.array_equal(labels, want) and labels.dtype == np.intp
-            assert events == want_events
             assert np.array_equal(counts, np.bincount(want, minlength=k))
             assert counts.dtype == np.intp
             assert key == want.astype(key_type).tobytes()
