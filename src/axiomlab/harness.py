@@ -37,7 +37,6 @@ from .core import Dataset, Partition, _sq_dists, distance_matrix
 from .kmeans import (
     REL_TOL,
     KMeansConfig,
-    _assign,
     is_local_min,
     kmeans,
     kmeans_ideal,
@@ -358,7 +357,7 @@ def _suite_separation_4rho(seeds, tally):
         seeds_ab, _ = _two_balls(rng, cb, ra, 1, rb, 1)
         ds = Dataset(pts)
         # one assignment step: nobody may cross over to the other seed
-        first = _assign(_sq_dists(ds.columns, seeds_ab))
+        first = _sq_dists(ds.columns, seeds_ab).argmin(axis=0)
         crossed = (first[:na] != 0).sum() + (first[na:] != 1).sum()
         # and iterating to convergence keeps the ball partition
         res = lloyd(ds, seeds_ab)
@@ -378,7 +377,7 @@ def _suite_core_preservation(seeds, tally):
         na, nb = int(rng.integers(5, 26)), int(rng.integers(5, 26))
         pts, gamma = _two_balls(rng, cb, rho, na, rho, nb)
         seeds_ab, _ = _two_balls(rng, cb, rho, 1, rho, 1)
-        first = _assign(_sq_dists(pts.T, seeds_ab))
+        first = _sq_dists(pts.T, seeds_ab).argmin(axis=0)
         home = np.sqrt(_sq_dists(pts.T, np.vstack([np.zeros(m), cb])))
         in_core_a = home[0, :na] <= g / 2.0
         in_core_b = home[1, na:] <= g / 2.0

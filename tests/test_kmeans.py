@@ -48,7 +48,6 @@ from axiomlab.kmeans import (
 from axiomlab import kmeans as kmeans_module
 from axiomlab.kmeans import (
     _FLOAT_ROUTE_MAX,
-    _assign,
     _assign_arrays,
     _cluster_stats,
     _dive,
@@ -986,6 +985,7 @@ def _reference_cluster_stats(pts, labels, k):
 
 
 def _reference_fix_empty_clusters(pts, centers, labels, k):
+    """Repair empty clusters in place; returns the number of points moved."""
     events = 0
     for c in range(k):
         while not np.any(labels == c):
@@ -1002,24 +1002,26 @@ def _reference_fix_empty_clusters(pts, centers, labels, k):
 
 def _reference_lloyd_core(pts, centers, max_iterations):
     """Lloyd as it was before each cluster's statistics were computed once
-    per step, kept verbatim as the oracle (means and scatters recomputed
-    for the monotonicity check, the center update and the result; the
-    empty-cluster repair called on every step)."""
+    per step, kept as the oracle (means and scatters recomputed for the
+    monotonicity check, the center update and the result; the
+    empty-cluster repair called on every step).  The descent slack is the
+    package's, written out: REL_TOL of the previous objective plus REL_TOL
+    of eps * (largest |coordinate|)**2."""
     k = centers.shape[0]
     centers = centers.astype(float).copy()
+    floor = REL_TOL * np.finfo(float).eps * float(np.max(np.abs(pts))) ** 2
     prev = None
     updates = 0
-    empty_events = 0
     q_prev = np.inf
     converged = False
     while True:
         labels = _reference_assign(pts, centers)
-        empty_events += _reference_fix_empty_clusters(pts, centers, labels, k)
+        _reference_fix_empty_clusters(pts, centers, labels, k)
         if prev is not None and np.array_equal(labels, prev):
             converged = True
             break
         q_here = _reference_partition_scatter(pts, labels, k)
-        if not q_here <= q_prev * (1.0 + 1e-9) + 1e-12:
+        if not q_here <= q_prev * (1.0 + REL_TOL) + floor:
             raise CrossCheckError(
                 "Lloyd objective increased from %r to %r" % (q_prev, q_here)
             )
@@ -1030,7 +1032,7 @@ def _reference_lloyd_core(pts, centers, max_iterations):
             centers[j] = pts[labels == j].mean(axis=0)
         updates += 1
         prev = labels
-    return labels, updates, converged, empty_events
+    return labels, updates, converged
 
 
 def _reference_result_from_labels(dataset, labels, k, iterations, converged):
@@ -1049,7 +1051,7 @@ def _reference_result_from_labels(dataset, labels, k, iterations, converged):
 
 def _reference_lloyd(ds, initial_centers, cap):
     centers = np.asarray(initial_centers, dtype=float)
-    labels, updates, converged, _ = _reference_lloyd_core(ds.points, centers, cap)
+    labels, updates, converged = _reference_lloyd_core(ds.points, centers, cap)
     return _reference_result_from_labels(ds, labels, len(centers), updates,
                                          converged)
 
@@ -1059,7 +1061,7 @@ def _reference_kmeans(ds, config, cap=100):
     for child in np.random.SeedSequence(config.rng_seed).spawn(config.restarts):
         centers = _reference_seed(ds, config.k, config.seeding,
                                   np.random.default_rng(child))
-        labels, updates, converged, _ = _reference_lloyd_core(
+        labels, updates, converged = _reference_lloyd_core(
             ds.points, centers, cap)
         q = _reference_canonical_q(ds.points, labels)
         if best is None or q < best[0]:
@@ -1337,12 +1339,9 @@ def test_lloyd_kernels_match_the_broadcast_and_mask_routes():
     for ds, labels, centers in _labelled_points():
         k = len(centers)
         d2 = _sq_dists(ds.columns, centers)
-        got_labels = _assign(d2)
         want_d2 = np.sum((ds.points[:, None, :] - centers[None, :, :]) ** 2,
                          axis=-1)
         assert np.array_equal(d2, want_d2.T)
-        assert np.array_equal(got_labels, _reference_assign(ds.points, centers))
-        assert got_labels.dtype == np.intp
         means, scatters, members = _cluster_stats(
             ds, labels, np.bincount(labels, minlength=k))
         want_means, want_scatters = _reference_cluster_stats(ds.points, labels, k)
@@ -1352,7 +1351,8 @@ def test_lloyd_kernels_match_the_broadcast_and_mask_routes():
         assert scatters == want_scatters
         assert [block.tolist() for block in members] == [
             np.flatnonzero(labels == j).tolist() for j in range(k)]
-    ties = repairs = 0
+    ties = {2: 0, 3: 0}  # steps where some point's two nearest centers tie
+    repairs = 0
     for ds, centers, owners in _assignment_steps():
         k, n = len(centers), ds.n
         d2 = _sq_dists(ds.columns, centers)
@@ -1372,9 +1372,10 @@ def test_lloyd_kernels_match_the_broadcast_and_mask_routes():
                 assert q_table is None
             else:  # the owners' entries, not the new labels', in point order
                 assert q_table == float(np.sum(want_d2[np.arange(n), owners]))
-        ties += k == 2 and np.any(want_d2[:, 0] == want_d2[:, 1])
+        nearest = np.sort(want_d2, axis=1)
+        ties[min(k, 3)] += bool(np.any(nearest[:, 0] == nearest[:, 1]))
         repairs += want_events > 0
-    assert ties > 50 and repairs > 50
+    assert min(ties.values()) > 50 and repairs > 50
 
 
 def _assignment_steps():
